@@ -16,11 +16,11 @@ but deliberately leaves the PV limit in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cosim import SimulatorHandle, StepContext
-from .modbus import (DEVICE_BSS, DEVICE_LOAD, DEVICE_METER, DEVICE_PV,
-                     FC_WRITE_SINGLE, REG_DEVICE_TYPE, REG_SETPOINT,
+from .devices import ROLES
+from .modbus import (FC_WRITE_SINGLE, REG_DEVICE_TYPE, REG_SETPOINT,
                      FrameError, decode, encode, fp_encode,
                      parse_read_response, parse_write_single,
                      read_holding_request, write_single_request, ModbusAdu)
@@ -29,9 +29,6 @@ from .netem import (ARP_REPLY, ARP_REQUEST, ETH_ARP, ArpMessage, Host,
 
 PORT_PROBE = 49300
 PORT_INJECT = 49310
-
-ROLE_BY_TYPE = {DEVICE_PV: "PV", DEVICE_BSS: "BSS",
-                DEVICE_LOAD: "LoadBank", DEVICE_METER: "Meter"}
 
 
 @dataclass(frozen=True)
@@ -50,27 +47,18 @@ class AttackPlan:
             raise ValueError("pv_limit_kw must be >= 0")
 
 
-@dataclass
-class RoleMap:
-    entries: dict[str, str] = field(default_factory=dict)  # ip -> role
-
-    def role(self, ip: str) -> str:
-        return self.entries.get(ip, "unknown")
-
-
 class Attacker:
     def __init__(self, host: Host, plan: AttackPlan, step_s: float):
         self.host = host
         self.plan = plan
         self.step_s = step_s
-        self.roles = RoleMap()
+        self.roles: dict[str, str] = {}          # ip -> role label
         self.scan_results: dict[str, str] = {}   # ip -> mac (true bindings)
         self.mitm_active = False
         self.events: list[tuple[int, str]] = []
         self._probes: dict[int, str] = {}        # txid -> probed ip
         self._txid = 0x4000
         self._arp_askers: dict[str, set[str]] = {}  # sender ip -> asked ips
-        self._scanned = False
         self._identified = False
         self._last_poison_step: int | None = None
         self._corrected = False
@@ -89,13 +77,13 @@ class Attacker:
 
     @property
     def ems_ip(self) -> str | None:
-        for ip, role in self.roles.entries.items():
+        for ip, role in self.roles.items():
             if role == "EMS":
                 return ip
         return None
 
     def _victim_ips(self) -> list[str]:
-        return [ip for ip, role in sorted(self.roles.entries.items())
+        return [ip for ip, role in sorted(self.roles.items())
                 if role in ("PV", "BSS")]
 
     # -- per-step behavior ------------------------------------------------
@@ -150,7 +138,6 @@ class Attacker:
             ip = str(ip)
             if ip != self.host.ip:
                 self.host.resolve(ip)
-        self._scanned = True
 
     def identify_roles(self, ctx: StepContext) -> None:
         """Read register 0 of every scan responder; label the EMS from the
@@ -162,7 +149,7 @@ class Attacker:
             self._probes[tx] = ip
             adu = read_holding_request(tx, 1, REG_DEVICE_TYPE)
             self.host.send_ip(ip, encode(adu), src_port=PORT_PROBE)
-            self.roles.entries.setdefault(ip, "unknown")
+            self.roles.setdefault(ip, "unknown")
         self.events.append((ctx.step, "identify-roles"))
 
     def _handle_own(self, ctx: StepContext, d: IpDelivery) -> None:
@@ -178,11 +165,12 @@ class Attacker:
                 dev_type = parse_read_response(adu)[0]
             except FrameError:
                 return
-            self.roles.entries[ip] = ROLE_BY_TYPE.get(dev_type, "unknown")
+            self.roles[ip] = next((label for label, t in ROLES.values()
+                                   if t == dev_type), "unknown")
             self._label_ems()
 
     def _label_ems(self) -> None:
-        device_ips = {ip for ip, r in self.roles.entries.items()
+        device_ips = {ip for ip, r in self.roles.items()
                       if r in ("PV", "BSS", "Meter", "LoadBank")}
         if not device_ips:
             return
@@ -190,8 +178,8 @@ class Attacker:
             if asker in device_ips or asker not in self.scan_results:
                 continue
             if len(asked & device_ips) >= 2 and \
-                    self.roles.entries.get(asker) in (None, "unknown"):
-                self.roles.entries[asker] = "EMS"
+                    self.roles.get(asker) in (None, "unknown"):
+                self.roles[asker] = "EMS"
 
     def start_mitm(self, ctx: StepContext) -> None:
         if self.ems_ip is None:
@@ -203,7 +191,7 @@ class Attacker:
         # plant the PV limit and the forced BSS charging setpoint directly
         for role, value in (("PV", self.plan.pv_limit_kw),
                             ("BSS", self.plan.bss_charge_kw)):
-            ip = next((i for i, r in self.roles.entries.items() if r == role),
+            ip = next((i for i, r in self.roles.items() if r == role),
                       None)
             if ip is not None:
                 adu = write_single_request(self._next_tx(), 1, REG_SETPOINT,
@@ -237,7 +225,7 @@ class Attacker:
             return adu
         if addr != REG_SETPOINT:
             return adu
-        role = self.roles.role(dst_ip)
+        role = self.roles.get(dst_ip, "unknown")
         if role == "BSS":
             return write_single_request(adu.header.transaction_id,
                                         adu.header.unit_id, addr,

@@ -33,19 +33,19 @@ class ExportError(ValueError):
 
 
 def fmt_time(t_s: float) -> str:
-    """Seconds since midnight as HH:MM:SS[.mmm]."""
-    whole = int(t_s)
-    frac = t_s - whole
+    """Seconds since midnight as HH:MM:SS[.mmm], rounded to the millisecond."""
+    whole, ms = divmod(round(t_s * 1000), 1000)
     h, rem = divmod(whole, 3600)
     m, s = divmod(rem, 60)
     base = f"{h:02d}:{m:02d}:{s:02d}"
-    return base if frac < 1e-9 else f"{base}.{round(frac * 1000):03d}"
+    return f"{base}.{ms:03d}" if ms else base
 
 
 @dataclass(frozen=True)
 class ProcessSample:
     t_s: float
     pv_kw: float
+    pv_available_kw: float
     bss_kw: float
     load_kw: float
     transformer_kw: float
@@ -66,21 +66,20 @@ class FlowRecord:
 
 
 class Capture:
-    def __init__(self, step_s: float, epoch_s: float,
+    def __init__(self, step_s: float, epoch_s: float, deadband_kw: float,
                  attack_window: tuple[float, float] | None = None,
                  roles_by_ip: dict[str, tuple[str, str]] | None = None,
                  date: str = "2021-06-15"):
         self.step_s = step_s
         self.epoch_s = epoch_s
+        self.deadband_kw = deadband_kw  # EMS deadband, for the summary
         self.attack_window = attack_window
         self.roles_by_ip = roles_by_ip or {}  # ip -> (role, true mac)
         day = _dt.datetime.fromisoformat(date).replace(tzinfo=_dt.timezone.utc)
         self._day_epoch = day.timestamp()
         self.samples: list[ProcessSample] = []
-        self.pv_available: list[float] = []
         self.frames: list[tuple[float, bytes]] = []
         self.flows: dict[tuple[str, str, str, str], FlowRecord] = {}
-        self.deadband_kw = 0.1  # used by summarize percentile context
 
     # -- recording --------------------------------------------------------
 
@@ -110,11 +109,11 @@ class Capture:
                       load_kw: float, transformer_kw: float,
                       soc_pct: float, pv_available_kw: float = 0.0) -> None:
         t = self.time_of(step)
-        self.pv_available.append(pv_available_kw)
         active = (self.attack_window is not None
                   and self.attack_window[0] <= t < self.attack_window[1])
-        self.samples.append(ProcessSample(t, pv_kw, bss_kw, load_kw,
-                                          transformer_kw, soc_pct, active))
+        self.samples.append(ProcessSample(t, pv_kw, pv_available_kw, bss_kw,
+                                          load_kw, transformer_kw, soc_pct,
+                                          active))
 
     # -- export -----------------------------------------------------------
 
@@ -217,8 +216,8 @@ class Capture:
             "peak_export_kw": min((s.transformer_kw for s in self.samples),
                                   default=0.0),
             "pv_curtailed_kwh": sum(
-                max(0.0, avail - s.pv_kw) * self.step_s
-                for s, avail in zip(self.samples, self.pv_available)) / 3600.0,
+                max(0.0, s.pv_available_kw - s.pv_kw) * self.step_s
+                for s in self.samples) / 3600.0,
             "within_deadband_fraction": (
                 sum(1 for s in self.samples
                     if abs(s.transformer_kw) <= self.deadband_kw) / n

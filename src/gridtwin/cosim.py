@@ -114,7 +114,6 @@ class Scheduler:
         self._hooks: list[Callable[[int], None]] = []
         self._board: dict[str, Any] = {}
         self._started = False
-        self.transcript: list[ExchangeRecord] = []
 
     def register(self, handle: SimulatorHandle) -> str:
         if self._started:
@@ -162,7 +161,6 @@ class Scheduler:
         records = [ExchangeRecord(self.clock.now, sig, staged[sig])
                    for sig in sorted(staged)]
         self._board.update(staged)
-        self.transcript.extend(records)
         for hook in self._hooks:
             hook(self.clock.now)
         self.clock.now += 1

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .cosim import SimulatorHandle, StepContext
-from .grid import BssState, LoadState, PvState, bus_balance, step_bss, step_pv
+from .grid import (BssState, BusBalance, LoadState, PvState, bus_balance,
+                   step_bss, step_pv)
 from .modbus import (DEVICE_BSS, DEVICE_LOAD, DEVICE_METER, DEVICE_PV,
                      NO_LIMIT, REG_MEAS, REG_MEAS_AUX, REG_SETPOINT,
                      FrameError, RegisterMap, decode, encode, fp_decode, serve)
@@ -30,13 +31,20 @@ SIG_BSS_SETPOINT = "bss.setpoint_cmd"
 SIG_LOAD_DEMAND = "load.demand"
 SIG_TRANSFORMER = "bus.transformer"
 
+# role key -> (label in the flow graph and the attacker's role map,
+#              Modbus device type in holding register 0; None: no server)
+ROLES = {"ems": ("EMS", None), "pv": ("PV", DEVICE_PV),
+         "bss": ("BSS", DEVICE_BSS), "load": ("LoadBank", DEVICE_LOAD),
+         "meter": ("Meter", DEVICE_METER)}
+
 
 class GridSimulator:
     """Physics of PV, BSS, load bank and the transformer bus."""
 
     def __init__(self, pv: PvState, bss: BssState, load: LoadState,
                  load_profile: TimeSeriesProfile, pv_profile: TimeSeriesProfile,
-                 step_s: float, transformer_rated_kva: float = 630.0):
+                 step_s: float,
+                 transformer_rated_kva: float = BusBalance.transformer_rated_kva):
         self.pv = pv
         self.bss = bss
         self.load = load
@@ -81,13 +89,12 @@ class GridSimulator:
 
 
 class ModbusDevice:
-    """Base: a host plus a register map served without authentication."""
-
-    device_type = 0
+    """Base: a host plus a register map served without authentication.
+    The host's id is its role key, which gives the device type."""
 
     def __init__(self, host: Host, registers: dict[int, int]):
         self.host = host
-        self.regmap = RegisterMap(self.device_type, dict(registers))
+        self.regmap = RegisterMap(ROLES[host.id][1], dict(registers))
 
     def serve_inbox(self) -> None:
         for d in self.host.receive():
@@ -104,8 +111,6 @@ class ModbusDevice:
 
 
 class PvDevice(ModbusDevice):
-    device_type = DEVICE_PV
-
     def __init__(self, host: Host):
         super().__init__(host, {REG_MEAS: 0, REG_MEAS_AUX: 0,
                                 REG_SETPOINT: NO_LIMIT})
@@ -125,8 +130,6 @@ class PvDevice(ModbusDevice):
 
 
 class BssDevice(ModbusDevice):
-    device_type = DEVICE_BSS
-
     def __init__(self, host: Host, capacity_kwh: float):
         super().__init__(host, {REG_MEAS: 0, REG_MEAS_AUX: 0, REG_SETPOINT: 0})
         self.capacity_kwh = capacity_kwh
@@ -146,8 +149,6 @@ class BssDevice(ModbusDevice):
 
 
 class LoadDevice(ModbusDevice):
-    device_type = DEVICE_LOAD
-
     def __init__(self, host: Host):
         super().__init__(host, {REG_MEAS: 0})
 
@@ -161,8 +162,6 @@ class LoadDevice(ModbusDevice):
 
 
 class MeterDevice(ModbusDevice):
-    device_type = DEVICE_METER
-
     def __init__(self, host: Host):
         super().__init__(host, {REG_MEAS: 0})
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cosim import SimulatorHandle, StepContext
+from .grid import BssState
 from .modbus import (NO_LIMIT, REG_MEAS, REG_SETPOINT,
                      FrameError, decode, encode, fp_decode, fp_encode,
                      parse_read_response, read_holding_request,
@@ -31,13 +32,13 @@ PORT_BSS = 49154
 class ControlPolicy:
     period_s: float = 5.0
     deadband_kw: float = 0.1
-    bss_rated_kw: float = 15.0
+    bss_rated_kw: float = BssState.rated_kw  # the default battery's
     manages_pv_limit: bool = False
     request_timeout_steps: int = 5
 
 
-def control_step(meter_kw: float, bss_soc: float | None,
-                 prev_setpoint_kw: float, policy: ControlPolicy) -> float | None:
+def control_step(meter_kw: float, prev_setpoint_kw: float,
+                 policy: ControlPolicy) -> float | None:
     """New BSS setpoint for one control decision, or None inside the deadband."""
     if abs(meter_kw) <= policy.deadband_kw:
         return None
@@ -59,7 +60,6 @@ class EmsController:
         self._txid = 0
         self._outstanding: dict[int, tuple[str, int]] = {}  # txid -> (kind, step)
         self._meter_kw: float | None = None
-        self._bss_soc_pct: float | None = None
         self._pv_limit_raw: int | None = None
         self._acted = False
 
@@ -78,8 +78,8 @@ class EmsController:
         self._collect(ctx)
         if self._meter_kw is not None and not self._acted:
             self._acted = True
-            command = control_step(self._meter_kw, self._bss_soc_pct,
-                                   self.prev_setpoint_kw, self.policy)
+            command = control_step(self._meter_kw, self.prev_setpoint_kw,
+                                   self.policy)
             if command is not None:
                 word = fp_encode(command)
                 self.prev_setpoint_kw = fp_decode(word)
@@ -97,15 +97,12 @@ class EmsController:
 
     def _start_cycle(self, ctx: StepContext) -> None:
         self._meter_kw = None
-        self._bss_soc_pct = None
         self._acted = False
         self._send(self.meter_ip,
                    read_holding_request(self._next_tx(), 1, REG_MEAS),
                    PORT_METER, "meter-read", ctx.step)
-        pv_qty = 1
-        pv_addr = REG_MEAS
         self._send(self.pv_ip,
-                   read_holding_request(self._next_tx(), 1, pv_addr, pv_qty),
+                   read_holding_request(self._next_tx(), 1, REG_MEAS),
                    PORT_PV, "pv-read", ctx.step)
         if self.policy.manages_pv_limit:
             self._send(self.pv_ip,
@@ -131,9 +128,6 @@ class EmsController:
             try:
                 if kind == "meter-read":
                     self._meter_kw = fp_decode(parse_read_response(adu)[0])
-                elif kind == "bss-read":
-                    words = parse_read_response(adu)
-                    self._bss_soc_pct = fp_decode(words[1])
                 elif kind == "pv-limit-read":
                     self._pv_limit_raw = parse_read_response(adu)[0]
             except FrameError:

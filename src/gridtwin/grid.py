@@ -90,7 +90,8 @@ def step_bss(state: BssState, dt_s: float) -> BssState:
 
 
 def bus_balance(load: LoadState, pv: PvState, bss: BssState,
-                transformer_rated_kva: float = 630.0) -> BusBalance:
+                transformer_rated_kva: float = BusBalance.transformer_rated_kva
+                ) -> BusBalance:
     """Power balance at the transformer for one instant."""
     return BusBalance(
         transformer_kw=load.demand_kw + bss.actual_kw - pv.output_kw,

@@ -201,8 +201,3 @@ def serve(request: ModbusAdu, regmap: RegisterMap) -> ModbusAdu:
                 regmap.on_write(a, v)
         return ModbusAdu(request.header, fc, struct.pack(">HH", addr, qty))
     return _exception(request, EXC_ILLEGAL_FUNCTION)
-
-
-def poll(regmap: RegisterMap, addresses: list[int]) -> list[float]:
-    """Read registers and apply the fixed-point scaling (test/EMS helper)."""
-    return [fp_decode(regmap.get(a)) for a in addresses]

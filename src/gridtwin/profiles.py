@@ -82,13 +82,6 @@ def load_profile(source, interpolation: str = "hold") -> TimeSeriesProfile:
     return TimeSeriesProfile(points=tuple(points), interpolation=interpolation)
 
 
-def serialize(profile: TimeSeriesProfile) -> str:
-    lines = ["t_s,value_kw"]
-    for t, v in profile.points:
-        lines.append(f"{t!r},{v!r}")
-    return "\n".join(lines) + "\n"
-
-
 def sample(profile: TimeSeriesProfile, t: float) -> float:
     """Value at time t; constant extension before/after the knot range."""
     pts = profile.points

@@ -3,15 +3,21 @@
 A scenario is one YAML file describing the clock, the device fleet with
 its MAC/IP plan, the replayed profiles, the EMS policy, an optional
 attack plan, and the export formats.  Times are written as clock
-strings ("11:30:00"), powers in kW.  Two golden scenarios (normal and
+strings ("HH:MM:SS"), powers in kW.  Two golden scenarios (normal and
 attack) ship with the package under ``gridtwin/data/configs``.
+
+One pass (``_read``) reads, converts and range-checks every field once:
+``validate`` returns its issues and ``build`` wires its values.  A key
+the YAML leaves unset keeps the default its dataclass declares.
 """
 
 from __future__ import annotations
 
+import datetime as _dt
 import ipaddress
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -46,7 +52,11 @@ def parse_time(text: str) -> float:
 
 _MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
 
-DEVICE_ROLES = ("ems", "pv", "bss", "load", "meter")
+
+# (conversion, range check, reason) of a number field; NaN fails them all
+_FINITE = (float, math.isfinite, "must be a finite number")
+_POSITIVE = (float, lambda x: 0 < x < math.inf, "must be > 0")
+_NON_NEGATIVE = (float, lambda x: 0 <= x < math.inf, "must be >= 0")
 
 
 @dataclass
@@ -65,19 +75,16 @@ class ScenarioConfig:
             raise ConfigError(f"{path}: top level must be a mapping")
         return cls(raw=data, base_dir=path.parent)
 
-    # convenience accessors ------------------------------------------------
-
     @property
     def name(self) -> str:
         return str(self.raw.get("name", "scenario"))
 
-    @property
-    def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
+    # The clock, with its defaults; the pass reads it through these.
 
     @property
     def clock(self) -> dict:
-        return self.raw.get("clock", {})
+        clock = self.raw.get("clock")
+        return clock if isinstance(clock, dict) else {}
 
     @property
     def start_s(self) -> float:
@@ -91,109 +98,168 @@ class ScenarioConfig:
     def step_s(self) -> float:
         return float(self.clock.get("step_s", 1.0))
 
-    @property
-    def devices(self) -> dict:
-        return self.raw.get("devices", {})
 
-    @property
-    def attack(self) -> dict | None:
-        return self.raw.get("attack")
+def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
+    """The one pass over a scenario: every field read, converted and
+    range-checked once.  Returns the values ``build`` wires and every
+    bad value as a 'path: reason' issue; it never raises."""
+    issues: list[str] = []
 
-    def profile_path(self, which: str) -> Path:
-        entry = self.raw.get("profiles", {}).get(which, {})
-        return (self.base_dir / str(entry.get("file", f"{which}.csv"))).resolve()
+    def attempt(path, read, ok=None, reason=""):
+        """read(), or None and an issue if it fails or ok() rejects it."""
+        try:
+            value = read()
+        except (ArithmeticError, OSError, TypeError, ValueError) as exc:
+            issues.append(f"{path}: {exc}")
+            return None
+        if ok is not None and not ok(value):
+            issues.append(f"{path}: {reason}")
+            return None
+        return value
+
+    def get(node, key, path, conv, ok=None, reason="", default=None):
+        """node[key] through attempt; default if it is unset or null."""
+        if node.get(key) is None:
+            return default
+        return attempt(f"{path}.{key}", lambda: conv(node[key]), ok, reason)
+
+    def fields(node, path, **checks):
+        """Dataclass keyword arguments: every key the YAML sets, read by
+        get.  Unset and bad keys are left out."""
+        return {key: value for key, check in checks.items()
+                if (value := get(node, key, path, *check)) is not None}
+
+    def section(node, key, path):
+        """node[key] as a mapping: {} if unset, {} and an issue if it is
+        not a mapping."""
+        sub = node.get(key)
+        if sub is None or isinstance(sub, dict):
+            return sub or {}
+        issues.append(f"{path}: must be a mapping, not {sub!r}")
+        return {}
+
+    raw = cfg.raw
+    clock = section(raw, "clock", "clock")
+    start = attempt("clock.start", lambda: cfg.start_s)
+    end = attempt("clock.end", lambda: cfg.end_s)
+    step = attempt("clock.step_s", lambda: cfg.step_s, *_POSITIVE[1:])
+    run_ok = start is not None and end is not None
+    if run_ok and start >= end:
+        issues.append("clock: start must precede end")
+    capture_kw = fields(clock, "clock", date=(
+        lambda d: _dt.date.fromisoformat(str(d)).isoformat(),))
+
+    net = section(raw, "network", "network")
+    net_kw = fields(net, "network",
+                    subnet=(lambda n: str(ipaddress.IPv4Network(str(n))),))
+    expiry = get(net, "arp_cache_expiry_s", "network", *_POSITIVE)
+    if expiry is not None and step is not None:
+        net_kw["cache_expiry_steps"] = max(1, round(expiry / step))
+    network = Network(**net_kw)
+
+    devices = section(raw, "devices", "devices")
+    nodes = {role: section(devices, role, f"devices.{role}")
+             for role in dev.ROLES}
+    attack = (section(raw, "attack", "attack")
+              if raw.get("attack") is not None else None)
+    endpoints: list[Endpoint] = []
+    seen: dict[str, str] = {}                    # mac or ip -> path
+    for role, node in (*nodes.items(), ("attacker", attack)):
+        path = "attack" if role == "attacker" else f"devices.{role}"
+        if node is None:
+            continue
+        if not node:
+            issues.append(f"{path}: missing section")
+            continue
+        mac = attempt(f"{path}.mac", lambda: str(node.get("mac")).lower(),
+                      _MAC_RE.match, "invalid MAC")
+        ip = attempt(f"{path}.ip",
+                     lambda: str(ipaddress.IPv4Address(str(node.get("ip")))),
+                     lambda ip: ipaddress.IPv4Address(ip) in network.subnet,
+                     f"outside subnet {network.subnet}")
+        for kind, value in (("MAC", mac), ("IP", ip)):
+            if value in seen:
+                issues.append(f"{path}.{kind.lower()}: duplicate {kind} "
+                              f"{value} (also {seen[value]})")
+            elif value is not None:
+                seen[value] = path
+        spy = role == "attacker"
+        endpoints.append(Endpoint(id=role, mac=mac, ip=ip, promiscuous=spy,
+                                  accept_foreign=spy))
+
+    profiles = section(raw, "profiles", "profiles")
+    prof = {}
+    for which in ("load", "pv"):
+        path = f"profiles.{which}"
+        entry = section(profiles, which, path)
+        file = cfg.base_dir / str(entry.get("file") or f"{which}.csv")
+        kw = fields(entry, path, interpolation=(str,))
+        rule = fields(entry, path, factor=_FINITE, clamp_max_kw=_NON_NEGATIVE)
+        if attempt(f"{path}.file", file.is_file, bool,
+                   f"{file} does not exist"):
+            prof[which] = attempt(path, lambda: scale(
+                load_profile(file.read_bytes(), **kw), ScalingRule(**rule)))
+
+    pv = PvState(**fields(nodes["pv"], "devices.pv", rated_kw=_POSITIVE))
+    bss = BssState(**fields(
+        nodes["bss"], "devices.bss", rated_kw=_POSITIVE,
+        capacity_kwh=_POSITIVE,
+        efficiency=(float, lambda x: 0 < x <= 1, "must be in (0, 1]")))
+    soc_pct = get(nodes["bss"], "initial_soc_pct", "devices.bss", float,
+                  lambda x: 0 <= x <= 100, "must be in [0, 100]", 50.0)
+    if soc_pct is not None:
+        bss = replace(bss, soc_kwh=bss.capacity_kwh * soc_pct / 100)
+    grid = dict(pv=pv, bss=bss, load=LoadState(**fields(
+        nodes["load"], "devices.load", rated_kw=_POSITIVE)),
+        load_profile=prof.get("load"), pv_profile=prof.get("pv"),
+        **fields(nodes["meter"], "devices.meter",
+                 transformer_rated_kva=_POSITIVE))
+
+    ems = section(raw, "ems", "ems")
+    policy = ControlPolicy(bss_rated_kw=bss.rated_kw, **fields(
+        ems, "ems", period_s=_POSITIVE, deadband_kw=_NON_NEGATIVE,
+        manages_pv_limit=(lambda b: b, lambda b: isinstance(b, bool),
+                          "must be true or false"),
+        request_timeout_steps=(int, lambda n: n >= 1, "must be >= 1")))
+    if step is not None and policy.period_s < step:
+        issues.append("ems.period_s: must be >= clock.step_s")
+
+    plan = None
+    if attack is not None:
+        a_start = get(attack, "start", "attack", parse_time,
+                      default=parse_time("11:30:00"))
+        a_end = get(attack, "end", "attack", parse_time,
+                    default=parse_time("14:15:00"))
+        kw = fields(attack, "attack", pv_limit_kw=_FINITE,
+                    bss_charge_kw=_FINITE, repoison_period_s=_POSITIVE,
+                    recon_lead_s=_NON_NEGATIVE)
+        if a_start is not None and a_end is not None:
+            plan = attempt("attack", lambda: AttackPlan(a_start, a_end, **kw))
+    if plan is not None:
+        if abs(plan.bss_charge_kw) > bss.rated_kw:
+            issues.append(f"attack.bss_charge_kw: |{plan.bss_charge_kw}| "
+                          f"exceeds BSS rating {bss.rated_kw}")
+        if run_ok and not (start <= plan.start_s and plan.end_s <= end):
+            issues.append("attack: window must lie within the run window")
+        # the ARP scan runs recon_lead_s (at least one step) ahead
+        if run_ok and step is not None and \
+                plan.start_s - max(plan.recon_lead_s, step) < start:
+            issues.append("attack.recon_lead_s: scan would start before the run")
+
+    output = section(raw, "output", "output")
+    formats = get(output, "formats", "output", tuple,
+                  lambda fs: all(f in FORMATS for f in fs),
+                  f"unsupported format (known: {', '.join(FORMATS)})", FORMATS)
+
+    return {"start": start, "step": step, "network": network,
+            "endpoints": endpoints, "grid": grid, "policy": policy,
+            "plan": plan, "capture": capture_kw, "formats": formats}, issues
 
 
 def validate(cfg: ScenarioConfig) -> list[str]:
-    """All invariant violations, as 'path: reason' strings; empty if valid."""
-    issues: list[str] = []
-
-    def check(cond: bool, path: str, reason: str) -> None:
-        if not cond:
-            issues.append(f"{path}: {reason}")
-
-    try:
-        start, end, step = cfg.start_s, cfg.end_s, cfg.step_s
-        check(start < end, "clock", "start must precede end")
-        check(step > 0, "clock.step_s", "must be > 0")
-    except ConfigError as exc:
-        issues.append(f"clock: {exc}")
-        start = end = 0.0
-
-    subnet_str = cfg.raw.get("network", {}).get("subnet", "192.168.10.0/24")
-    try:
-        subnet = ipaddress.IPv4Network(subnet_str)
-    except ValueError:
-        issues.append(f"network.subnet: invalid subnet {subnet_str!r}")
-        subnet = None
-
-    seen_ip: dict[str, str] = {}
-    seen_mac: dict[str, str] = {}
-    nodes = {role: cfg.devices.get(role) for role in DEVICE_ROLES}
-    if cfg.attack is not None:
-        nodes["attack"] = cfg.attack
-    for role, node in nodes.items():
-        path = f"devices.{role}" if role in DEVICE_ROLES else "attack"
-        if not isinstance(node, dict):
-            issues.append(f"{path}: missing section")
-            continue
-        ip, mac = str(node.get("ip", "")), str(node.get("mac", "")).lower()
-        check(_MAC_RE.match(mac) is not None, f"{path}.mac",
-              f"invalid MAC {mac!r}")
-        try:
-            addr = ipaddress.IPv4Address(ip)
-            if subnet is not None:
-                check(addr in subnet, f"{path}.ip",
-                      f"{ip} outside subnet {subnet}")
-        except ValueError:
-            issues.append(f"{path}.ip: invalid IPv4 address {ip!r}")
-        check(ip not in seen_ip, f"{path}.ip",
-              f"duplicate IP {ip} (also {seen_ip.get(ip)})")
-        check(mac not in seen_mac, f"{path}.mac",
-              f"duplicate MAC {mac} (also {seen_mac.get(mac)})")
-        seen_ip.setdefault(ip, path)
-        seen_mac.setdefault(mac, path)
-
-    for which in ("load", "pv"):
-        p = cfg.profile_path(which)
-        check(p.is_file(), f"profiles.{which}.file", f"{p} does not exist")
-        entry = cfg.raw.get("profiles", {}).get(which, {})
-        check(float(entry.get("factor", 1.0)) > 0,
-              f"profiles.{which}.factor", "must be > 0")
-
-    ems = cfg.raw.get("ems", {})
-    period = float(ems.get("period_s", 5.0))
-    check(period >= cfg.step_s if not issues else True,
-          "ems.period_s", "must be >= clock.step_s")
-    check(float(ems.get("deadband_kw", 0.1)) >= 0,
-          "ems.deadband_kw", "must be >= 0")
-
-    bss = cfg.devices.get("bss") or {}
-    soc0 = float(bss.get("initial_soc_pct", 50.0))
-    check(0 <= soc0 <= 100, "devices.bss.initial_soc_pct", "must be in [0, 100]")
-    check(0 < float(bss.get("efficiency", 1.0)) <= 1,
-          "devices.bss.efficiency", "must be in (0, 1]")
-
-    if cfg.attack is not None and isinstance(cfg.attack, dict):
-        try:
-            a_start = parse_time(cfg.attack.get("start", "11:30:00"))
-            a_end = parse_time(cfg.attack.get("end", "14:15:00"))
-            check(a_start < a_end, "attack", "start must precede end")
-            check(a_start >= start and a_end <= end, "attack",
-                  "attack window must lie within the run window")
-        except ConfigError as exc:
-            issues.append(f"attack: {exc}")
-        charge = float(cfg.attack.get("bss_charge_kw", 14.0))
-        rated = float(bss.get("rated_kw", 15.0))
-        check(abs(charge) <= rated, "attack.bss_charge_kw",
-              f"|{charge}| exceeds BSS rating {rated}")
-        check(float(cfg.attack.get("pv_limit_kw", 3.5)) >= 0,
-              "attack.pv_limit_kw", "must be >= 0")
-
-    for f in cfg.raw.get("output", {}).get("formats", list(FORMATS)):
-        check(f in FORMATS, "output.formats", f"unsupported format {f!r}")
-
-    return issues
+    """Every problem ``build`` would refuse, as 'path: reason' strings;
+    empty if the scenario is valid.  Never raises."""
+    return _read(cfg)[1]
 
 
 @dataclass
@@ -218,103 +284,37 @@ class Simulation:
 
 
 def build(cfg: ScenarioConfig) -> Simulation:
-    """Wire up all simulators for a validated scenario config."""
-    issues = validate(cfg)
+    """Wire up all simulators for a scenario; ConfigError if invalid."""
+    v, issues = _read(cfg)
     if issues:
         raise ConfigError("; ".join(issues))
 
-    step_s = cfg.step_s
-    clock = SimClock(epoch_s=cfg.start_s, step_s=step_s)
-    scheduler = Scheduler(clock)
-
-    net_cfg = cfg.raw.get("network", {})
-    expiry_s = net_cfg.get("arp_cache_expiry_s")
-    network = Network(
-        subnet=net_cfg.get("subnet", "192.168.10.0/24"),
-        cache_expiry_steps=(None if expiry_s is None
-                            else max(1, round(float(expiry_s) / step_s))))
-
-    d = cfg.devices
-    hosts = {}
-    for role in DEVICE_ROLES:
-        node = d[role]
-        hosts[role] = network.attach(Endpoint(
-            id=role, mac=str(node["mac"]).lower(), ip=str(node["ip"])))
-
-    prof = {}
-    for which in ("load", "pv"):
-        entry = cfg.raw.get("profiles", {}).get(which, {})
-        with cfg.profile_path(which).open("rb") as fh:
-            p = load_profile(fh, interpolation=entry.get("interpolation", "hold"))
-        clamp = entry.get("clamp_max_kw")
-        prof[which] = scale(p, ScalingRule(
-            factor=float(entry.get("factor", 1.0)),
-            clamp_max_kw=None if clamp is None else float(clamp)))
-
-    bss_cfg = d["bss"]
-    capacity = float(bss_cfg.get("capacity_kwh", 22.0))
-    grid = dev.GridSimulator(
-        pv=PvState(rated_kw=float(d["pv"].get("rated_kw", 36.0))),
-        bss=BssState(
-            capacity_kwh=capacity,
-            rated_kw=float(bss_cfg.get("rated_kw", 15.0)),
-            soc_kwh=capacity * float(bss_cfg.get("initial_soc_pct", 50.0)) / 100,
-            efficiency=float(bss_cfg.get("efficiency", 1.0))),
-        load=LoadState(rated_kw=float(d["load"].get("rated_kw", 20.0))),
-        load_profile=prof["load"], pv_profile=prof["pv"], step_s=step_s,
-        transformer_rated_kva=float(d["meter"].get("transformer_rated_kva",
-                                                   630.0)))
-
-    ems_cfg = cfg.raw.get("ems", {})
-    policy = ControlPolicy(
-        period_s=float(ems_cfg.get("period_s", 5.0)),
-        deadband_kw=float(ems_cfg.get("deadband_kw", 0.1)),
-        bss_rated_kw=float(bss_cfg.get("rated_kw", 15.0)),
-        manages_pv_limit=bool(ems_cfg.get("manages_pv_limit", False)),
-        request_timeout_steps=int(ems_cfg.get("request_timeout_steps", 5)))
+    step_s = v["step"]
+    scheduler = Scheduler(SimClock(epoch_s=v["start"], step_s=step_s))
+    network, policy, plan = v["network"], v["policy"], v["plan"]
+    hosts = {e.id: network.attach(e) for e in v["endpoints"]}
+    grid = dev.GridSimulator(step_s=step_s, **v["grid"])
     ems = EmsController(hosts["ems"], policy, meter_ip=hosts["meter"].ip,
                         pv_ip=hosts["pv"].ip, bss_ip=hosts["bss"].ip,
                         step_s=step_s)
+    attacker = None if plan is None else Attacker(hosts["attacker"], plan,
+                                                  step_s)
 
-    attacker = None
-    window = None
-    if cfg.attack is not None:
-        a = cfg.attack
-        plan = AttackPlan(
-            start_s=parse_time(a.get("start", "11:30:00")),
-            end_s=parse_time(a.get("end", "14:15:00")),
-            pv_limit_kw=float(a.get("pv_limit_kw", 3.5)),
-            bss_charge_kw=float(a.get("bss_charge_kw", 14.0)),
-            repoison_period_s=float(a.get("repoison_period_s", 10.0)),
-            recon_lead_s=float(a.get("recon_lead_s", 60.0)))
-        atk_host = network.attach(Endpoint(
-            id="attacker", mac=str(a["mac"]).lower(), ip=str(a["ip"]),
-            promiscuous=True, accept_foreign=True))
-        attacker = Attacker(atk_host, plan, step_s)
-        window = (plan.start_s, plan.end_s)
-
-    role_names = {"ems": "EMS", "pv": "PV", "bss": "BSS",
-                  "load": "LoadBank", "meter": "Meter"}
-    roles_by_ip = {hosts[r].ip: (role_names[r], hosts[r].mac)
-                   for r in DEVICE_ROLES}
-    if attacker is not None:
-        roles_by_ip[attacker.host.ip] = ("Attacker", attacker.host.mac)
-    capture = Capture(step_s=step_s, epoch_s=cfg.start_s,
-                      attack_window=window, roles_by_ip=roles_by_ip,
-                      date=str(cfg.clock.get("date", "2021-06-15")))
-    capture.deadband_kw = policy.deadband_kw
+    labels = {role: label for role, (label, _) in dev.ROLES.items()}
+    labels["attacker"] = "Attacker"
+    capture = Capture(
+        step_s, v["start"], policy.deadband_kw,
+        attack_window=None if plan is None else (plan.start_s, plan.end_s),
+        roles_by_ip={h.ip: (labels[r], h.mac) for r, h in hosts.items()},
+        **v["capture"])
     network.frame_sink = capture.record_frame
 
-    scheduler.register(grid.handle())
-    pv_dev = dev.PvDevice(hosts["pv"])
-    bss_dev = dev.BssDevice(hosts["bss"], capacity)
-    scheduler.register(pv_dev.handle())
-    scheduler.register(bss_dev.handle())
-    scheduler.register(dev.LoadDevice(hosts["load"]).handle())
-    scheduler.register(dev.MeterDevice(hosts["meter"]).handle())
-    scheduler.register(ems.handle())
-    if attacker is not None:
-        scheduler.register(attacker.handle())
+    capacity = grid.bss.capacity_kwh
+    for sim in (grid, dev.PvDevice(hosts["pv"]),
+                dev.BssDevice(hosts["bss"], capacity),
+                dev.LoadDevice(hosts["load"]), dev.MeterDevice(hosts["meter"]),
+                ems, *([] if attacker is None else [attacker])):
+        scheduler.register(sim.handle())
 
     scheduler.add_hook(network.transport)
 
@@ -331,7 +331,6 @@ def build(cfg: ScenarioConfig) -> Simulation:
 
     scheduler.add_hook(sample_hook)
 
-    formats = tuple(cfg.raw.get("output", {}).get("formats", list(FORMATS)))
     return Simulation(config=cfg, scheduler=scheduler, network=network,
                       capture=capture, grid=grid, ems=ems, attacker=attacker,
-                      formats=formats)
+                      formats=v["formats"])

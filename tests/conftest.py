@@ -39,7 +39,6 @@ def write_tiny_config(tmp_path, attack=False, **overrides):
     (tmp_path / "pv.csv").write_text(TINY_PV)
     cfg = {
         "name": "tiny-attack" if attack else "tiny",
-        "seed": 1,
         "clock": {"start": "09:15:00", "end": "09:20:00", "step_s": 1.0,
                   "date": "2021-06-15"},
         "network": {"subnet": "192.168.10.0/24"},

@@ -94,7 +94,7 @@ class TestAcceptance:
                 charged += 1
                 if abs(s.bss_kw - 14.0) > 1e-6:
                     bss_bad += 1
-                expect = s.load_kw + s.bss_kw - min(cap.pv_available[i], 3.5)
+                expect = s.load_kw + s.bss_kw - min(s.pv_available_kw, 3.5)
                 if s.transformer_kw != expect:
                     balance_bad += 1
             if s.pv_kw > 3.5 + EPS:
@@ -118,7 +118,7 @@ class TestAcceptance:
         # the PV limit is never reset: curtailment continues to bind
         curtailed = limit_bad = 0
         for i in range(end, n):
-            avail = cap.pv_available[i]
+            avail = cap.samples[i].pv_available_kw
             if avail > 3.5 + EPS:
                 curtailed += 1
                 if abs(cap.samples[i].pv_kw - 3.5) > EPS:

@@ -24,8 +24,8 @@ def bare_attacker():
                                ip="192.168.10.66", promiscuous=True,
                                accept_foreign=True))
     atk = Attacker(host, AttackPlan(start_s=100.0, end_s=200.0), step_s=1.0)
-    atk.roles.entries = {IP["pv"]: "PV", IP["bss"]: "BSS",
-                         IP["meter"]: "Meter", IP["ems"]: "EMS"}
+    atk.roles = {IP["pv"]: "PV", IP["bss"]: "BSS",
+                 IP["meter"]: "Meter", IP["ems"]: "EMS"}
     return atk
 
 
@@ -69,7 +69,7 @@ class TestKillChain:
             assert atk.scan_results[ip] == hosts[role].mac
 
     def test_roles_identified_including_ems(self, tiny_attack):
-        entries = tiny_attack.attacker.roles.entries
+        entries = tiny_attack.attacker.roles
         assert entries[IP["pv"]] == "PV"
         assert entries[IP["bss"]] == "BSS"
         assert entries[IP["load"]] == "LoadBank"

@@ -58,17 +58,23 @@ class TestFmtTime:
     def test_milliseconds(self):
         assert fmt_time(9 * 3600 + 0.25) == "09:00:00.250"
 
+    def test_rounds_into_the_next_second(self):
+        # 0.7 s steps: step 90 from midnight lands just below 63 s
+        assert fmt_time(62.99999999999999) == "00:01:03"
+        assert fmt_time(0.9996) == "00:00:01"
+
 
 class TestCapture:
     def test_empty_pcap_is_valid(self, tmp_path):
-        cap = Capture(step_s=1.0, epoch_s=0.0)
+        cap = Capture(step_s=1.0, epoch_s=0.0, deadband_kw=0.1)
         paths = cap.export(tmp_path, formats=("pcap",))
         header, packets = read_pcap(paths["pcap"].read_bytes())
         assert header == (2, 4, 0, 0, 65535, 1)
         assert packets == []
 
     def test_frames_round_trip_through_pcap(self, tmp_path):
-        cap = Capture(step_s=1.0, epoch_s=9 * 3600, date="2021-06-15")
+        cap = Capture(step_s=1.0, epoch_s=9 * 3600, deadband_kw=0.1,
+                      date="2021-06-15")
         f = sample_frame()
         cap.record_frame(f, step=0)
         paths = cap.export(tmp_path, formats=("pcap",))
@@ -79,7 +85,7 @@ class TestCapture:
         assert (sec, usec) == (1623715200 + 9 * 3600, 0)
 
     def test_flows_keyed_by_mac_and_ip(self):
-        cap = Capture(step_s=1.0, epoch_s=0.0)
+        cap = Capture(step_s=1.0, epoch_s=0.0, deadband_kw=0.1)
         cap.record_frame(sample_frame(), 0)
         cap.record_frame(sample_frame(), 1)
         spoofed = EthernetFrame("02:00:00:00:00:66", "02:00:00:00:00:02",
@@ -88,19 +94,20 @@ class TestCapture:
         assert len(cap.flows) == 2  # same IPs, different source MAC: new flow
 
     def test_arp_frames_counted_but_not_flows(self):
-        cap = Capture(step_s=1.0, epoch_s=0.0)
+        cap = Capture(step_s=1.0, epoch_s=0.0, deadband_kw=0.1)
         cap.record_frame(EthernetFrame("02:00:00:00:00:01",
                                        "ff:ff:ff:ff:ff:ff", ETH_ARP,
                                        bytes(28)), 0)
         assert len(cap.frames) == 1 and cap.flows == {}
 
     def test_unknown_format_rejected(self, tmp_path):
-        cap = Capture(step_s=1.0, epoch_s=0.0)
+        cap = Capture(step_s=1.0, epoch_s=0.0, deadband_kw=0.1)
         with pytest.raises(ExportError):
             cap.export(tmp_path, formats=("xml",))
 
     def test_attack_labels_follow_window(self):
-        cap = Capture(step_s=1.0, epoch_s=100.0, attack_window=(102.0, 104.0))
+        cap = Capture(step_s=1.0, epoch_s=100.0, deadband_kw=0.1,
+                      attack_window=(102.0, 104.0))
         for step in range(6):
             cap.record_sample(step, 0, 0, 0, 0, 50.0)
         assert [s.attack_active for s in cap.samples] == \

@@ -142,8 +142,8 @@ class TestDeterminism:
             s = make_scheduler()
             s.register(counter("a", "x"))
             s.register(counter("b", "y"))
-            s.run(EPOCH + 50)
-            return s.transcript
+            return [r for _ in range(s.steps_until(EPOCH + 50))
+                    for r in s.step_all()]
         assert one_run() == one_run()
 
     def test_registration_order_does_not_change_signals(self):

@@ -14,23 +14,23 @@ POLICY = ControlPolicy()
 class TestControlStep:
     def test_import_commands_charge_reduction(self):
         # meter shows 2 kW import: battery must absorb 2 kW less / feed 2 kW more
-        assert control_step(2.0, 50.0, 0.0, POLICY) == -2.0
+        assert control_step(2.0, 0.0, POLICY) == -2.0
 
     def test_export_commands_charging(self):
-        assert control_step(-3.0, 50.0, 1.0, POLICY) == 4.0
+        assert control_step(-3.0, 1.0, POLICY) == 4.0
 
     def test_deadband_returns_none(self):
-        assert control_step(0.05, 50.0, 1.0, POLICY) is None
-        assert control_step(-0.1, 50.0, 1.0, POLICY) is None
+        assert control_step(0.05, 1.0, POLICY) is None
+        assert control_step(-0.1, 1.0, POLICY) is None
 
     def test_clamped_to_rating(self):
-        assert control_step(-20.0, 50.0, 10.0, POLICY) == 15.0
-        assert control_step(20.0, 50.0, -10.0, POLICY) == -15.0
+        assert control_step(-20.0, 10.0, POLICY) == 15.0
+        assert control_step(20.0, -10.0, POLICY) == -15.0
 
     @given(meter=st.floats(-30, 30), prev=st.floats(-15, 15))
     def test_perfect_plant_nulls_the_meter(self, meter, prev):
         """If the battery tracks the command exactly, next meter reading is 0."""
-        new = control_step(meter, 50.0, prev, POLICY)
+        new = control_step(meter, prev, POLICY)
         if new is None:
             assert abs(meter) <= POLICY.deadband_kw
         elif abs(new) < POLICY.bss_rated_kw:
@@ -39,7 +39,7 @@ class TestControlStep:
 
     @given(meter=st.floats(-100, 100), prev=st.floats(-15, 15))
     def test_output_always_within_rating(self, meter, prev):
-        new = control_step(meter, 50.0, prev, POLICY)
+        new = control_step(meter, prev, POLICY)
         assert new is None or abs(new) <= POLICY.bss_rated_kw
 
 

