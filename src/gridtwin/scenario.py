@@ -79,12 +79,13 @@ class ScenarioConfig:
     def name(self) -> str:
         return str(self.raw.get("name", "scenario"))
 
-    # The clock, with its defaults; the pass reads it through these.
-
     @property
     def clock(self) -> dict:
+        """The clock keys that are set; the three properties below hold
+        their defaults, and the pass reads the clock through them."""
         clock = self.raw.get("clock")
-        return clock if isinstance(clock, dict) else {}
+        return {k: v for k, v in clock.items() if v is not None} \
+            if isinstance(clock, dict) else {}
 
     @property
     def start_s(self) -> float:
@@ -130,8 +131,7 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
                 if (value := get(node, key, path, *check)) is not None}
 
     def section(node, key, path):
-        """node[key] as a mapping: {} if unset, {} and an issue if it is
-        not a mapping."""
+        """node[key] if it is a mapping, else {} (and an issue if set)."""
         sub = node.get(key)
         if sub is None or isinstance(sub, dict):
             return sub or {}
