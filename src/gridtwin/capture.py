@@ -21,7 +21,9 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from .netem import ETH_IPV4, EthernetFrame, parse_ipv4_tcp, InputError
+from .netem import EthernetFrame
+# still importable from here: perfbench/tracing.py wraps it by this name
+from .netem import parse_ipv4_tcp  # noqa: F401
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_LINKTYPE_ETHERNET = 1
@@ -90,12 +92,9 @@ class Capture:
         t = self.time_of(step)
         raw = frame.to_bytes()
         self.frames.append((t, raw))
-        if frame.ethertype != ETH_IPV4:
+        f = frame.ipv4  # the parse the receiving hosts use too
+        if f is None:
             return  # ARP shows up in the pcap, flows track IP conversations
-        try:
-            f = parse_ipv4_tcp(frame.payload)
-        except InputError:
-            return
         key = (frame.src_mac, frame.dst_mac, f["src_ip"], f["dst_ip"])
         rec = self.flows.get(key)
         if rec is None:

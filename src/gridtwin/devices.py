@@ -9,8 +9,6 @@ as a command signal.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .cosim import SimulatorHandle, StepContext
 from .grid import (BssState, BusBalance, LoadState, PvState, bus_balance,
                    step_bss, step_pv)
@@ -67,15 +65,19 @@ class GridSimulator:
         available = max(0.0, sample(self.pv_profile, t_rel))
         demand = min(max(0.0, sample(self.load_profile, t_rel)),
                      self.load.rated_kw)
+        pv, bss = self.pv, self.bss
         limit = ctx.get(SIG_PV_LIMIT, _UNSET)
-        if limit is not _UNSET:
-            self.pv = replace(self.pv, limit_kw=limit)
         setpoint = ctx.get(SIG_BSS_SETPOINT)
-        if setpoint is not None:
-            self.bss = replace(self.bss, setpoint_kw=setpoint)
-        self.pv = step_pv(replace(self.pv, available_kw=available))
-        self.bss = step_bss(self.bss, self.step_s)
-        self.load = replace(self.load, demand_kw=demand)
+        self.pv = step_pv(PvState(
+            available_kw=available, rated_kw=pv.rated_kw,
+            limit_kw=pv.limit_kw if limit is _UNSET else limit,
+            output_kw=pv.output_kw))
+        self.bss = step_bss(BssState(
+            capacity_kwh=bss.capacity_kwh, rated_kw=bss.rated_kw,
+            soc_kwh=bss.soc_kwh,
+            setpoint_kw=bss.setpoint_kw if setpoint is None else setpoint,
+            actual_kw=bss.actual_kw, efficiency=bss.efficiency), self.step_s)
+        self.load = LoadState(demand_kw=demand, rated_kw=self.load.rated_kw)
         bal = bus_balance(self.load, self.pv, self.bss,
                           self.transformer_rated_kva)
         if bal.over_rating:

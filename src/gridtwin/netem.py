@@ -15,8 +15,10 @@ valid checksums) so captures decode in standard protocol analyzers.
 from __future__ import annotations
 
 import ipaddress
+import socket
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable
 
 ETH_IPV4 = 0x0800
@@ -41,20 +43,31 @@ class InputError(NetemError):
     pass
 
 
+# The address helpers are memoised: a scenario uses a few hundred distinct
+# addresses, and each is parsed and validated once.  A refused input is
+# not cached, so it is refused on every call.
+
+@lru_cache(maxsize=1024)
 def mac_bytes(mac: str) -> bytes:
     return bytes(int(p, 16) for p in mac.split(":"))
 
 
+@lru_cache(maxsize=1024)
 def mac_str(raw: bytes) -> str:
     return ":".join(f"{b:02x}" for b in raw)
 
 
+@lru_cache(maxsize=1024)
 def ip_bytes(ip: str) -> bytes:
     return ipaddress.IPv4Address(ip).packed
 
 
+@lru_cache(maxsize=1024)
 def ip_str(raw: bytes) -> str:
-    return str(ipaddress.IPv4Address(raw))
+    if len(raw) != 4:
+        raise ipaddress.AddressValueError(
+            f"packed IPv4 address must be 4 bytes, got {len(raw)}")
+    return socket.inet_ntoa(raw)
 
 
 @dataclass(frozen=True)
@@ -63,7 +76,18 @@ class EthernetFrame:
     dst_mac: str
     ethertype: int
     payload: bytes
-    ts: int = 0  # step index at transport time
+
+    @cached_property
+    def ipv4(self) -> dict | None:
+        """The parsed IPv4/TCP packet, or None if the frame is not IPv4 or
+        is malformed.  Parsed on first use; the capture and every
+        receiving host share the one dict, so none may change it."""
+        if self.ethertype != ETH_IPV4:
+            return None
+        try:
+            return parse_ipv4_tcp(self.payload)
+        except InputError:
+            return None
 
     def to_bytes(self) -> bytes:
         raw = mac_bytes(self.dst_mac) + mac_bytes(self.src_mac) \
@@ -100,11 +124,14 @@ class ArpMessage:
 # -- IPv4 + TCP encapsulation --------------------------------------------
 
 def _checksum(data: bytes) -> int:
+    """RFC 1071 checksum.  Read as one big-endian number, the data is
+    congruent to the sum of its 16-bit words modulo 0xFFFF (2**16 = 1
+    there), and end-around-carry folding keeps that residue, giving
+    0xFFFF rather than 0 for a nonzero sum."""
     if len(data) % 2:
         data += b"\x00"
-    total = sum(struct.unpack(f">{len(data) // 2}H", data))
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
+    n = int.from_bytes(data, "big")
+    total = (n - 1) % 0xFFFF + 1 if n else 0
     return ~total & 0xFFFF
 
 
@@ -112,11 +139,12 @@ def build_ipv4_tcp(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
                    seq: int, ack: int, payload: bytes, ip_id: int = 0) -> bytes:
     tcp = struct.pack(">HHIIBBHHH", src_port, dst_port, seq & 0xFFFFFFFF,
                       ack & 0xFFFFFFFF, 5 << 4, 0x18, 8192, 0, 0) + payload
-    pseudo = ip_bytes(src_ip) + ip_bytes(dst_ip) + struct.pack(">BBH", 0, 6, len(tcp))
+    addrs = ip_bytes(src_ip) + ip_bytes(dst_ip)
+    pseudo = addrs + struct.pack(">BBH", 0, 6, len(tcp))
     tcp = tcp[:16] + struct.pack(">H", _checksum(pseudo + tcp)) + tcp[18:]
     total = 20 + len(tcp)
     ip = struct.pack(">BBHHHBBH", 0x45, 0, total, ip_id & 0xFFFF, 0x4000, 64, 6, 0) \
-        + ip_bytes(src_ip) + ip_bytes(dst_ip)
+        + addrs
     ip = ip[:10] + struct.pack(">H", _checksum(ip)) + ip[12:]
     return ip + tcp
 
@@ -141,7 +169,7 @@ def parse_ipv4_tcp(raw: bytes) -> dict:
     if len(raw) < 40:
         raise InputError("truncated IPv4 packet")
     ihl = (raw[0] & 0x0F) * 4
-    total = struct.unpack(">H", raw[2:4])[0]
+    total = struct.unpack_from(">H", raw, 2)[0]
     if raw[9] != 6:
         raise InputError(f"not TCP (proto {raw[9]})")
     if total > len(raw) or ihl < 20:
@@ -150,7 +178,7 @@ def parse_ipv4_tcp(raw: bytes) -> dict:
     tcp = raw[ihl:total]
     if len(tcp) < 20:
         raise InputError("truncated TCP header")
-    sport, dport, seq, ack = struct.unpack(">HHII", tcp[:12])
+    sport, dport, seq, ack = struct.unpack_from(">HHII", tcp)
     off = (tcp[12] >> 4) * 4
     return dict(src_ip=src_ip, dst_ip=dst_ip, src_port=sport, dst_port=dport,
                 seq=seq, ack=ack, payload=tcp[off:])
@@ -310,9 +338,8 @@ class Host:
                                    msg.sender_mac, msg.sender_ip)
                 self.send_arp(reply, msg.sender_mac)
         elif frame.ethertype == ETH_IPV4:
-            try:
-                f = parse_ipv4_tcp(frame.payload)
-            except InputError:
+            f = frame.ipv4
+            if f is None:
                 self.net.drop("malformed-ip")
                 return
             if f["dst_ip"] != self.ip and not self.endpoint.accept_foreign:
@@ -355,6 +382,9 @@ class Network:
         self.switch = LearningSwitch()
         self.hosts: dict[str, Host] = {}
         self._by_port: dict[int, Host] = {}
+        self._ports: list[int] = []       # ascending switch ports
+        self._order: list[Host] = []      # hosts sorted by endpoint id
+        self._in_subnet: set[str] = set()  # addresses check_subnet accepted
         self.step = 0
         self.frame_sink: Callable[[EthernetFrame, int], None] | None = None
         self.delivered = 0
@@ -374,11 +404,16 @@ class Network:
         host = Host(self, endpoint)
         self.hosts[endpoint.id] = host
         self._by_port[endpoint.port] = host
+        self._ports.append(endpoint.port)
+        self._order = [self.hosts[hid] for hid in sorted(self.hosts)]
         return host
 
     def check_subnet(self, ip: str) -> None:
+        if ip in self._in_subnet:
+            return
         if ipaddress.IPv4Address(ip) not in self.subnet:
             raise ResolutionError(f"{ip} outside scenario subnet {self.subnet}")
+        self._in_subnet.add(ip)
 
     def drop(self, reason: str) -> None:
         self.dropped[reason] = self.dropped.get(reason, 0) + 1
@@ -397,26 +432,25 @@ class Network:
     def transport(self, step: int) -> None:
         """End-of-step hook: deliver all frames queued during this step."""
         self.step = step
-        batch: list[EthernetFrame] = []
-        for hid in sorted(self.hosts):
-            host = self.hosts[hid]
-            batch.extend(f for f in host.outbox)
-            host.outbox = []
-        ports = sorted(self._by_port)
-        for frame in batch:
-            frame = EthernetFrame(frame.src_mac, frame.dst_mac,
-                                  frame.ethertype, frame.payload, ts=step)
-            sender = next((h for h in self.hosts.values()
-                           if h.mac == frame.src_mac), None)
-            ingress = sender.endpoint.port if sender else -1
-            egress, flooded = self.switch.forward(frame, ingress, ports)
-            if flooded:
-                self.flooded += 1
-            else:
-                self.delivered += 1
-            if self.frame_sink:
-                self.frame_sink(frame, step)
-            for port in egress:
-                self._by_port[port]._on_frame(frame, step)
-        for hid in sorted(self.hosts):
-            self.hosts[hid]._expire(step)
+        # drain every outbox first: frames sent while these are delivered
+        # go out at the next transport
+        batch: list[tuple[Host, list[EthernetFrame]]] = []
+        for host in self._order:
+            if host.outbox:
+                batch.append((host, host.outbox))
+                host.outbox = []
+        for sender, frames in batch:
+            ingress = sender.endpoint.port
+            for frame in frames:
+                egress, flooded = self.switch.forward(frame, ingress,
+                                                      self._ports)
+                if flooded:
+                    self.flooded += 1
+                else:
+                    self.delivered += 1
+                if self.frame_sink:
+                    self.frame_sink(frame, step)
+                for port in egress:
+                    self._by_port[port]._on_frame(frame, step)
+        for host in self._order:
+            host._expire(step)

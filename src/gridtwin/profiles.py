@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 
 class ProfileError(ValueError):
@@ -31,6 +31,7 @@ class ScalingRule:
 class TimeSeriesProfile:
     points: tuple[tuple[float, float], ...]  # (t_s since scenario epoch, kW)
     interpolation: str = "hold"              # "hold" | "linear"
+    times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.interpolation not in ("hold", "linear"):
@@ -43,10 +44,8 @@ class TimeSeriesProfile:
                 raise ProfileError(
                     f"timestamps must be strictly increasing ({prev} then {t})")
             prev = t
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.points)
+        # the knot times, for bisection; replace() runs this again
+        object.__setattr__(self, "times", tuple(t for t, _ in self.points))
 
 
 def load_profile(source, interpolation: str = "hold") -> TimeSeriesProfile:

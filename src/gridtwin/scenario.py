@@ -41,6 +41,10 @@ _TIME_RE = re.compile(r"^(\d{1,2}):(\d{2})(?::(\d{2}))?$")
 
 def parse_time(text: str) -> float:
     """'HH:MM[:SS]' -> seconds since midnight."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        raise ConfigError(
+            f"bad time-of-day {text!r}: quote the time, YAML reads an "
+            f"unquoted HH:MM:SS as a base-60 number")
     m = _TIME_RE.match(str(text).strip())
     if not m:
         raise ConfigError(f"bad time-of-day {text!r} (expected HH:MM[:SS])")

@@ -1,11 +1,16 @@
+import ipaddress
 import struct
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from gridtwin import netem
+from gridtwin.capture import Capture
 from gridtwin.netem import (ARP_REPLY, BROADCAST_MAC, ETH_ARP, ETH_IPV4,
                             ArpMessage, Endpoint, EthernetFrame, InputError,
                             LearningSwitch, NetemError, Network,
-                            ResolutionError, build_ipv4_tcp, ip_bytes,
+                            ResolutionError, build_ipv4_tcp, ip_bytes, ip_str,
                             mac_bytes, mac_str, parse_ipv4_tcp)
 
 
@@ -81,6 +86,46 @@ class TestWireFormats:
         with pytest.raises(InputError):
             parse_ipv4_tcp(bytes(pkt))
 
+    @given(data=st.binary(max_size=80))
+    @example(data=b"\xff\xff" * 3)  # a nonzero multiple of 0xFFFF
+    @example(data=bytes(7))
+    def test_checksum_matches_word_sum(self, data):
+        assert netem._checksum(data) == ~ones_complement_sum(data) & 0xFFFF
+
+
+class TestAddressHelpers:
+    """The helpers are memoised; a refused input must stay refused."""
+
+    @pytest.mark.parametrize("ip", ["192.168.10", "192.168.10.256",
+                                    "192.168.010.1"])
+    def test_ip_bytes_rejects_malformed(self, ip):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                ip_bytes(ip)
+
+    def test_ip_str_rejects_three_bytes(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                ip_str(b"\xc0\xa8\x0a")
+
+    @given(raw=st.binary(min_size=4, max_size=4))
+    def test_ip_str_matches_ipaddress(self, raw):
+        assert ip_str(raw) == str(ipaddress.IPv4Address(raw))
+        assert ip_bytes(ip_str(raw)) == raw
+
+    def test_mac_bytes_rejects_non_hex(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                mac_bytes("zz:00:00:00:00:01")
+
+    def test_check_subnet_refuses_on_every_call(self):
+        net = Network()
+        net.check_subnet("192.168.10.7")
+        net.check_subnet("192.168.10.7")
+        for _ in range(2):
+            with pytest.raises(ResolutionError):
+                net.check_subnet("10.0.0.1")
+
 
 class TestLearningSwitch:
     def test_unknown_unicast_floods(self):
@@ -154,6 +199,31 @@ class TestHostStack:
         a.send_ip(b.ip, b"ping")
         pump(net, 3)
         assert len(seen) == net.delivered + net.flooded == 3
+
+    def test_malformed_ip_frame_flooded_to_several_hosts(self, monkeypatch):
+        net, a, b = two_hosts()
+        c = net.attach(Endpoint(id="c", mac="02:00:00:00:00:0c",
+                                ip="192.168.10.3"))
+        cap = Capture(step_s=1.0, epoch_s=0.0, deadband_kw=0.1)
+        net.frame_sink = cap.record_frame
+        parses = []
+
+        def counted(raw):
+            parses.append(raw)
+            return parse_ipv4_tcp(raw)
+        monkeypatch.setattr(netem, "parse_ipv4_tcp", counted)
+        pkt = bytearray(build_ipv4_tcp(a.ip, b.ip, 1, 2, 0, 0, b"x"))
+        pkt[9] = 17  # UDP
+        frame = EthernetFrame(a.mac, b.mac, ETH_IPV4, bytes(pkt))
+        a.outbox.append(frame)  # b's port is not learned yet: flooded
+        pump(net, 1)
+        assert net.dropped == {"malformed-ip": 2}  # one each for b and c
+        assert (net.delivered, net.flooded) == (0, 1)
+        assert cap.frames == [(0.0, frame.to_bytes())]
+        assert len(cap.frames) == net.delivered + net.flooded
+        assert cap.flows == {}
+        assert b.receive() == [] and c.receive() == []
+        assert len(parses) == 1  # shared by the capture and both hosts
 
     def test_tcp_seq_advances_per_flow(self):
         net, a, b = two_hosts()

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,19 @@ def serialize(profile):
     for t, v in profile.points:
         lines.append(f"{t!r},{v!r}")
     return "\n".join(lines) + "\n"
+
+
+def scan_sample(points, interpolation, t):
+    """Reference: walk the knots from the start."""
+    if t <= points[0][0]:
+        return points[0][1]
+    if t >= points[-1][0]:
+        return points[-1][1]
+    for (t0, v0), (t1, v1) in zip(points, points[1:]):
+        if t0 <= t < t1:
+            if interpolation == "hold":
+                return v0
+            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
 class TestLoadProfile:
@@ -64,6 +78,27 @@ class TestSample:
     @given(t=st.floats(1, 99), eps=st.floats(1e-9, 1e-6))
     def test_linear_is_continuous_between_knots(self, t, eps):
         assert abs(sample(self.linear, t) - sample(self.linear, t + eps)) < 1e-3
+
+    @given(times=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30,
+                          unique=True),
+           values=st.lists(st.floats(-1e6, 1e6), min_size=30, max_size=30),
+           data=st.data())
+    def test_matches_linear_scan(self, times, values, data):
+        points = tuple(zip(sorted(times), values))
+        knots = [t for t, _ in points]
+        probes = [knots[0] - 1.0, knots[-1] + 1.0, *knots,
+                  *((a + b) / 2 for a, b in zip(knots, knots[1:])),
+                  data.draw(st.floats(-2e6, 2e6))]
+        for interpolation in ("hold", "linear"):
+            p = TimeSeriesProfile(points, interpolation)
+            for t in probes:
+                assert sample(p, t) == scan_sample(points, interpolation, t)
+
+    def test_times_follow_replace(self):
+        p = replace(self.linear, points=((5.0, 1.0), (6.0, 2.0)))
+        assert p.times == (5.0, 6.0)
+        assert scale(p, ScalingRule(2.0)).times == (5.0, 6.0)
+        assert p == TimeSeriesProfile(((5.0, 1.0), (6.0, 2.0)), "linear")
 
 
 class TestScale:

@@ -30,6 +30,12 @@ class TestParseTime:
         with pytest.raises(ConfigError):
             parse_time(bad)
 
+    def test_unquoted_yaml_time_asks_for_quotes(self):
+        value = yaml.safe_load("start: 11:30:00")["start"]
+        assert value == 41400  # YAML 1.1 base-60 integer
+        with pytest.raises(ConfigError, match="quote the time"):
+            parse_time(value)
+
 
 class TestValidate:
     def test_golden_configs_are_clean(self):
@@ -195,10 +201,14 @@ def set_field(cfg, path, value):
     (("profiles", "pv", "interpolation"), "cubic"),
     (("devices",), [1]),
     (("devices", "bss", "capacity_kwh"), 0),
+    (("clock", "start"), 41400),  # how YAML loads an unquoted 11:30:00
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_bad_field_is_reported_not_raised(tmp_path, path, value):
     cfg_path = edited_config(tmp_path, lambda cfg: set_field(cfg, path, value))
-    assert validate(ScenarioConfig.load(cfg_path)) != []
+    issues = validate(ScenarioConfig.load(cfg_path))
+    assert issues != []
+    if path[-1] == "start":
+        assert any("quote the time" in issue for issue in issues)
     assert main(["validate", str(cfg_path)]) == 1
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "ds")]) == 1
 
