@@ -30,6 +30,10 @@ from .netem import (ARP_REPLY, ARP_REQUEST, ETH_ARP, ArpMessage, Host,
 PORT_PROBE = 49300
 PORT_INJECT = 49310
 
+# Modbus device type in register 0 -> role label
+DEVICE_LABELS = {role.device_type: role.label for role in ROLES.values()
+                 if role.device_type is not None}
+
 
 @dataclass(frozen=True)
 class AttackPlan:
@@ -165,13 +169,12 @@ class Attacker:
                 dev_type = parse_read_response(adu)[0]
             except FrameError:
                 return
-            self.roles[ip] = next((label for label, t in ROLES.values()
-                                   if t == dev_type), "unknown")
+            self.roles[ip] = DEVICE_LABELS.get(dev_type, "unknown")
             self._label_ems()
 
     def _label_ems(self) -> None:
         device_ips = {ip for ip, r in self.roles.items()
-                      if r in ("PV", "BSS", "Meter", "LoadBank")}
+                      if r in DEVICE_LABELS.values()}
         if not device_ips:
             return
         for asker, asked in sorted(self._arp_askers.items()):

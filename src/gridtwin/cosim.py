@@ -59,13 +59,6 @@ class SimClock:
 
 
 @dataclass(frozen=True)
-class ExchangeRecord:
-    step: int
-    signal: str
-    value: Any
-
-
-@dataclass(frozen=True)
 class RunSummary:
     steps: int
     wall_s: float
@@ -145,7 +138,8 @@ class Scheduler:
                     raise SignalConflictError(
                         f"simulator {sim.id!r} consumes {sig!r}, which has no producer")
 
-    def step_all(self) -> list[ExchangeRecord]:
+    def step_all(self) -> dict[str, Any]:
+        """Advance one step; the signals published in it."""
         if not self._started:
             self._check_inputs()
             self._started = True
@@ -158,13 +152,11 @@ class Scheduler:
                 raise
             except Exception as exc:  # noqa: BLE001 - diagnostic wrapper
                 raise SimulatorStepError(sim.id, self.clock.now, exc) from exc
-        records = [ExchangeRecord(self.clock.now, sig, staged[sig])
-                   for sig in sorted(staged)]
         self._board.update(staged)
         for hook in self._hooks:
             hook(self.clock.now)
         self.clock.now += 1
-        return records
+        return staged
 
     def steps_until(self, until_s: float) -> int:
         return max(0, math.ceil((until_s - self.clock.epoch_s) / self.clock.step_s))

@@ -4,17 +4,20 @@ The grid simulator owns the physical states and replays the demand and
 generation profiles.  Each device simulator bridges one network host to
 the physics: it refreshes its measurement registers from last step's
 signals, answers Modbus requests, and publishes its setpoint register
-as a command signal.
+as a command signal.  The role table says which signals and registers
+each device has.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .cosim import SimulatorHandle, StepContext
 from .grid import (BssState, BusBalance, LoadState, PvState, bus_balance,
                    step_bss, step_pv)
 from .modbus import (DEVICE_BSS, DEVICE_LOAD, DEVICE_METER, DEVICE_PV,
-                     NO_LIMIT, REG_MEAS, REG_MEAS_AUX, REG_SETPOINT,
-                     FrameError, RegisterMap, decode, encode, fp_decode, serve)
+                     NO_LIMIT, REG_MEAS, REG_SETPOINT, FrameError,
+                     RegisterMap, decode, encode, fp_decode, serve)
 from .netem import Host
 from .profiles import TimeSeriesProfile, sample
 
@@ -24,16 +27,31 @@ SIG_PV_OUTPUT = "pv.output"
 SIG_PV_AVAILABLE = "pv.available"
 SIG_PV_LIMIT = "pv.limit_cmd"
 SIG_BSS_ACTUAL = "bss.actual"
-SIG_BSS_SOC = "bss.soc"
+SIG_BSS_SOC = "bss.soc_pct"
 SIG_BSS_SETPOINT = "bss.setpoint_cmd"
 SIG_LOAD_DEMAND = "load.demand"
 SIG_TRANSFORMER = "bus.transformer"
 
-# role key -> (label in the flow graph and the attacker's role map,
-#              Modbus device type in holding register 0; None: no server)
-ROLES = {"ems": ("EMS", None), "pv": ("PV", DEVICE_PV),
-         "bss": ("BSS", DEVICE_BSS), "load": ("LoadBank", DEVICE_LOAD),
-         "meter": ("Meter", DEVICE_METER)}
+
+class Role(NamedTuple):
+    label: str                      # in the flow graph and the attacker's map
+    device_type: int | None         # holding register 0; None: no server
+    measures: tuple[str, ...] = ()  # signals shown from REG_MEAS up
+    # (signal published from REG_SETPOINT, its initial word); a register
+    # that starts at NO_LIMIT publishes NO_LIMIT as None ("no limit")
+    setpoint: tuple[str, int] | None = None
+
+
+# role key (the host id) -> Role
+ROLES = {
+    "ems": Role("EMS", None),
+    "pv": Role("PV", DEVICE_PV, (SIG_PV_OUTPUT, SIG_PV_AVAILABLE),
+               (SIG_PV_LIMIT, NO_LIMIT)),
+    "bss": Role("BSS", DEVICE_BSS, (SIG_BSS_ACTUAL, SIG_BSS_SOC),
+                (SIG_BSS_SETPOINT, 0)),
+    "load": Role("LoadBank", DEVICE_LOAD, (SIG_LOAD_DEMAND,)),
+    "meter": Role("Meter", DEVICE_METER, (SIG_TRANSFORMER,)),
+}
 
 
 class GridSimulator:
@@ -85,92 +103,44 @@ class GridSimulator:
         ctx.publish(SIG_PV_OUTPUT, self.pv.output_kw)
         ctx.publish(SIG_PV_AVAILABLE, self.pv.available_kw)
         ctx.publish(SIG_BSS_ACTUAL, self.bss.actual_kw)
-        ctx.publish(SIG_BSS_SOC, self.bss.soc_kwh)
+        ctx.publish(SIG_BSS_SOC,
+                    100.0 * self.bss.soc_kwh / self.bss.capacity_kwh)
         ctx.publish(SIG_LOAD_DEMAND, self.load.demand_kw)
         ctx.publish(SIG_TRANSFORMER, bal.transformer_kw)
 
 
 class ModbusDevice:
-    """Base: a host plus a register map served without authentication.
-    The host's id is its role key, which gives the device type."""
+    """A host plus a register map served without authentication.  The
+    host's id is its role key, which gives the registers and signals."""
 
-    def __init__(self, host: Host, registers: dict[int, int]):
+    def __init__(self, host: Host):
         self.host = host
-        self.regmap = RegisterMap(ROLES[host.id][1], dict(registers))
+        self.role = role = ROLES[host.id]
+        registers = {REG_MEAS + i: 0 for i in range(len(role.measures))}
+        if role.setpoint is not None:
+            registers[REG_SETPOINT] = role.setpoint[1]
+        self.regmap = RegisterMap(role.device_type, registers)
 
-    def serve_inbox(self) -> None:
-        for d in self.host.receive():
+    def handle(self) -> SimulatorHandle:
+        setpoint = self.role.setpoint
+        return SimulatorHandle(
+            id=self.host.id, inputs=self.role.measures,
+            outputs=() if setpoint is None else (setpoint[0],),
+            behavior=self.step)
+
+    def step(self, ctx: StepContext) -> None:
+        role, regmap, host = self.role, self.regmap, self.host
+        for addr, signal in enumerate(role.measures, REG_MEAS):
+            regmap.set_value(addr, ctx.get(signal, 0.0))
+        for d in host.receive():
             try:
                 request = decode(d.payload)
             except FrameError:
                 continue
-            response = serve(request, self.regmap)
-            self.host.send_ip(d.src_ip, encode(response),
-                              dst_port=d.src_port, src_port=d.dst_port)
-
-    def handle(self) -> SimulatorHandle:
-        raise NotImplementedError
-
-
-class PvDevice(ModbusDevice):
-    def __init__(self, host: Host):
-        super().__init__(host, {REG_MEAS: 0, REG_MEAS_AUX: 0,
-                                REG_SETPOINT: NO_LIMIT})
-
-    def handle(self) -> SimulatorHandle:
-        return SimulatorHandle(id=self.host.id,
-                               inputs=(SIG_PV_OUTPUT, SIG_PV_AVAILABLE),
-                               outputs=(SIG_PV_LIMIT,),
-                               behavior=self.step)
-
-    def step(self, ctx: StepContext) -> None:
-        self.regmap.set_value(REG_MEAS, ctx.get(SIG_PV_OUTPUT, 0.0))
-        self.regmap.set_value(REG_MEAS_AUX, ctx.get(SIG_PV_AVAILABLE, 0.0))
-        self.serve_inbox()
-        raw = self.regmap.get(REG_SETPOINT)
-        ctx.publish(SIG_PV_LIMIT, None if raw == NO_LIMIT else fp_decode(raw))
-
-
-class BssDevice(ModbusDevice):
-    def __init__(self, host: Host, capacity_kwh: float):
-        super().__init__(host, {REG_MEAS: 0, REG_MEAS_AUX: 0, REG_SETPOINT: 0})
-        self.capacity_kwh = capacity_kwh
-
-    def handle(self) -> SimulatorHandle:
-        return SimulatorHandle(id=self.host.id,
-                               inputs=(SIG_BSS_ACTUAL, SIG_BSS_SOC),
-                               outputs=(SIG_BSS_SETPOINT,),
-                               behavior=self.step)
-
-    def step(self, ctx: StepContext) -> None:
-        self.regmap.set_value(REG_MEAS, ctx.get(SIG_BSS_ACTUAL, 0.0))
-        soc_pct = 100.0 * ctx.get(SIG_BSS_SOC, 0.0) / self.capacity_kwh
-        self.regmap.set_value(REG_MEAS_AUX, soc_pct)
-        self.serve_inbox()
-        ctx.publish(SIG_BSS_SETPOINT, fp_decode(self.regmap.get(REG_SETPOINT)))
-
-
-class LoadDevice(ModbusDevice):
-    def __init__(self, host: Host):
-        super().__init__(host, {REG_MEAS: 0})
-
-    def handle(self) -> SimulatorHandle:
-        return SimulatorHandle(id=self.host.id, inputs=(SIG_LOAD_DEMAND,),
-                               outputs=(), behavior=self.step)
-
-    def step(self, ctx: StepContext) -> None:
-        self.regmap.set_value(REG_MEAS, ctx.get(SIG_LOAD_DEMAND, 0.0))
-        self.serve_inbox()
-
-
-class MeterDevice(ModbusDevice):
-    def __init__(self, host: Host):
-        super().__init__(host, {REG_MEAS: 0})
-
-    def handle(self) -> SimulatorHandle:
-        return SimulatorHandle(id=self.host.id, inputs=(SIG_TRANSFORMER,),
-                               outputs=(), behavior=self.step)
-
-    def step(self, ctx: StepContext) -> None:
-        self.regmap.set_value(REG_MEAS, ctx.get(SIG_TRANSFORMER, 0.0))
-        self.serve_inbox()
+            host.send_ip(d.src_ip, encode(serve(request, regmap)),
+                         dst_port=d.src_port, src_port=d.dst_port)
+        if role.setpoint is not None:
+            signal, initial = role.setpoint
+            raw = regmap.get(REG_SETPOINT)
+            ctx.publish(signal,
+                        None if raw == NO_LIMIT == initial else fp_decode(raw))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
 
 MODBUS_PORT = 502
 
@@ -143,8 +142,6 @@ def parse_write_single(adu: ModbusAdu) -> tuple[int, int]:
 class RegisterMap:
     device_type: int
     registers: dict[int, int] = field(default_factory=dict)
-    # called after a successful write with (addr, value)
-    on_write: Callable[[int, int], None] | None = None
 
     def __post_init__(self):
         self.registers.setdefault(REG_DEVICE_TYPE, self.device_type)
@@ -182,8 +179,6 @@ def serve(request: ModbusAdu, regmap: RegisterMap) -> ModbusAdu:
         if addr not in regmap.registers or addr == REG_DEVICE_TYPE:
             return _exception(request, EXC_ILLEGAL_ADDRESS)
         regmap.registers[addr] = value
-        if regmap.on_write:
-            regmap.on_write(addr, value)
         return ModbusAdu(request.header, fc, data)  # echo
     if fc == FC_WRITE_MULTIPLE:
         if len(data) < 5:
@@ -195,9 +190,6 @@ def serve(request: ModbusAdu, regmap: RegisterMap) -> ModbusAdu:
         if any(a not in regmap.registers or a == REG_DEVICE_TYPE for a in addrs):
             return _exception(request, EXC_ILLEGAL_ADDRESS)
         values = [v for (v,) in struct.iter_unpack(">H", data[5:])]
-        for a, v in zip(addrs, values):
-            regmap.registers[a] = v
-            if regmap.on_write:
-                regmap.on_write(a, v)
+        regmap.registers.update(zip(addrs, values))
         return ModbusAdu(request.header, fc, struct.pack(">HH", addr, qty))
     return _exception(request, EXC_ILLEGAL_FUNCTION)

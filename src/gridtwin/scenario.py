@@ -304,7 +304,7 @@ def build(cfg: ScenarioConfig) -> Simulation:
     attacker = None if plan is None else Attacker(hosts["attacker"], plan,
                                                   step_s)
 
-    labels = {role: label for role, (label, _) in dev.ROLES.items()}
+    labels = {key: role.label for key, role in dev.ROLES.items()}
     labels["attacker"] = "Attacker"
     capture = Capture(
         step_s, v["start"], policy.deadband_kw,
@@ -313,24 +313,21 @@ def build(cfg: ScenarioConfig) -> Simulation:
         **v["capture"])
     network.frame_sink = capture.record_frame
 
-    capacity = grid.bss.capacity_kwh
-    for sim in (grid, dev.PvDevice(hosts["pv"]),
-                dev.BssDevice(hosts["bss"], capacity),
-                dev.LoadDevice(hosts["load"]), dev.MeterDevice(hosts["meter"]),
-                ems, *([] if attacker is None else [attacker])):
+    devices = [dev.ModbusDevice(hosts[key]) for key, role in dev.ROLES.items()
+               if role.device_type is not None]
+    for sim in (grid, *devices, ems, *([] if attacker is None else [attacker])):
         scheduler.register(sim.handle())
 
     scheduler.add_hook(network.transport)
 
     def sample_hook(step: int) -> None:
-        soc_kwh = scheduler.value(dev.SIG_BSS_SOC, 0.0)
         capture.record_sample(
             step,
             pv_kw=scheduler.value(dev.SIG_PV_OUTPUT, 0.0),
             bss_kw=scheduler.value(dev.SIG_BSS_ACTUAL, 0.0),
             load_kw=scheduler.value(dev.SIG_LOAD_DEMAND, 0.0),
             transformer_kw=scheduler.value(dev.SIG_TRANSFORMER, 0.0),
-            soc_pct=100.0 * soc_kwh / capacity,
+            soc_pct=scheduler.value(dev.SIG_BSS_SOC, 0.0),
             pv_available_kw=scheduler.value(dev.SIG_PV_AVAILABLE, 0.0))
 
     scheduler.add_hook(sample_hook)

@@ -60,7 +60,7 @@ class TestStepAll:
 
     def test_zero_simulators(self):
         s = make_scheduler()
-        assert s.step_all() == []
+        assert s.step_all() == {}
         assert s.clock.now == 1
 
     def test_failure_names_simulator(self):
@@ -142,8 +142,7 @@ class TestDeterminism:
             s = make_scheduler()
             s.register(counter("a", "x"))
             s.register(counter("b", "y"))
-            return [r for _ in range(s.steps_until(EPOCH + 50))
-                    for r in s.step_all()]
+            return [s.step_all() for _ in range(s.steps_until(EPOCH + 50))]
         assert one_run() == one_run()
 
     def test_registration_order_does_not_change_signals(self):

@@ -140,10 +140,3 @@ def test_no_setpoint_register(probe, role):
     assert response.is_exception
     assert response.data == bytes([EXC_ILLEGAL_ADDRESS])
 
-
-@pytest.mark.parametrize("role", ["pv", "bss", "load", "meter"])
-def test_device_type_is_read_only(probe, role):
-    response = probe.write(role, REG_DEVICE_TYPE, 9)
-    assert response.is_exception
-    words, _ = probe.read(role, REG_DEVICE_TYPE)
-    assert words != [9]

@@ -1,0 +1,56 @@
+"""No module of the package imports a name it never uses.
+
+A leftover import keeps a deleted feature's dependency looking alive.
+An import kept on purpose carries ``# noqa: F401`` on its line.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gridtwin"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # a quoted annotation names its types inside a string
+    for node in ast.walk(tree):
+        for note in (getattr(node, "annotation", None),
+                     getattr(node, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(note.value))
+                         if isinstance(n, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_guard_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from typing import Any, Callable\n"
+              "from json import dumps  # noqa: F401\n"
+              "def f(x: 'Any') -> None:\n"
+              "    return os.sep\n")
+    assert unused_imports(source) == ["line 3: Callable"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    assert unused_imports(path.read_text()) == []

@@ -114,13 +114,6 @@ class TestServe:
         assert not resp.is_exception
         assert m.get(10) == 100 and m.get(11) == 200
 
-    def test_write_hook_fires(self):
-        hits = []
-        m = pv_map()
-        m.on_write = lambda addr, value: hits.append((addr, value))
-        mb.serve(mb.write_single_request(5, 1, 20, 350), m)
-        assert hits == [(20, 350)]
-
     @given(tx=st.integers(0, 0xFFFF), addr=st.integers(0, 30),
            qty=st.integers(1, 5))
     @settings(max_examples=200)
