@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cosim import SimulatorHandle, StepContext
+from .cosim import SimClock, SimulatorHandle, StepContext
 from .devices import ROLES
 from .modbus import (FC_WRITE_SINGLE, REG_DEVICE_TYPE, REG_SETPOINT,
                      FrameError, decode, encode, fp_encode,
@@ -50,12 +50,24 @@ class AttackPlan:
         if self.pv_limit_kw < 0:
             raise ValueError("pv_limit_kw must be >= 0")
 
+    def steps(self, clock: SimClock) -> tuple[int, int, int]:
+        """(scan, start, end) steps: the window runs from the first step
+        at or after start_s to the last one before end_s, and the ARP scan
+        runs recon_lead_s (at least one step) ahead of it."""
+        start = clock.step_at(self.start_s)
+        lead = max(1, round(self.recon_lead_s / clock.step_s))
+        return start - lead, start, clock.step_at(self.end_s)
+
 
 class Attacker:
-    def __init__(self, host: Host, plan: AttackPlan, step_s: float):
+    def __init__(self, host: Host, plan: AttackPlan, clock: SimClock):
         self.host = host
         self.plan = plan
-        self.step_s = step_s
+        self.scan_step, self.start_step, self.end_step = plan.steps(clock)
+        self.repoison_steps = max(1, round(plan.repoison_period_s
+                                           / clock.step_s))
+        # role label -> setpoint (kW) planted on start and forced on rewrite
+        self.forced = {"PV": plan.pv_limit_kw, "BSS": plan.bss_charge_kw}
         self.roles: dict[str, str] = {}          # ip -> role label
         self.scan_results: dict[str, str] = {}   # ip -> mac (true bindings)
         self.mitm_active = False
@@ -63,17 +75,12 @@ class Attacker:
         self._probes: dict[int, str] = {}        # txid -> probed ip
         self._txid = 0x4000
         self._arp_askers: dict[str, set[str]] = {}  # sender ip -> asked ips
-        self._identified = False
-        self._last_poison_step: int | None = None
-        self._corrected = False
+        self._last_poison_step = 0
 
     def handle(self) -> SimulatorHandle:
         return SimulatorHandle(id=self.host.id, behavior=self.step)
 
     # -- helpers ----------------------------------------------------------
-
-    def _steps(self, t_s: float, epoch_s: float) -> int:
-        return round((t_s - epoch_s) / self.step_s)
 
     def _next_tx(self) -> int:
         self._txid = (self._txid + 1) & 0xFFFF
@@ -88,38 +95,32 @@ class Attacker:
 
     def _victim_ips(self) -> list[str]:
         return [ip for ip, role in sorted(self.roles.items())
-                if role in ("PV", "BSS")]
+                if role in self.forced]
 
     # -- per-step behavior ------------------------------------------------
 
     def step(self, ctx: StepContext) -> None:
         self._observe_broadcasts()
         deliveries = self.host.receive()
-        epoch = ctx.clock.epoch_s
-        recon = self._steps(self.plan.start_s, epoch) \
-            - max(1, round(self.plan.recon_lead_s / self.step_s))
-        start = self._steps(self.plan.start_s, epoch)
-        end = self._steps(self.plan.end_s, epoch)
-        repoison = max(1, round(self.plan.repoison_period_s / self.step_s))
-
-        if ctx.step == recon:
+        step = ctx.step
+        if step == self.scan_step:
             self.arp_scan()
-        if ctx.step == recon + 3 and not self._identified:
+        elif step == self.scan_step + 3:
             self.identify_roles(ctx)
-            self._identified = True
-        if start <= ctx.step < end:
+        if self.start_step <= step < self.end_step:
             if not self.mitm_active:
                 self.start_mitm(ctx)
-            elif ctx.step - self._last_poison_step >= repoison:
-                self._poison(ctx)
-        elif self.mitm_active and ctx.step >= end:
+            elif step - self._last_poison_step >= self.repoison_steps:
+                self._send_bindings(poison=True)
+                self._last_poison_step = step
+        elif self.mitm_active and step >= self.end_step:
             self.stop_mitm(ctx)
 
         for d in deliveries:
             if d.dst_ip == self.host.ip:
-                self._handle_own(ctx, d)
+                self._handle_own(d)
             else:
-                self._intercept(ctx, d)
+                self._intercept(d)
 
     def _observe_broadcasts(self) -> None:
         """Passively note who ARP-resolves whom (EMS fingerprint)."""
@@ -147,7 +148,7 @@ class Attacker:
         """Read register 0 of every scan responder; label the EMS from the
         observed ARP-request pattern."""
         self.scan_results = {ip: mac for ip, (mac, _) in
-                             sorted(self.host.endpoint.arp_cache.items())}
+                             sorted(self.host.arp_cache.items())}
         for ip in self.scan_results:
             tx = self._next_tx()
             self._probes[tx] = ip
@@ -156,7 +157,7 @@ class Attacker:
             self.roles.setdefault(ip, "unknown")
         self.events.append((ctx.step, "identify-roles"))
 
-    def _handle_own(self, ctx: StepContext, d: IpDelivery) -> None:
+    def _handle_own(self, d: IpDelivery) -> None:
         try:
             adu = decode(d.payload)
         except FrameError:
@@ -189,11 +190,10 @@ class Attacker:
             self.events.append((ctx.step, "mitm-aborted-no-ems"))
             return
         self.mitm_active = True
-        self._corrected = False
-        self._poison(ctx)
+        self._send_bindings(poison=True)
+        self._last_poison_step = ctx.step
         # plant the PV limit and the forced BSS charging setpoint directly
-        for role, value in (("PV", self.plan.pv_limit_kw),
-                            ("BSS", self.plan.bss_charge_kw)):
+        for role, value in self.forced.items():
             ip = next((i for i, r in self.roles.items() if r == role),
                       None)
             if ip is not None:
@@ -202,21 +202,19 @@ class Attacker:
                 self.host.send_ip(ip, encode(adu), src_port=PORT_INJECT)
         self.events.append((ctx.step, "mitm-start"))
 
-    def _poison(self, ctx: StepContext) -> None:
-        """Forged ARP replies binding victim peers' IPs to our MAC."""
+    def _send_bindings(self, poison: bool) -> None:
+        """ARP replies telling the EMS where each victim is and each victim
+        where the EMS is: at our MAC to poison, at the true MAC to repair."""
         ems_ip = self.ems_ip
         ems_mac = self.scan_results.get(ems_ip)
-        me = self.host.mac
         for victim_ip in self._victim_ips():
             victim_mac = self.scan_results[victim_ip]
-            # tell the EMS: victim_ip is at our MAC
-            self.host.send_arp(
-                ArpMessage(ARP_REPLY, me, victim_ip, ems_mac, ems_ip), ems_mac)
-            # tell the victim: the EMS ip is at our MAC
-            self.host.send_arp(
-                ArpMessage(ARP_REPLY, me, ems_ip, victim_mac, victim_ip),
-                victim_mac)
-        self._last_poison_step = ctx.step
+            for ip, mac, to_ip, to_mac in (
+                    (victim_ip, victim_mac, ems_ip, ems_mac),
+                    (ems_ip, ems_mac, victim_ip, victim_mac)):
+                self.host.send_arp(ArpMessage(
+                    ARP_REPLY, self.host.mac if poison else mac, ip, to_mac,
+                    to_ip), to_mac)
 
     def manipulate(self, adu: ModbusAdu, dst_ip: str) -> ModbusAdu:
         """Rewrite intercepted setpoint writes; pass everything else."""
@@ -226,20 +224,13 @@ class Attacker:
             addr, _value = parse_write_single(adu)
         except FrameError:
             return adu
-        if addr != REG_SETPOINT:
+        value = self.forced.get(self.roles.get(dst_ip))
+        if addr != REG_SETPOINT or value is None:
             return adu
-        role = self.roles.get(dst_ip, "unknown")
-        if role == "BSS":
-            return write_single_request(adu.header.transaction_id,
-                                        adu.header.unit_id, addr,
-                                        fp_encode(self.plan.bss_charge_kw))
-        if role == "PV":
-            return write_single_request(adu.header.transaction_id,
-                                        adu.header.unit_id, addr,
-                                        fp_encode(self.plan.pv_limit_kw))
-        return adu
+        return write_single_request(adu.header.transaction_id,
+                                    adu.header.unit_id, addr, fp_encode(value))
 
-    def _intercept(self, ctx: StepContext, d: IpDelivery) -> None:
+    def _intercept(self, d: IpDelivery) -> None:
         true_mac = self.scan_results.get(d.dst_ip)
         if true_mac is None:
             return
@@ -254,17 +245,5 @@ class Attacker:
     def stop_mitm(self, ctx: StepContext) -> None:
         """Stop poisoning and repair the caches; the PV limit stays."""
         self.mitm_active = False
-        if self._corrected:
-            return
-        ems_ip = self.ems_ip
-        ems_mac = self.scan_results.get(ems_ip)
-        for victim_ip in self._victim_ips():
-            victim_mac = self.scan_results[victim_ip]
-            self.host.send_arp(
-                ArpMessage(ARP_REPLY, victim_mac, victim_ip, ems_mac, ems_ip),
-                ems_mac)
-            self.host.send_arp(
-                ArpMessage(ARP_REPLY, ems_mac, ems_ip, victim_mac, victim_ip),
-                victim_mac)
-        self._corrected = True
+        self._send_bindings(poison=False)
         self.events.append((ctx.step, "mitm-stop"))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable
 
 
@@ -56,6 +57,19 @@ class SimClock:
         """Wall-clock seconds since midnight at the given step."""
         n = self.now if step is None else step
         return self.epoch_s + n * self.step_s
+
+    def step_at(self, t_s: float) -> int:
+        """The first step whose time_s is at or after a time-of-day (0
+        before the start)."""
+        n = max(0, math.ceil((t_s - self.epoch_s) / self.step_s))
+        # the quotient can round across an integer (21 s / 0.7 s gives
+        # 30.000000000000004); the step times decide, as they do for the
+        # attack_active labels
+        while n > 0 and self.time_s(n - 1) >= t_s:
+            n -= 1
+        while self.time_s(n) < t_s:
+            n += 1
+        return n
 
 
 @dataclass(frozen=True)
@@ -106,6 +120,8 @@ class Scheduler:
         self._producers: dict[str, str] = {}
         self._hooks: list[Callable[[int], None]] = []
         self._board: dict[str, Any] = {}
+        # most recently published values, read-only (for hooks/inspection)
+        self.signals = MappingProxyType(self._board)
         self._started = False
 
     def register(self, handle: SimulatorHandle) -> str:
@@ -120,10 +136,6 @@ class Scheduler:
             self._producers[sig] = handle.id
         self._sims.append(handle)
         return handle.id
-
-    def value(self, signal: str, default=None):
-        """Most recently published value of a signal (for hooks/inspection)."""
-        return self._board.get(signal, default)
 
     def add_hook(self, fn: Callable[[int], None]) -> None:
         """End-of-step hook, run after publication in registration order."""
@@ -158,12 +170,9 @@ class Scheduler:
         self.clock.now += 1
         return staged
 
-    def steps_until(self, until_s: float) -> int:
-        return max(0, math.ceil((until_s - self.clock.epoch_s) / self.clock.step_s))
-
     def run(self, until_s: float, realtime: bool = False) -> RunSummary:
         """Advance until the given time-of-day (seconds since midnight)."""
-        n = self.steps_until(until_s)
+        n = self.clock.step_at(until_s)
         t0 = time.monotonic()
         start = self.clock.now
         while self.clock.now < n:

@@ -1,12 +1,12 @@
 """Emulated layer-2/3 network.
 
-Endpoints with MAC/IP addresses hang off a learning switch on one flat
+Hosts with MAC/IP addresses hang off a learning switch on one flat
 /24.  Hosts keep their own ARP caches; any received ARP reply
 (solicited or gratuitous) overwrites a cache entry — the vulnerability
 the MITM attack exploits.  Frames queued during a simulation step are
 delivered at the end of that step (one-step latency), in an order
 independent of simulator registration: the queue is drained sorted by
-sending endpoint id, then per-host send sequence.
+sending host id, then per-host send sequence.
 
 Application payloads travel as real Ethernet/IPv4/TCP frames (with
 valid checksums) so captures decode in standard protocol analyzers.
@@ -17,7 +17,8 @@ from __future__ import annotations
 import ipaddress
 import socket
 import struct
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -159,9 +160,6 @@ class IpDelivery:
     seq: int
     ack: int
     payload: bytes
-    src_mac: str
-    dst_mac: str
-    step: int
 
 
 def parse_ipv4_tcp(raw: bytes) -> dict:
@@ -184,18 +182,7 @@ def parse_ipv4_tcp(raw: bytes) -> dict:
                 seq=seq, ack=ack, payload=tcp[off:])
 
 
-# -- endpoints, switch, network ------------------------------------------
-
-@dataclass
-class Endpoint:
-    id: str
-    mac: str
-    ip: str
-    port: int = -1                 # switch port, assigned on attach
-    promiscuous: bool = False      # raw frame tap for the application
-    accept_foreign: bool = False   # deliver IP packets not addressed to our IP
-    arp_cache: dict[str, tuple[str, int]] = field(default_factory=dict)
-
+# -- hosts, switch, network ----------------------------------------------
 
 class LearningSwitch:
     """MAC-learning switch: known unicast to one port, otherwise flood."""
@@ -215,39 +202,31 @@ class LearningSwitch:
         return [p for p in ports if p != ingress], True
 
 
-@dataclass
-class _Pending:
-    dst_ip: str
-    build: Callable[[str], EthernetFrame]  # true dst MAC -> frame
-    since: int
-
-
 class Host:
-    """One endpoint's network stack, driven by the Network transport."""
+    """One endpoint's addresses and network stack, driven by the Network
+    transport.  Made by ``Network.attach``."""
 
-    def __init__(self, net: "Network", endpoint: Endpoint):
-        self.net = net
-        self.endpoint = endpoint
+    def __init__(self, net: "Network", id: str, mac: str, ip: str, port: int,
+                 promiscuous: bool = False, accept_foreign: bool = False):
+        # weak: the Network owns its hosts, and one dropped is freed
+        # without waiting for a cycle collection
+        self.net = weakref.proxy(net)
+        self.id = id
+        self.mac = mac
+        self.ip = ip
+        self.port = port                      # switch port
+        self.promiscuous = promiscuous        # raw frame tap for the application
+        self.accept_foreign = accept_foreign  # deliver IP packets not to our IP
+        self.arp_cache: dict[str, tuple[str, int]] = {}  # ip -> (mac, step)
         self.outbox: list[EthernetFrame] = []
         self.inbox: list[IpDelivery] = []
         self.tap: list[EthernetFrame] = []
         self.events: list[tuple[int, str, str]] = []  # (step, kind, detail)
-        self._pending: list[_Pending] = []
+        # IPv4 packets awaiting ARP: (dst ip, packet, step queued)
+        self._pending: list[tuple[str, bytes, int]] = []
         self._arp_inflight: set[str] = set()
 
     # -- application API --------------------------------------------------
-
-    @property
-    def id(self) -> str:
-        return self.endpoint.id
-
-    @property
-    def mac(self) -> str:
-        return self.endpoint.mac
-
-    @property
-    def ip(self) -> str:
-        return self.endpoint.ip
 
     def receive(self) -> list[IpDelivery]:
         out, self.inbox = self.inbox, []
@@ -260,7 +239,7 @@ class Host:
     def resolve(self, ip: str) -> str | None:
         """Cached MAC for ip, or None after starting ARP resolution."""
         self.net.check_subnet(ip)
-        entry = self.endpoint.arp_cache.get(ip)
+        entry = self.arp_cache.get(ip)
         if entry is not None:
             return entry[0]
         self._request_arp(ip)
@@ -276,15 +255,12 @@ class Host:
                                      len(payload))
         pkt = build_ipv4_tcp(self.ip, dst_ip, src_port, dst_port, seq, ack,
                              payload, self.net.next_ip_id())
-
-        def build(dst_mac: str) -> EthernetFrame:
-            return EthernetFrame(self.mac, dst_mac, ETH_IPV4, pkt)
-
-        cached = self.endpoint.arp_cache.get(dst_ip)
+        cached = self.arp_cache.get(dst_ip)
         if cached is not None:
-            self.outbox.append(build(cached[0]))
+            self.outbox.append(EthernetFrame(self.mac, cached[0], ETH_IPV4,
+                                             pkt))
         else:
-            self._pending.append(_Pending(dst_ip, build, self.net.step))
+            self._pending.append((dst_ip, pkt, self.net.step))
             self._request_arp(dst_ip)
 
     def forward_ip(self, d: IpDelivery, payload: bytes, dst_mac: str) -> None:
@@ -310,18 +286,19 @@ class Host:
                                          req.to_bytes()))
 
     def _learn(self, ip: str, mac: str, step: int) -> None:
-        self.endpoint.arp_cache[ip] = (mac, step)
+        self.arp_cache[ip] = (mac, step)
         self._arp_inflight.discard(ip)
         still = []
         for p in self._pending:
-            if p.dst_ip == ip:
-                self.outbox.append(p.build(mac))  # goes out next transport
+            dst_ip, pkt, _ = p
+            if dst_ip == ip:  # goes out next transport
+                self.outbox.append(EthernetFrame(self.mac, mac, ETH_IPV4, pkt))
             else:
                 still.append(p)
         self._pending = still
 
     def _on_frame(self, frame: EthernetFrame, step: int) -> None:
-        if self.endpoint.promiscuous:
+        if self.promiscuous:
             self.tap.append(frame)
         if frame.ethertype == ETH_ARP:
             try:
@@ -342,13 +319,10 @@ class Host:
             if f is None:
                 self.net.drop("malformed-ip")
                 return
-            if f["dst_ip"] != self.ip and not self.endpoint.accept_foreign:
+            if f["dst_ip"] != self.ip and not self.accept_foreign:
                 self.net.drop("foreign-ip")
                 return
-            self.inbox.append(IpDelivery(
-                f["src_ip"], f["dst_ip"], f["src_port"], f["dst_port"],
-                f["seq"], f["ack"], f["payload"], frame.src_mac,
-                frame.dst_mac, step))
+            self.inbox.append(IpDelivery(**f))
         else:
             self.net.drop("unknown-ethertype")
 
@@ -356,15 +330,16 @@ class Host:
         timeout = self.net.arp_timeout_steps
         still = []
         for p in self._pending:
-            if step - p.since >= timeout:
-                self._arp_inflight.discard(p.dst_ip)
-                self.events.append((step, "resolution-error", p.dst_ip))
+            dst_ip, _, since = p
+            if step - since >= timeout:
+                self._arp_inflight.discard(dst_ip)
+                self.events.append((step, "resolution-error", dst_ip))
                 self.net.drop("arp-timeout")
             else:
                 still.append(p)
         self._pending = still
         if self.net.cache_expiry_steps is not None:
-            cache = self.endpoint.arp_cache
+            cache = self.arp_cache
             for ip in [i for i, (_, t) in cache.items()
                        if step - t >= self.net.cache_expiry_steps]:
                 del cache[ip]
@@ -383,7 +358,7 @@ class Network:
         self.hosts: dict[str, Host] = {}
         self._by_port: dict[int, Host] = {}
         self._ports: list[int] = []       # ascending switch ports
-        self._order: list[Host] = []      # hosts sorted by endpoint id
+        self._order: list[Host] = []      # hosts sorted by id
         self._in_subnet: set[str] = set()  # addresses check_subnet accepted
         self.step = 0
         self.frame_sink: Callable[[EthernetFrame, int], None] | None = None
@@ -393,18 +368,20 @@ class Network:
         self._ip_id = 0
         self._flows: dict[tuple, int] = {}
 
-    def attach(self, endpoint: Endpoint) -> Host:
-        if endpoint.id in self.hosts:
-            raise NetemError(f"duplicate endpoint id {endpoint.id!r}")
+    def attach(self, id: str, mac: str, ip: str, promiscuous: bool = False,
+               accept_foreign: bool = False) -> Host:
+        """A new host on the next switch port."""
+        if id in self.hosts:
+            raise NetemError(f"duplicate host id {id!r}")
         for h in self.hosts.values():
-            if h.ip == endpoint.ip or h.mac == endpoint.mac:
+            if h.ip == ip or h.mac == mac:
                 raise NetemError(f"address collision with {h.id!r}")
-        self.check_subnet(endpoint.ip)
-        endpoint.port = len(self.hosts)
-        host = Host(self, endpoint)
-        self.hosts[endpoint.id] = host
-        self._by_port[endpoint.port] = host
-        self._ports.append(endpoint.port)
+        self.check_subnet(ip)
+        host = Host(self, id, mac, ip, len(self.hosts), promiscuous,
+                    accept_foreign)
+        self.hosts[id] = host
+        self._by_port[host.port] = host
+        self._ports.append(host.port)
         self._order = [self.hosts[hid] for hid in sorted(self.hosts)]
         return host
 
@@ -440,7 +417,7 @@ class Network:
                 batch.append((host, host.outbox))
                 host.outbox = []
         for sender, frames in batch:
-            ingress = sender.endpoint.port
+            ingress = sender.port
             for frame in frames:
                 egress, flooded = self.switch.forward(frame, ingress,
                                                       self._ports)

@@ -28,7 +28,7 @@ from .capture import Capture, FORMATS
 from .cosim import RunSummary, Scheduler, SimClock
 from .ems import ControlPolicy, EmsController
 from .grid import BssState, LoadState, PvState
-from .netem import Endpoint, Network
+from .netem import Network
 from .profiles import ScalingRule, load_profile, scale
 
 
@@ -150,6 +150,8 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     run_ok = start is not None and end is not None
     if run_ok and start >= end:
         issues.append("clock: start must precede end")
+    sim_clock = (None if start is None or step is None
+                 else SimClock(epoch_s=start, step_s=step))
     capture_kw = fields(clock, "clock", date=(
         lambda d: _dt.date.fromisoformat(str(d)).isoformat(),))
 
@@ -166,7 +168,7 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
              for role in dev.ROLES}
     attack = (section(raw, "attack", "attack")
               if raw.get("attack") is not None else None)
-    endpoints: list[Endpoint] = []
+    endpoints: dict[str, dict] = {}              # host id -> attach kwargs
     seen: dict[str, str] = {}                    # mac or ip -> path
     for role, node in (*nodes.items(), ("attacker", attack)):
         path = "attack" if role == "attacker" else f"devices.{role}"
@@ -188,8 +190,8 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
             elif value is not None:
                 seen[value] = path
         spy = role == "attacker"
-        endpoints.append(Endpoint(id=role, mac=mac, ip=ip, promiscuous=spy,
-                                  accept_foreign=spy))
+        endpoints[role] = dict(mac=mac, ip=ip, promiscuous=spy,
+                               accept_foreign=spy)
 
     profiles = section(raw, "profiles", "profiles")
     prof = {}
@@ -245,9 +247,7 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
                           f"exceeds BSS rating {bss.rated_kw}")
         if run_ok and not (start <= plan.start_s and plan.end_s <= end):
             issues.append("attack: window must lie within the run window")
-        # the ARP scan runs recon_lead_s (at least one step) ahead
-        if run_ok and step is not None and \
-                plan.start_s - max(plan.recon_lead_s, step) < start:
+        if sim_clock is not None and plan.steps(sim_clock)[0] < 0:
             issues.append("attack.recon_lead_s: scan would start before the run")
 
     output = section(raw, "output", "output")
@@ -255,7 +255,7 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
                   lambda fs: all(f in FORMATS for f in fs),
                   f"unsupported format (known: {', '.join(FORMATS)})", FORMATS)
 
-    return {"start": start, "step": step, "network": network,
+    return {"clock": sim_clock, "network": network,
             "endpoints": endpoints, "grid": grid, "policy": policy,
             "plan": plan, "capture": capture_kw, "formats": formats}, issues
 
@@ -293,21 +293,23 @@ def build(cfg: ScenarioConfig) -> Simulation:
     if issues:
         raise ConfigError("; ".join(issues))
 
-    step_s = v["step"]
-    scheduler = Scheduler(SimClock(epoch_s=v["start"], step_s=step_s))
-    network, policy, plan = v["network"], v["policy"], v["plan"]
-    hosts = {e.id: network.attach(e) for e in v["endpoints"]}
+    clock, network, policy, plan = (v["clock"], v["network"], v["policy"],
+                                    v["plan"])
+    step_s = clock.step_s
+    scheduler = Scheduler(clock)
+    hosts = {hid: network.attach(hid, **kw)
+             for hid, kw in v["endpoints"].items()}
     grid = dev.GridSimulator(step_s=step_s, **v["grid"])
     ems = EmsController(hosts["ems"], policy, meter_ip=hosts["meter"].ip,
                         pv_ip=hosts["pv"].ip, bss_ip=hosts["bss"].ip,
                         step_s=step_s)
     attacker = None if plan is None else Attacker(hosts["attacker"], plan,
-                                                  step_s)
+                                                  clock)
 
     labels = {key: role.label for key, role in dev.ROLES.items()}
     labels["attacker"] = "Attacker"
     capture = Capture(
-        step_s, v["start"], policy.deadband_kw,
+        step_s, clock.epoch_s, policy.deadband_kw,
         attack_window=None if plan is None else (plan.start_s, plan.end_s),
         roles_by_ip={h.ip: (labels[r], h.mac) for r, h in hosts.items()},
         **v["capture"])
@@ -320,15 +322,17 @@ def build(cfg: ScenarioConfig) -> Simulation:
 
     scheduler.add_hook(network.transport)
 
+    signals = scheduler.signals  # not the scheduler: no reference cycle
+
     def sample_hook(step: int) -> None:
         capture.record_sample(
             step,
-            pv_kw=scheduler.value(dev.SIG_PV_OUTPUT, 0.0),
-            bss_kw=scheduler.value(dev.SIG_BSS_ACTUAL, 0.0),
-            load_kw=scheduler.value(dev.SIG_LOAD_DEMAND, 0.0),
-            transformer_kw=scheduler.value(dev.SIG_TRANSFORMER, 0.0),
-            soc_pct=scheduler.value(dev.SIG_BSS_SOC, 0.0),
-            pv_available_kw=scheduler.value(dev.SIG_PV_AVAILABLE, 0.0))
+            pv_kw=signals.get(dev.SIG_PV_OUTPUT, 0.0),
+            bss_kw=signals.get(dev.SIG_BSS_ACTUAL, 0.0),
+            load_kw=signals.get(dev.SIG_LOAD_DEMAND, 0.0),
+            transformer_kw=signals.get(dev.SIG_TRANSFORMER, 0.0),
+            soc_pct=signals.get(dev.SIG_BSS_SOC, 0.0),
+            pv_available_kw=signals.get(dev.SIG_PV_AVAILABLE, 0.0))
 
     scheduler.add_hook(sample_hook)
 

@@ -1,8 +1,10 @@
 import pytest
+import yaml
 
 from gridtwin import modbus as mb
 from gridtwin.attack import AttackPlan, Attacker
-from gridtwin.netem import Endpoint, Network, mac_bytes
+from gridtwin.cosim import SimClock
+from gridtwin.netem import Network, mac_bytes
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
 
@@ -20,10 +22,11 @@ def tiny_attack(tmp_path_factory):
 
 def bare_attacker():
     net = Network()
-    host = net.attach(Endpoint(id="attacker", mac="02:00:00:00:00:66",
-                               ip="192.168.10.66", promiscuous=True,
-                               accept_foreign=True))
-    atk = Attacker(host, AttackPlan(start_s=100.0, end_s=200.0), step_s=1.0)
+    host = net.attach("attacker", mac="02:00:00:00:00:66",
+                      ip="192.168.10.66", promiscuous=True,
+                      accept_foreign=True)
+    atk = Attacker(host, AttackPlan(start_s=100.0, end_s=200.0),
+                   SimClock(epoch_s=0.0))
     atk.roles = {IP["pv"]: "PV", IP["bss"]: "BSS",
                  IP["meter"]: "Meter", IP["ems"]: "EMS"}
     return atk
@@ -88,7 +91,7 @@ class TestKillChain:
 
     def test_caches_repaired_after_stop(self, tiny_attack):
         hosts = tiny_attack.network.hosts
-        ems_cache = hosts["ems"].endpoint.arp_cache
+        ems_cache = hosts["ems"].arp_cache
         for role in ("pv", "bss", "meter"):
             assert ems_cache[IP[role]][0] == hosts[role].mac
 
@@ -112,6 +115,27 @@ class TestKillChain:
         late = [t for t, raw in tiny_attack.capture.frames
                 if raw[6:12] == atk_mac and t > end_t + 2]
         assert late == []
+
+    @pytest.mark.parametrize("step_s, start, end, lead_s", [
+        (5.0, "09:17:02", "09:19:02", 30.0),
+        (2.0, "09:17:01", "09:19:01", 30.0),
+        # 21 s and 84 s are 30 and 120 steps of 0.7 s, up to float rounding
+        (0.7, "09:15:21", "09:16:24", 14.0)])
+    def test_window_off_the_step_grid_matches_the_labels(
+            self, tmp_path, step_s, start, end, lead_s):
+        # the window starts at the first step at or after attack.start,
+        # both for the attacker and for process.csv's attack_active
+        path = write_tiny_config(tmp_path, attack=True)
+        raw = yaml.safe_load(path.read_text())
+        raw["clock"]["step_s"] = step_s
+        raw["attack"].update(start=start, end=end, recon_lead_s=lead_s)
+        sim = build(ScenarioConfig(raw=raw, base_dir=tmp_path))
+        sim.run()
+        labelled = [i for i, s in enumerate(sim.capture.samples)
+                    if s.attack_active]
+        steps = {kind: step for step, kind in sim.attacker.events}
+        assert steps["mitm-start"] == labelled[0]
+        assert steps["mitm-stop"] == labelled[-1] + 1
 
     def test_normal_run_has_no_attacker(self, tmp_path):
         sim = build(ScenarioConfig.load(write_tiny_config(tmp_path)))

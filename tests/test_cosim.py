@@ -102,13 +102,13 @@ class TestRun:
     def test_full_day_step_count(self):
         # 09:15 -> 15:00 at 1 s
         s = make_scheduler()
-        assert s.steps_until(15 * 3600) == (15 * 3600 - EPOCH) == 20700
+        assert s.clock.step_at(15 * 3600) == (15 * 3600 - EPOCH) == 20700
 
     def test_hooks_run_after_publish(self):
         s = make_scheduler()
         s.register(counter("a", "sig"))
         seen = []
-        s.add_hook(lambda step: seen.append((step, s.value("sig"))))
+        s.add_hook(lambda step: seen.append((step, s.signals.get("sig"))))
         s.run(EPOCH + 2)
         assert seen == [(0, 1), (1, 2)]
 
@@ -142,7 +142,7 @@ class TestDeterminism:
             s = make_scheduler()
             s.register(counter("a", "x"))
             s.register(counter("b", "y"))
-            return [s.step_all() for _ in range(s.steps_until(EPOCH + 50))]
+            return [s.step_all() for _ in range(s.clock.step_at(EPOCH + 50))]
         assert one_run() == one_run()
 
     def test_registration_order_does_not_change_signals(self):

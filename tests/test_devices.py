@@ -14,7 +14,6 @@ from gridtwin.modbus import (DEVICE_BSS, DEVICE_LOAD, DEVICE_METER, DEVICE_PV,
                              REG_MEAS, REG_SETPOINT, decode, encode,
                              fp_encode, parse_read_response,
                              read_holding_request, write_single_request)
-from gridtwin.netem import Endpoint
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
 
@@ -28,7 +27,7 @@ PROBE_PORT = 49400
 def expected_measurements(sim) -> dict[str, list[float]]:
     """What each device's registers from REG_MEAS up should show during
     the next step: the values published in the step just finished."""
-    value = sim.scheduler.value
+    value = sim.scheduler.signals.get
     bss = sim.grid.bss
     return {"pv": [value(dev.SIG_PV_OUTPUT, 0.0),
                    value(dev.SIG_PV_AVAILABLE, 0.0)],
@@ -42,8 +41,8 @@ class Probe:
     def __init__(self, tmp_path):
         self.sim = build(ScenarioConfig.load(
             write_tiny_config(tmp_path, ems=QUIET_EMS)))
-        self.host = self.sim.network.attach(Endpoint(
-            id="probe", mac="02:4d:73:00:00:77", ip="192.168.10.77"))
+        self.host = self.sim.network.attach(
+            "probe", mac="02:4d:73:00:00:77", ip="192.168.10.77")
         self._tx = 0x7000
         for _ in range(WARMUP_STEPS):
             self.sim.scheduler.step_all()

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from gridtwin.cosim import Scheduler, SimClock
 from gridtwin.ems import ControlPolicy, EmsController, control_step
-from gridtwin.netem import Endpoint, Network
+from gridtwin.netem import Network
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
 
@@ -61,8 +61,8 @@ class TestControllerLoop:
 
     def test_unreachable_devices_time_out(self):
         net = Network()
-        ems_host = net.attach(Endpoint(id="ems", mac="02:00:00:00:00:01",
-                                       ip="192.168.10.10"))
+        ems_host = net.attach("ems", mac="02:00:00:00:00:01",
+                              ip="192.168.10.10")
         ems = EmsController(ems_host, ControlPolicy(),
                             meter_ip="192.168.10.30", pv_ip="192.168.10.21",
                             bss_ip="192.168.10.22", step_s=1.0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gridtwin import netem
 from gridtwin.capture import Capture
 from gridtwin.netem import (ARP_REPLY, BROADCAST_MAC, ETH_ARP, ETH_IPV4,
-                            ArpMessage, Endpoint, EthernetFrame, InputError,
+                            ArpMessage, EthernetFrame, InputError,
                             LearningSwitch, NetemError, Network,
                             ResolutionError, build_ipv4_tcp, ip_bytes, ip_str,
                             mac_bytes, mac_str, parse_ipv4_tcp)
@@ -16,8 +16,8 @@ from gridtwin.netem import (ARP_REPLY, BROADCAST_MAC, ETH_ARP, ETH_IPV4,
 
 def two_hosts():
     net = Network()
-    a = net.attach(Endpoint(id="a", mac="02:00:00:00:00:0a", ip="192.168.10.1"))
-    b = net.attach(Endpoint(id="b", mac="02:00:00:00:00:0b", ip="192.168.10.2"))
+    a = net.attach("a", mac="02:00:00:00:00:0a", ip="192.168.10.1")
+    b = net.attach("b", mac="02:00:00:00:00:0b", ip="192.168.10.2")
     return net, a, b
 
 
@@ -190,7 +190,7 @@ class TestHostStack:
     def test_duplicate_address_rejected(self):
         net, a, _ = two_hosts()
         with pytest.raises(NetemError):
-            net.attach(Endpoint(id="c", mac="02:00:00:00:00:0c", ip=a.ip))
+            net.attach("c", mac="02:00:00:00:00:0c", ip=a.ip)
 
     def test_frame_counter_conservation(self):
         net, a, b = two_hosts()
@@ -202,8 +202,7 @@ class TestHostStack:
 
     def test_malformed_ip_frame_flooded_to_several_hosts(self, monkeypatch):
         net, a, b = two_hosts()
-        c = net.attach(Endpoint(id="c", mac="02:00:00:00:00:0c",
-                                ip="192.168.10.3"))
+        c = net.attach("c", mac="02:00:00:00:00:0c", ip="192.168.10.3")
         cap = Capture(step_s=1.0, epoch_s=0.0, deadband_kw=0.1)
         net.frame_sink = cap.record_frame
         parses = []
@@ -239,21 +238,21 @@ class TestHostStack:
 class TestArpSpoofing:
     def test_any_reply_overwrites_cache(self):
         net, a, b = two_hosts()
-        mallory = net.attach(Endpoint(id="m", mac="02:00:00:00:00:ee",
-                                      ip="192.168.10.66"))
+        mallory = net.attach("m", mac="02:00:00:00:00:ee",
+                             ip="192.168.10.66")
         a.send_ip(b.ip, b"x")
         pump(net, 3)
         b.receive()
-        assert a.endpoint.arp_cache[b.ip][0] == b.mac
+        assert a.arp_cache[b.ip][0] == b.mac
         forged = ArpMessage(ARP_REPLY, mallory.mac, b.ip, a.mac, a.ip)
         mallory.send_arp(forged, a.mac)
         pump(net, 1, start=3)
-        assert a.endpoint.arp_cache[b.ip][0] == mallory.mac
+        assert a.arp_cache[b.ip][0] == mallory.mac
 
     def test_traffic_follows_poisoned_cache(self):
         net, a, b = two_hosts()
-        mallory = net.attach(Endpoint(id="m", mac="02:00:00:00:00:ee",
-                                      ip="192.168.10.66", accept_foreign=True))
+        mallory = net.attach("m", mac="02:00:00:00:00:ee",
+                             ip="192.168.10.66", accept_foreign=True)
         # prime the switch so mallory's port is known
         mallory.send_ip(a.ip, b"hi")
         pump(net, 3)
@@ -269,8 +268,8 @@ class TestArpSpoofing:
 
     def test_promiscuous_tap_sees_broadcasts(self):
         net, a, b = two_hosts()
-        spy = net.attach(Endpoint(id="spy", mac="02:00:00:00:00:ee",
-                                  ip="192.168.10.66", promiscuous=True))
+        spy = net.attach("spy", mac="02:00:00:00:00:ee",
+                         ip="192.168.10.66", promiscuous=True)
         a.send_ip(b.ip, b"x")
         pump(net, 1)
         taps = spy.read_tap()

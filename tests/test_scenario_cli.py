@@ -1,4 +1,6 @@
 import copy
+import gc
+import weakref
 
 import pytest
 import yaml
@@ -101,11 +103,45 @@ class TestValidate:
         cfg = ScenarioConfig.load(edited_config(tmp_path, mutate, attack=True))
         assert any(i.startswith("attack.recon_lead_s:") for i in validate(cfg))
 
+    @pytest.mark.parametrize("lead_s, scan_step", [(15.1, 0), (17.5, -1)])
+    def test_recon_lead_on_the_step_grid(self, tmp_path, lead_s, scan_step):
+        # 5 s steps, start 12 s in: the window opens at step 3 and the
+        # scan runs round(lead_s / 5) steps ahead of it
+        def mutate(cfg):
+            cfg["clock"]["step_s"] = 5.0
+            cfg["attack"].update(start="09:15:12", end="09:16:00",
+                                 recon_lead_s=lead_s)
+        cfg = ScenarioConfig.load(edited_config(tmp_path, mutate, attack=True))
+        refused = [i for i in validate(cfg)
+                   if i.startswith("attack.recon_lead_s:")]
+        assert bool(refused) == (scan_step < 0)
+        if not refused:
+            sim = build(cfg)
+            assert sim.attacker.scan_step == scan_step
+            sim.run()
+            assert set(sim.attacker.scan_results) == {
+                h.ip for hid, h in sim.network.hosts.items()
+                if hid != "attacker"}
+
     def test_build_refuses_invalid_config(self, tmp_path):
         def mutate(cfg):
             cfg["devices"]["pv"]["ip"] = cfg["devices"]["bss"]["ip"]
         with pytest.raises(ConfigError):
             build(ScenarioConfig.load(edited_config(tmp_path, mutate)))
+
+
+class TestBuild:
+    def test_dropped_simulation_is_freed_without_collection(self, tmp_path):
+        sim = build(ScenarioConfig.load(write_tiny_config(tmp_path,
+                                                          attack=True)))
+        sim.run()
+        capture = weakref.ref(sim.capture)
+        gc.disable()
+        try:
+            del sim
+            assert capture() is None
+        finally:
+            gc.enable()
 
 
 class TestCli:

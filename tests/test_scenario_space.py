@@ -3,8 +3,9 @@
 Each example is a random valid tiny scenario: device ratings, load and
 PV profiles, EMS policy, step size, and an attack or none.  It must
 validate, and a run must conserve power at the bus, keep the SOC in
-[0, 100] %, write every transported frame to the pcap, and give the
-same bytes when run again.
+[0, 100] %, write every transported frame to the pcap, open the attack
+window on the first step process.csv labels, and give the same bytes
+when run again.
 """
 
 import tempfile
@@ -116,6 +117,12 @@ def test_generated_scenarios_hold_the_invariants(scenario):
         net = sim.network
         assert len(packets) == net.delivered + net.flooded
         assert (sim.attacker is None) == (overrides["attack"] is None)
+        # the attacker acts on the window from the first labelled step
+        labelled = [i for i, s in enumerate(samples) if s.attack_active]
+        acted = [step for step, kind in (sim.attacker.events if sim.attacker
+                                         else ())
+                 if kind in ("mitm-start", "mitm-aborted-no-ems")]
+        assert acted[:1] == labelled[:1]
 
         _, again = run_and_export(cfg, tmp / "b")
         for fmt, path in written.items():
