@@ -123,6 +123,8 @@ class Scheduler:
         # most recently published values, read-only (for hooks/inspection)
         self.signals = MappingProxyType(self._board)
         self._started = False
+        # one context per simulator, made when the run starts
+        self._contexts: list[tuple[SimulatorHandle, StepContext]] = []
 
     def register(self, handle: SimulatorHandle) -> str:
         if self._started:
@@ -152,12 +154,15 @@ class Scheduler:
 
     def step_all(self) -> dict[str, Any]:
         """Advance one step; the signals published in it."""
+        staged: dict[str, Any] = {}
         if not self._started:
             self._check_inputs()
+            self._contexts = [
+                (sim, StepContext(self.clock, self._board, staged, sim.outputs))
+                for sim in self._sims]
             self._started = True
-        staged: dict[str, Any] = {}
-        for sim in self._sims:
-            ctx = StepContext(self.clock, self._board, staged, sim.outputs)
+        for sim, ctx in self._contexts:
+            ctx._staged = staged
             try:
                 sim.behavior(ctx)
             except SchedulerError:

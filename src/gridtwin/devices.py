@@ -2,10 +2,10 @@
 
 The grid simulator owns the physical states and replays the demand and
 generation profiles.  Each device simulator bridges one network host to
-the physics: it refreshes its measurement registers from last step's
-signals, answers Modbus requests, and publishes its setpoint register
-as a command signal.  The role table says which signals and registers
-each device has.
+the physics: when a request is waiting it refreshes its measurement
+registers from last step's signals and answers, and every step it
+publishes its setpoint register as a command signal.  The role table
+says which signals and registers each device has.
 """
 
 from __future__ import annotations
@@ -130,15 +130,18 @@ class ModbusDevice:
 
     def step(self, ctx: StepContext) -> None:
         role, regmap, host = self.role, self.regmap, self.host
-        for addr, signal in enumerate(role.measures, REG_MEAS):
-            regmap.set_value(addr, ctx.get(signal, 0.0))
-        for d in host.receive():
-            try:
-                request = decode(d.payload)
-            except FrameError:
-                continue
-            host.send_ip(d.src_ip, encode(serve(request, regmap)),
-                         dst_port=d.src_port, src_port=d.dst_port)
+        if host.inbox:
+            # only the requests served here read the measurement
+            # registers, so they are refreshed only when one is waiting
+            for addr, signal in enumerate(role.measures, REG_MEAS):
+                regmap.set_value(addr, ctx.get(signal, 0.0))
+            for d in host.receive():
+                try:
+                    request = decode(d.payload)
+                except FrameError:
+                    continue
+                host.send_ip(d.src_ip, encode(serve(request, regmap)),
+                             dst_port=d.src_port, src_port=d.dst_port)
         if role.setpoint is not None:
             signal, initial = role.setpoint
             raw = regmap.get(REG_SETPOINT)

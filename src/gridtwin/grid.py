@@ -8,7 +8,7 @@ transformer import positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class GridInputError(ValueError):
@@ -59,7 +59,8 @@ def step_pv(state: PvState) -> PvState:
     out = min(state.available_kw, state.rated_kw)
     if state.limit_kw is not None:
         out = min(out, state.limit_kw)
-    return replace(state, output_kw=max(out, 0.0))
+    return PvState(available_kw=state.available_kw, rated_kw=state.rated_kw,
+                   limit_kw=state.limit_kw, output_kw=max(out, 0.0))
 
 
 def step_bss(state: BssState, dt_s: float) -> BssState:
@@ -86,7 +87,9 @@ def step_bss(state: BssState, dt_s: float) -> BssState:
     else:
         soc = state.soc_kwh
     soc = min(max(soc, 0.0), state.capacity_kwh)
-    return replace(state, actual_kw=actual, soc_kwh=soc)
+    return BssState(capacity_kwh=state.capacity_kwh, rated_kw=state.rated_kw,
+                    soc_kwh=soc, setpoint_kw=state.setpoint_kw,
+                    actual_kw=actual, efficiency=state.efficiency)
 
 
 def bus_balance(load: LoadState, pv: PvState, bss: BssState,

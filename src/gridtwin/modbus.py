@@ -39,6 +39,7 @@ REG_MEAS_AUX = 11    # secondary measurement (PV availability / BSS SOC)
 REG_SETPOINT = 20    # PV limit / BSS setpoint
 
 NO_LIMIT = 0x7FFF    # PV limit sentinel
+FP_MAX = 0x7FFF / 100.0  # largest value a 0.01-unit register word holds
 
 
 class FrameError(ValueError):

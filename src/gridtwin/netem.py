@@ -19,8 +19,8 @@ import socket
 import struct
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 ETH_IPV4 = 0x0800
 ETH_ARP = 0x0806
@@ -78,17 +78,26 @@ class EthernetFrame:
     ethertype: int
     payload: bytes
 
-    @cached_property
+    @property
     def ipv4(self) -> dict | None:
         """The parsed IPv4/TCP packet, or None if the frame is not IPv4 or
         is malformed.  Parsed on first use; the capture and every
         receiving host share the one dict, so none may change it."""
-        if self.ethertype != ETH_IPV4:
-            return None
+        # memoised in the instance dict by hand: functools.cached_property
+        # takes a lock on every first access before CPython 3.12
+        memo = self.__dict__
         try:
-            return parse_ipv4_tcp(self.payload)
-        except InputError:
-            return None
+            return memo["_ipv4"]
+        except KeyError:
+            pass
+        f = None
+        if self.ethertype == ETH_IPV4:
+            try:
+                f = parse_ipv4_tcp(self.payload)
+            except InputError:
+                pass
+        memo["_ipv4"] = f
+        return f
 
     def to_bytes(self) -> bytes:
         raw = mac_bytes(self.dst_mac) + mac_bytes(self.src_mac) \
@@ -150,8 +159,7 @@ def build_ipv4_tcp(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
     return ip + tcp
 
 
-@dataclass(frozen=True)
-class IpDelivery:
+class IpDelivery(NamedTuple):
     """A parsed IPv4/TCP packet handed to an application."""
     src_ip: str
     dst_ip: str
@@ -429,5 +437,9 @@ class Network:
                     self.frame_sink(frame, step)
                 for port in egress:
                     self._by_port[port]._on_frame(frame, step)
+        # a host has something to expire only with packets awaiting ARP or
+        # with cache expiry on
+        expiring = self.cache_expiry_steps is not None
         for host in self._order:
-            host._expire(step)
+            if host._pending or expiring:
+                host._expire(step)

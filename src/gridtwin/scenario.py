@@ -28,6 +28,7 @@ from .capture import Capture, FORMATS
 from .cosim import RunSummary, Scheduler, SimClock
 from .ems import ControlPolicy, EmsController
 from .grid import BssState, LoadState, PvState
+from .modbus import FP_MAX
 from .netem import Network
 from .profiles import ScalingRule, load_profile, scale
 
@@ -215,11 +216,24 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
                   lambda x: 0 <= x <= 100, "must be in [0, 100]", 50.0)
     if soc_pct is not None:
         bss = replace(bss, soc_kwh=bss.capacity_kwh * soc_pct / 100)
-    grid = dict(pv=pv, bss=bss, load=LoadState(**fields(
-        nodes["load"], "devices.load", rated_kw=_POSITIVE)),
-        load_profile=prof.get("load"), pv_profile=prof.get("pv"),
-        **fields(nodes["meter"], "devices.meter",
-                 transformer_rated_kva=_POSITIVE))
+    load = LoadState(**fields(nodes["load"], "devices.load",
+                              rated_kw=_POSITIVE))
+    grid = dict(pv=pv, bss=bss, load=load,
+                load_profile=prof.get("load"), pv_profile=prof.get("pv"),
+                **fields(nodes["meter"], "devices.meter",
+                         transformer_rated_kva=_POSITIVE))
+    # the registers show powers in 0.01 kW words; PV availability is the
+    # scaled profile, not clamped to the rating
+    pv_points = prof["pv"].points if prof.get("pv") is not None else ()
+    pv_peak = max((v for _, v in pv_points), default=0.0)
+    over = [f"{name} {kw:g}" for name, kw in (
+        ("pv.rated_kw", pv.rated_kw), ("bss.rated_kw", bss.rated_kw),
+        ("load.rated_kw", load.rated_kw),
+        ("meter up to", max(load.rated_kw, pv.rated_kw) + bss.rated_kw),
+        ("profiles.pv peak", pv_peak)) if kw > FP_MAX]
+    if over:
+        issues.append(f"devices: above the {FP_MAX} kW a Modbus register "
+                      f"holds: {', '.join(over)}")
 
     ems = section(raw, "ems", "ems")
     policy = ControlPolicy(bss_rated_kw=bss.rated_kw, **fields(
@@ -242,6 +256,9 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
         if a_start is not None and a_end is not None:
             plan = attempt("attack", lambda: AttackPlan(a_start, a_end, **kw))
     if plan is not None:
+        if plan.pv_limit_kw >= FP_MAX:
+            issues.append(f"attack.pv_limit_kw: must be below {FP_MAX}, "
+                          f"whose register word means no limit")
         if abs(plan.bss_charge_kw) > bss.rated_kw:
             issues.append(f"attack.bss_charge_kw: |{plan.bss_charge_kw}| "
                           f"exceeds BSS rating {bss.rated_kw}")

@@ -82,6 +82,19 @@ class TestStepAll:
             s.step_all()
         assert seen == [None, 1, 2]
 
+    def test_each_step_returns_its_own_signals(self):
+        s = make_scheduler()
+
+        def once(ctx):
+            if ctx.step == 0:
+                ctx.publish("sig", 7)
+        s.register(SimulatorHandle(id="once", outputs=("sig",),
+                                   behavior=once))
+        first = s.step_all()
+        assert s.step_all() == {}
+        assert first == {"sig": 7}  # not cleared by the next step
+        assert s.signals["sig"] == 7
+
     def test_undeclared_output_rejected(self):
         s = make_scheduler()
         s.register(SimulatorHandle(

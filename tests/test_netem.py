@@ -12,6 +12,8 @@ from gridtwin.netem import (ARP_REPLY, BROADCAST_MAC, ETH_ARP, ETH_IPV4,
                             LearningSwitch, NetemError, Network,
                             ResolutionError, build_ipv4_tcp, ip_bytes, ip_str,
                             mac_bytes, mac_str, parse_ipv4_tcp)
+from gridtwin.scenario import ScenarioConfig, build
+from tests.conftest import write_tiny_config
 
 
 def two_hosts():
@@ -85,6 +87,28 @@ class TestWireFormats:
         pkt[9] = 17  # UDP
         with pytest.raises(InputError):
             parse_ipv4_tcp(bytes(pkt))
+
+    @pytest.mark.parametrize("ethertype, proto, parses", [
+        (ETH_IPV4, 6, 1),     # TCP: parsed
+        (ETH_IPV4, 17, 1),    # UDP: malformed, parsed to None once
+        (ETH_ARP, 6, 0)])     # not IPv4: never parsed
+    def test_ipv4_parsed_once_per_frame(self, monkeypatch, ethertype, proto,
+                                        parses):
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return parse_ipv4_tcp(raw)
+        monkeypatch.setattr(netem, "parse_ipv4_tcp", counted)
+        pkt = bytearray(build_ipv4_tcp("192.168.10.1", "192.168.10.2",
+                                       1, 2, 0, 0, b"x"))
+        pkt[9] = proto
+        frame = EthernetFrame("02:00:00:00:00:01", "02:00:00:00:00:02",
+                              ethertype, bytes(pkt))
+        first = frame.ipv4
+        assert all(frame.ipv4 is first for _ in range(3))
+        assert (first is None) == (proto != 6 or ethertype != ETH_IPV4)
+        assert len(calls) == parses
 
     @given(data=st.binary(max_size=80))
     @example(data=b"\xff\xff" * 3)  # a nonzero multiple of 0xFFFF
@@ -275,3 +299,27 @@ class TestArpSpoofing:
         taps = spy.read_tap()
         assert any(f.ethertype == ETH_ARP and f.dst_mac == BROADCAST_MAC
                    for f in taps)
+
+
+class TestCacheExpiry:
+    def test_tiny_run_re_resolves_expired_entries(self, tmp_path):
+        sim = build(ScenarioConfig.load(write_tiny_config(
+            tmp_path, network={"subnet": "192.168.10.0/24",
+                               "arp_cache_expiry_s": 20.0})))
+        net = sim.network
+        assert net.cache_expiry_steps == 20
+        learned = {}  # (host, ip) -> the steps each entry was learned at
+
+        def check(step):
+            for host in net.hosts.values():
+                for ip, (_, since) in host.arp_cache.items():
+                    assert step - since < net.cache_expiry_steps
+                    learned.setdefault((host.id, ip), set()).add(since)
+        sim.scheduler.add_hook(check)
+        sim.run()
+        for peer in ("meter", "pv", "bss"):  # the EMS polls all three
+            assert len(learned["ems", net.hosts[peer].ip]) > 1
+        arp = sum(1 for _, raw in sim.capture.frames
+                  if raw[12:14] == struct.pack(">H", ETH_ARP))
+        assert arp > 6  # 6 without expiry: one request and reply per peer
+        assert not [ev for ev in sim.ems.events if ev[-1].endswith("-timeout")]

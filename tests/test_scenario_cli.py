@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -7,7 +8,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridtwin import devices as dev
 from gridtwin.cli import main
+from gridtwin.grid import GridInputError, step_pv
 from gridtwin.scenario import ConfigError, ScenarioConfig, build, parse_time, validate
 from tests.conftest import load_golden, write_tiny_config
 
@@ -191,16 +194,23 @@ class TestCli:
         assert main(["run", str(cfg)]) == 0
         assert (tmp_path / "dataset-tiny" / "summary.json").is_file()
 
-    def test_run_aborts_with_partial_dataset(self, tmp_path, capsys):
-        # a load far beyond fixed-point range blows up the meter mid-run
-        def mutate(cfg):
-            cfg["devices"]["load"]["rated_kw"] = 900.0
-            (tmp_path / "load.csv").write_text("0,5.0\n30,700.0\n")
-        path = edited_config(tmp_path, mutate)
+    def test_run_aborts_with_partial_dataset(self, tmp_path, capsys,
+                                             monkeypatch):
+        # a fault inside a simulator mid-run (validate refuses the configs
+        # that once did this, see test_register_range_is_validated)
+        calls = itertools.count()
+
+        def faulty_step_pv(state):
+            if next(calls) == 30:
+                raise GridInputError("injected fault")
+            return step_pv(state)
+        monkeypatch.setattr(dev, "step_pv", faulty_step_pv)
+        path = write_tiny_config(tmp_path)
         out = tmp_path / "partial"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert "runtime abort" in capsys.readouterr().err
-        assert (out / "process.csv").is_file()
+        rows = (out / "process.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + 30  # the steps before the fault
 
     def test_report_identical_and_different(self, tmp_path, capsys):
         norm = write_tiny_config(tmp_path)
@@ -245,6 +255,24 @@ def test_bad_field_is_reported_not_raised(tmp_path, path, value):
     assert issues != []
     if path[-1] == "start":
         assert any("quote the time" in issue for issue in issues)
+    assert main(["validate", str(cfg_path)]) == 1
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "ds")]) == 1
+
+
+# each passed validate and then aborted the run on a register word
+# (0.01 kW units, at most 327.67 kW)
+@pytest.mark.parametrize("edits, attack", [
+    ({("profiles", "pv", "factor"): 80}, False),  # PV available up to 368
+    ({("devices", "pv", "rated_kw"): 500, ("profiles", "pv", "factor"): 100},
+     False),
+    ({("attack", "pv_limit_kw"): 327.67}, True),  # encodes as NO_LIMIT
+], ids=["pv-profile", "pv-rating", "pv-limit"])
+def test_register_range_is_validated(tmp_path, edits, attack):
+    def mutate(cfg):
+        for path, value in edits.items():
+            set_field(cfg, path, value)
+    cfg_path = edited_config(tmp_path, mutate, attack=attack)
+    assert len(validate(ScenarioConfig.load(cfg_path))) == 1
     assert main(["validate", str(cfg_path)]) == 1
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "ds")]) == 1
 
