@@ -19,7 +19,7 @@ import socket
 import struct
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 ETH_IPV4 = 0x0800
@@ -78,26 +78,17 @@ class EthernetFrame:
     ethertype: int
     payload: bytes
 
-    @property
+    @cached_property
     def ipv4(self) -> dict | None:
         """The parsed IPv4/TCP packet, or None if the frame is not IPv4 or
         is malformed.  Parsed on first use; the capture and every
         receiving host share the one dict, so none may change it."""
-        # memoised in the instance dict by hand: functools.cached_property
-        # takes a lock on every first access before CPython 3.12
-        memo = self.__dict__
+        if self.ethertype != ETH_IPV4:
+            return None
         try:
-            return memo["_ipv4"]
-        except KeyError:
-            pass
-        f = None
-        if self.ethertype == ETH_IPV4:
-            try:
-                f = parse_ipv4_tcp(self.payload)
-            except InputError:
-                pass
-        memo["_ipv4"] = f
-        return f
+            return parse_ipv4_tcp(self.payload)
+        except InputError:
+            return None
 
     def to_bytes(self) -> bytes:
         raw = mac_bytes(self.dst_mac) + mac_bytes(self.src_mac) \

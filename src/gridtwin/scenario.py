@@ -28,7 +28,7 @@ from .capture import Capture, FORMATS
 from .cosim import RunSummary, Scheduler, SimClock
 from .ems import ControlPolicy, EmsController
 from .grid import BssState, LoadState, PvState
-from .modbus import FP_MAX
+from .modbus import FP_MAX, NO_LIMIT, fp_encode
 from .netem import Network
 from .profiles import ScalingRule, load_profile, scale
 
@@ -62,6 +62,14 @@ _MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
 _FINITE = (float, math.isfinite, "must be a finite number")
 _POSITIVE = (float, lambda x: 0 < x < math.inf, "must be > 0")
 _NON_NEGATIVE = (float, lambda x: 0 <= x < math.inf, "must be >= 0")
+
+
+def _word(kw: float) -> int | None:
+    """The 0.01 kW register word that shows kw; None if no word holds it."""
+    try:
+        return fp_encode(kw)
+    except ValueError:
+        return None
 
 
 @dataclass
@@ -222,15 +230,19 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
                 load_profile=prof.get("load"), pv_profile=prof.get("pv"),
                 **fields(nodes["meter"], "devices.meter",
                          transformer_rated_kva=_POSITIVE))
-    # the registers show powers in 0.01 kW words; PV availability is the
-    # scaled profile, not clamped to the rating
-    pv_points = prof["pv"].points if prof.get("pv") is not None else ()
-    pv_peak = max((v for _, v in pv_points), default=0.0)
+    # the registers show powers in 0.01 kW words: load demand up to the
+    # rating and the scaled profile's peak, PV availability up to the peak
+    # (not clamped to the rating), PV output up to both, the BSS up to its
+    # rating and the meter up to the larger of load and PV plus the BSS
+    peak = {which: max((v for _, v in p.points), default=0.0)
+            for which, p in prof.items() if p is not None}
+    load_kw = min(load.rated_kw, peak.get("load", 0.0))
+    pv_kw = peak.get("pv", 0.0)
     over = [f"{name} {kw:g}" for name, kw in (
-        ("pv.rated_kw", pv.rated_kw), ("bss.rated_kw", bss.rated_kw),
-        ("load.rated_kw", load.rated_kw),
-        ("meter up to", max(load.rated_kw, pv.rated_kw) + bss.rated_kw),
-        ("profiles.pv peak", pv_peak)) if kw > FP_MAX]
+        ("load demand up to", load_kw), ("profiles.pv peak", pv_kw),
+        ("bss.rated_kw", bss.rated_kw),
+        ("meter up to", max(load_kw, min(pv.rated_kw, pv_kw))
+         + bss.rated_kw)) if _word(kw) is None]
     if over:
         issues.append(f"devices: above the {FP_MAX} kW a Modbus register "
                       f"holds: {', '.join(over)}")
@@ -256,9 +268,9 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
         if a_start is not None and a_end is not None:
             plan = attempt("attack", lambda: AttackPlan(a_start, a_end, **kw))
     if plan is not None:
-        if plan.pv_limit_kw >= FP_MAX:
-            issues.append(f"attack.pv_limit_kw: must be below {FP_MAX}, "
-                          f"whose register word means no limit")
+        if _word(plan.pv_limit_kw) in (None, NO_LIMIT):
+            issues.append(f"attack.pv_limit_kw: must round below {FP_MAX} "
+                          f"kW, whose register word means no limit")
         if abs(plan.bss_charge_kw) > bss.rated_kw:
             issues.append(f"attack.bss_charge_kw: |{plan.bss_charge_kw}| "
                           f"exceeds BSS rating {bss.rated_kw}")

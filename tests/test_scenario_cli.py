@@ -261,20 +261,38 @@ def test_bad_field_is_reported_not_raised(tmp_path, path, value):
 
 # each passed validate and then aborted the run on a register word
 # (0.01 kW units, at most 327.67 kW)
-@pytest.mark.parametrize("edits, attack", [
-    ({("profiles", "pv", "factor"): 80}, False),  # PV available up to 368
+@pytest.mark.parametrize("edits, load_csv, attack", [
+    ({("profiles", "pv", "factor"): 80}, None, False),  # PV available 368
     ({("devices", "pv", "rated_kw"): 500, ("profiles", "pv", "factor"): 100},
-     False),
-    ({("attack", "pv_limit_kw"): 327.67}, True),  # encodes as NO_LIMIT
-], ids=["pv-profile", "pv-rating", "pv-limit"])
-def test_register_range_is_validated(tmp_path, edits, attack):
+     None, False),
+    ({("devices", "load", "rated_kw"): 900}, "0,5.0\n30,700.0\n", False),
+    ({("devices", "bss", "rated_kw"): 400}, None, False),
+    # load 200 and BSS 150 each fit; the meter can show 350
+    ({("devices", "load", "rated_kw"): 200, ("profiles", "load", "factor"): 40,
+      ("devices", "bss", "rated_kw"): 150}, None, False),
+    ({("attack", "pv_limit_kw"): 327.67}, None, True),  # encodes as NO_LIMIT
+    ({("attack", "pv_limit_kw"): 327.666}, None, True),  # rounds to it
+], ids=["pv-profile", "pv-rating", "load", "bss-rating", "meter",
+        "pv-limit", "pv-limit-rounded"])
+def test_register_range_is_validated(tmp_path, edits, load_csv, attack):
     def mutate(cfg):
         for path, value in edits.items():
             set_field(cfg, path, value)
     cfg_path = edited_config(tmp_path, mutate, attack=attack)
+    if load_csv is not None:
+        (tmp_path / "load.csv").write_text(load_csv)
     assert len(validate(ScenarioConfig.load(cfg_path))) == 1
     assert main(["validate", str(cfg_path)]) == 1
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "ds")]) == 1
+
+
+def test_rating_beyond_register_range_runs_if_never_shown(tmp_path):
+    # the load bank shows min(profile, rating): a 400 kW bank on a ~6 kW
+    # profile never puts more than 6.2 kW in its register
+    cfg_path = edited_config(tmp_path, lambda cfg: set_field(
+        cfg, ("devices", "load", "rated_kw"), 400))
+    assert validate(ScenarioConfig.load(cfg_path)) == []
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "ds")]) == 0
 
 
 def leaf_paths(node, prefix=()):

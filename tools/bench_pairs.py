@@ -2,15 +2,16 @@
 """Alternating parent/change benchmark pairs, written to BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_<n>.json \\
-        [--seed S] [--seconds X] attack=10 normal=6 dense-profile=6
+        [--seed S] attack=10 normal=6 dense-profile=6
 
-Runs ``python3 perfbench/run.py --workload W --seed S --seconds X
---trace 0`` from two checkouts: the parent, exported from git at REV into
+Runs ``python3 perfbench/run.py --workload W --seed S --trace 0`` from
+two checkouts: the parent, exported from git at REV into
 a temporary directory (``TMPDIR`` sets where), and the change, the
 checkout this script lives in, as its working tree stands.  Pair i uses
 seed S + i and runs the parent first when i is even, the change first
-when it is odd.  Each run is a fresh perfbench invocation; perfbench
-itself times set-up, run and export in fresh processes.
+when it is odd.  Each run is a fresh perfbench invocation at
+perfbench's own run length; perfbench itself times set-up, run and
+export in fresh processes.
 
 The output file holds each run's final JSON line and its artifact
 digests (from perfbench's ``# detail`` line), and per workload and
@@ -48,11 +49,11 @@ def export_parent(rev: str, into: Path) -> str:
     return sha
 
 
-def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench invocation: its final JSON line and artifact digests,
     or an "error" if it printed none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     out = {"exit": proc.returncode}
@@ -126,7 +127,6 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git revision")
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("runs", nargs="+", metavar="WORKLOAD=PAIRS")
     args = ap.parse_args(argv)
     try:
@@ -142,7 +142,7 @@ def main(argv=None) -> int:
         dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
         result = {
             "command": "python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       "--trace 0",
             "parent": parent_sha,
             "change": git("rev-parse", "HEAD").decode().strip()
             + ("+working-tree" if dirty else ""),
@@ -155,8 +155,7 @@ def main(argv=None) -> int:
                     else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = perfbench(checkouts[side], workload, seed,
-                                           args.seconds)
+                    pair[side] = perfbench(checkouts[side], workload, seed)
                 pairs.append(pair)
                 print(f"# {workload} pair {i + 1}/{n} seed {seed}: run_s "
                       f"{value(pair['parent'], 'run_s')} -> "
