@@ -55,8 +55,8 @@ class AttackPlan:
         at or after start_s to the last one before end_s, and the ARP scan
         runs recon_lead_s (at least one step) ahead of it."""
         start = clock.step_at(self.start_s)
-        lead = max(1, round(self.recon_lead_s / clock.step_s))
-        return start - lead, start, clock.step_at(self.end_s)
+        return (start - clock.steps_for(self.recon_lead_s), start,
+                clock.step_at(self.end_s))
 
 
 class Attacker:
@@ -64,8 +64,7 @@ class Attacker:
         self.host = host
         self.plan = plan
         self.scan_step, self.start_step, self.end_step = plan.steps(clock)
-        self.repoison_steps = max(1, round(plan.repoison_period_s
-                                           / clock.step_s))
+        self.repoison_steps = clock.steps_for(plan.repoison_period_s)
         # role label -> setpoint (kW) planted on start and forced on rewrite
         self.forced = {"PV": plan.pv_limit_kw, "BSS": plan.bss_charge_kw}
         self.roles: dict[str, str] = {}          # ip -> role label

@@ -21,6 +21,8 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
+from .attack import AttackPlan
+from .cosim import SimClock
 from .netem import EthernetFrame
 # still importable from here: perfbench/tracing.py wraps it by this name
 from .netem import parse_ipv4_tcp  # noqa: F401
@@ -68,14 +70,15 @@ class FlowRecord:
 
 
 class Capture:
-    def __init__(self, step_s: float, epoch_s: float, deadband_kw: float,
-                 attack_window: tuple[float, float] | None = None,
+    def __init__(self, clock: SimClock, deadband_kw: float,
+                 plan: AttackPlan | None = None,
                  roles_by_ip: dict[str, tuple[str, str]] | None = None,
                  date: str = "2021-06-15"):
-        self.step_s = step_s
-        self.epoch_s = epoch_s
+        self.clock = clock
         self.deadband_kw = deadband_kw  # EMS deadband, for the summary
-        self.attack_window = attack_window
+        self.plan = plan
+        # attack_active marks the steps the attacker's window covers
+        self._window = (0, 0) if plan is None else plan.steps(clock)[1:]
         self.roles_by_ip = roles_by_ip or {}  # ip -> (role, true mac)
         day = _dt.datetime.fromisoformat(date).replace(tzinfo=_dt.timezone.utc)
         self._day_epoch = day.timestamp()
@@ -85,11 +88,8 @@ class Capture:
 
     # -- recording --------------------------------------------------------
 
-    def time_of(self, step: int) -> float:
-        return self.epoch_s + step * self.step_s
-
     def record_frame(self, frame: EthernetFrame, step: int) -> None:
-        t = self.time_of(step)
+        t = self.clock.time_s(step)
         raw = frame.to_bytes()
         self.frames.append((t, raw))
         f = frame.ipv4  # the parse the receiving hosts use too
@@ -107,12 +107,10 @@ class Capture:
     def record_sample(self, step: int, pv_kw: float, bss_kw: float,
                       load_kw: float, transformer_kw: float,
                       soc_pct: float, pv_available_kw: float = 0.0) -> None:
-        t = self.time_of(step)
-        active = (self.attack_window is not None
-                  and self.attack_window[0] <= t < self.attack_window[1])
-        self.samples.append(ProcessSample(t, pv_kw, pv_available_kw, bss_kw,
-                                          load_kw, transformer_kw, soc_pct,
-                                          active))
+        start, end = self._window
+        self.samples.append(ProcessSample(
+            self.clock.time_s(step), pv_kw, pv_available_kw, bss_kw, load_kw,
+            transformer_kw, soc_pct, start <= step < end))
 
     # -- export -----------------------------------------------------------
 
@@ -197,45 +195,45 @@ class Capture:
     def integral_abs_transformer(self, t0: float | None = None,
                                  t1: float | None = None) -> float:
         """∫|transformer_kw| dt in kW·s over [t0, t1)."""
+        return self._integral(
+            s for s in self.samples
+            if (t0 is None or s.t_s >= t0) and (t1 is None or s.t_s < t1))
+
+    def _integral(self, samples) -> float:
+        """∫|transformer_kw| dt in kW·s over the given samples."""
         total = 0.0
-        for s in self.samples:
-            if (t0 is None or s.t_s >= t0) and (t1 is None or s.t_s < t1):
-                total += abs(s.transformer_kw) * self.step_s
+        for s in samples:
+            total += abs(s.transformer_kw) * self.clock.step_s
         return total
 
     def summarize(self) -> dict:
-        n = len(self.samples)
+        samples, n = self.samples, len(self.samples)
+        power = [s.transformer_kw for s in samples]
         out = {
             "steps": n,
             "frames": len(self.frames),
             "flow_count": len(self.flows),
-            "imbalance_integral_kws": self.integral_abs_transformer(),
-            "peak_import_kw": max((s.transformer_kw for s in self.samples),
-                                  default=0.0),
-            "peak_export_kw": min((s.transformer_kw for s in self.samples),
-                                  default=0.0),
+            "imbalance_integral_kws": self._integral(samples),
+            "peak_import_kw": max(power, default=0.0),
+            "peak_export_kw": min(power, default=0.0),
             "pv_curtailed_kwh": sum(
-                max(0.0, s.pv_available_kw - s.pv_kw) * self.step_s
-                for s in self.samples) / 3600.0,
+                max(0.0, s.pv_available_kw - s.pv_kw) * self.clock.step_s
+                for s in samples) / 3600.0,
             "within_deadband_fraction": (
-                sum(1 for s in self.samples
-                    if abs(s.transformer_kw) <= self.deadband_kw) / n
+                sum(1 for p in power if abs(p) <= self.deadband_kw) / n
                 if n else 0.0),
+            "attack_window": None,
         }
-        if self.attack_window is not None:
-            t0, t1 = self.attack_window
-            window = [s for s in self.samples if t0 <= s.t_s < t1]
+        if self.plan is not None:
+            window = [s for s in samples if s.attack_active]
             out["attack_window"] = {
-                "start": fmt_time(t0),
-                "end": fmt_time(t1),
-                "imbalance_integral_kws": self.integral_abs_transformer(t0, t1),
-                "labeled_steps": sum(1 for s in self.samples
-                                     if s.attack_active),
+                "start": fmt_time(self.plan.start_s),
+                "end": fmt_time(self.plan.end_s),
+                "imbalance_integral_kws": self._integral(window),
+                "labeled_steps": len(window),
                 "peak_import_kw": max((s.transformer_kw for s in window),
                                       default=0.0),
                 "mean_bss_kw": (sum(s.bss_kw for s in window) / len(window)
                                 if window else 0.0),
             }
-        else:
-            out["attack_window"] = None
         return out

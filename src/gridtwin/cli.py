@@ -49,17 +49,12 @@ def cmd_run(args) -> int:
     try:
         cfg = _load(args.config)
         sim = build(cfg)
-    except ConfigError as exc:
+        until = parse_time(args.until) if args.until else None
+        outdir = Path(args.out) if args.out else Path(f"dataset-{cfg.name}")
+        outdir.mkdir(parents=True, exist_ok=True)  # a bad --out costs no run
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    until = None
-    if args.until:
-        try:
-            until = parse_time(args.until)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    outdir = Path(args.out) if args.out else Path(f"dataset-{cfg.name}")
     try:
         summary = sim.run(until_s=until, realtime=args.realtime)
     except SchedulerError as exc:
@@ -72,24 +67,34 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+# the summary.json numbers that report prints
+_SUMMARY_KEYS = ("steps", "frames", "flow_count", "imbalance_integral_kws",
+                 "peak_import_kw", "pv_curtailed_kwh")
+
+
 def _read_dataset(path: Path) -> dict:
     summary_file = path / "summary.json"
     process_file = path / "process.csv"
     if not summary_file.is_file() or not process_file.is_file():
         raise ConfigError(f"{path} is not a complete dataset directory")
     data = json.loads(summary_file.read_text())
-    rows = process_file.read_text().splitlines()[1:]
+    window = data.get("attack_window") if isinstance(data, dict) else None
+    if not isinstance(data, dict) or not all(
+            isinstance(data.get(k), (int, float)) for k in _SUMMARY_KEYS) \
+            or not (window is None or isinstance(window, dict)
+                    and {"start", "end"} <= window.keys()):
+        raise ConfigError(f"{summary_file}: not a gridtwin run summary")
     samples = []
-    for row in rows:
+    for row in process_file.read_text().splitlines()[1:]:
         parts = row.split(",")
+        if len(parts) < 5:
+            raise ConfigError(f"{process_file}: short row {row!r}")
         h, m, s = parts[0].split(":")
         t = int(h) * 3600 + int(m) * 60 + float(s)
         samples.append((t, float(parts[4])))  # (t_s, transformer_kw)
-    edges = set()
     flows_file = path / "flows.csv"
-    if flows_file.is_file():
-        for row in flows_file.read_text().splitlines()[1:]:
-            edges.add(tuple(row.split(",")[:4]))
+    flows = flows_file.read_text() if flows_file.is_file() else ""
+    edges = {tuple(row.split(",")[:4]) for row in flows.splitlines()[1:]}
     return {"summary": data, "samples": samples, "edges": edges}
 
 

@@ -53,10 +53,14 @@ class SimClock:
         if self.step_s <= 0:
             raise SchedulerError(f"step_s must be > 0, got {self.step_s}")
 
-    def time_s(self, step: int | None = None) -> float:
+    def time_s(self, step: int) -> float:
         """Wall-clock seconds since midnight at the given step."""
-        n = self.now if step is None else step
-        return self.epoch_s + n * self.step_s
+        return self.epoch_s + step * self.step_s
+
+    def steps_for(self, duration_s: float) -> int:
+        """A duration as a whole number of steps: at least one, rounded
+        half to even."""
+        return max(1, round(duration_s / self.step_s))
 
     def step_at(self, t_s: float) -> int:
         """The first step whose time_s is at or after a time-of-day (0
@@ -90,10 +94,6 @@ class StepContext:
     @property
     def step(self) -> int:
         return self.clock.now
-
-    @property
-    def t_s(self) -> float:
-        return self.clock.time_s()
 
     def get(self, signal: str, default=None):
         """Value published in the previous step (or default)."""

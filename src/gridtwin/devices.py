@@ -59,14 +59,12 @@ class GridSimulator:
 
     def __init__(self, pv: PvState, bss: BssState, load: LoadState,
                  load_profile: TimeSeriesProfile, pv_profile: TimeSeriesProfile,
-                 step_s: float,
                  transformer_rated_kva: float = BusBalance.transformer_rated_kva):
         self.pv = pv
         self.bss = bss
         self.load = load
         self.load_profile = load_profile
         self.pv_profile = pv_profile
-        self.step_s = step_s
         self.transformer_rated_kva = transformer_rated_kva
         self.events: list[tuple[int, str]] = []
 
@@ -79,7 +77,8 @@ class GridSimulator:
             behavior=self.step)
 
     def step(self, ctx: StepContext) -> None:
-        t_rel = ctx.step * self.step_s  # profile time = seconds since epoch
+        step_s = ctx.clock.step_s
+        t_rel = ctx.step * step_s  # profile time = seconds since epoch
         available = max(0.0, sample(self.pv_profile, t_rel))
         demand = min(max(0.0, sample(self.load_profile, t_rel)),
                      self.load.rated_kw)
@@ -94,7 +93,7 @@ class GridSimulator:
             capacity_kwh=bss.capacity_kwh, rated_kw=bss.rated_kw,
             soc_kwh=bss.soc_kwh,
             setpoint_kw=bss.setpoint_kw if setpoint is None else setpoint,
-            actual_kw=bss.actual_kw, efficiency=bss.efficiency), self.step_s)
+            actual_kw=bss.actual_kw, efficiency=bss.efficiency), step_s)
         self.load = LoadState(demand_kw=demand, rated_kw=self.load.rated_kw)
         bal = bus_balance(self.load, self.pv, self.bss,
                           self.transformer_rated_kva)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cosim import SimulatorHandle, StepContext
+from .cosim import SimClock, SimulatorHandle, StepContext
 from .grid import BssState
 from .modbus import (NO_LIMIT, REG_MEAS, REG_SETPOINT,
                      FrameError, decode, encode, fp_decode, fp_encode,
@@ -48,13 +48,13 @@ def control_step(meter_kw: float, prev_setpoint_kw: float,
 
 class EmsController:
     def __init__(self, host: Host, policy: ControlPolicy,
-                 meter_ip: str, pv_ip: str, bss_ip: str, step_s: float):
+                 meter_ip: str, pv_ip: str, bss_ip: str, clock: SimClock):
         self.host = host
         self.policy = policy
         self.meter_ip = meter_ip
         self.pv_ip = pv_ip
         self.bss_ip = bss_ip
-        self.period_steps = max(1, round(policy.period_s / step_s))
+        self.period_steps = clock.steps_for(policy.period_s)
         self.prev_setpoint_kw = 0.0
         self.events: list[tuple[int, str]] = []
         self._txid = 0

@@ -30,6 +30,8 @@ MIN_FRAME_LEN = 60  # without FCS
 
 ARP_REQUEST = 1
 ARP_REPLY = 2
+# steps an IPv4 packet waits for its ARP reply before it is dropped
+ARP_TIMEOUT_STEPS = 3
 
 
 class NetemError(Exception):
@@ -326,11 +328,10 @@ class Host:
             self.net.drop("unknown-ethertype")
 
     def _expire(self, step: int) -> None:
-        timeout = self.net.arp_timeout_steps
         still = []
         for p in self._pending:
             dst_ip, _, since = p
-            if step - since >= timeout:
+            if step - since >= ARP_TIMEOUT_STEPS:
                 self._arp_inflight.discard(dst_ip)
                 self.events.append((step, "resolution-error", dst_ip))
                 self.net.drop("arp-timeout")
@@ -348,10 +349,8 @@ class Network:
     """The switch plus all attached hosts; transported once per step."""
 
     def __init__(self, subnet: str = "192.168.10.0/24",
-                 arp_timeout_steps: int = 3,
                  cache_expiry_steps: int | None = None):
         self.subnet = ipaddress.IPv4Network(subnet)
-        self.arp_timeout_steps = arp_timeout_steps
         self.cache_expiry_steps = cache_expiry_steps
         self.switch = LearningSwitch()
         self.hosts: dict[str, Host] = {}

@@ -168,8 +168,8 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     net_kw = fields(net, "network",
                     subnet=(lambda n: str(ipaddress.IPv4Network(str(n))),))
     expiry = get(net, "arp_cache_expiry_s", "network", *_POSITIVE)
-    if expiry is not None and step is not None:
-        net_kw["cache_expiry_steps"] = max(1, round(expiry / step))
+    if expiry is not None and sim_clock is not None:
+        net_kw["cache_expiry_steps"] = sim_clock.steps_for(expiry)
     network = Network(**net_kw)
 
     devices = section(raw, "devices", "devices")
@@ -324,24 +324,21 @@ def build(cfg: ScenarioConfig) -> Simulation:
 
     clock, network, policy, plan = (v["clock"], v["network"], v["policy"],
                                     v["plan"])
-    step_s = clock.step_s
     scheduler = Scheduler(clock)
     hosts = {hid: network.attach(hid, **kw)
              for hid, kw in v["endpoints"].items()}
-    grid = dev.GridSimulator(step_s=step_s, **v["grid"])
+    grid = dev.GridSimulator(**v["grid"])
     ems = EmsController(hosts["ems"], policy, meter_ip=hosts["meter"].ip,
                         pv_ip=hosts["pv"].ip, bss_ip=hosts["bss"].ip,
-                        step_s=step_s)
+                        clock=clock)
     attacker = None if plan is None else Attacker(hosts["attacker"], plan,
                                                   clock)
 
     labels = {key: role.label for key, role in dev.ROLES.items()}
     labels["attacker"] = "Attacker"
-    capture = Capture(
-        step_s, clock.epoch_s, policy.deadband_kw,
-        attack_window=None if plan is None else (plan.start_s, plan.end_s),
-        roles_by_ip={h.ip: (labels[r], h.mac) for r, h in hosts.items()},
-        **v["capture"])
+    roles_by_ip = {h.ip: (labels[r], h.mac) for r, h in hosts.items()}
+    capture = Capture(clock, policy.deadband_kw, plan, roles_by_ip,
+                      **v["capture"])
     network.frame_sink = capture.record_frame
 
     devices = [dev.ModbusDevice(hosts[key]) for key, role in dev.ROLES.items()

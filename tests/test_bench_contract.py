@@ -65,3 +65,18 @@ def test_attack_run_logs_mitm_start_as_the_kind(tmp_path):
     sim = build(ScenarioConfig.load(write_tiny_config(tmp_path, attack=True)))
     sim.run()
     assert "mitm-start" in [ev[-1] for ev in sim.attacker.events]
+
+
+def test_every_attribute_perfbench_reads_exists(tmp_path):
+    # perfbench/iteration.py and tracing.py read these off a built
+    # simulation; an AttributeError there fails every run
+    sim = build(ScenarioConfig.load(write_tiny_config(tmp_path, attack=True)))
+    missing = [f"{obj}.{attr}" for obj, attrs in (
+        ("config", ("start_s", "end_s", "step_s")),
+        ("capture", ("samples", "flows")),
+        ("grid", ("load_profile", "pv_profile")),
+        ("network", ("delivered", "flooded", "dropped")),
+        ("ems", ("events",)),
+        ("attacker", ("events",)))
+        for attr in attrs if not hasattr(getattr(sim, obj), attr)]
+    assert missing == []

@@ -3,7 +3,9 @@ import struct
 
 import pytest
 
+from gridtwin.attack import AttackPlan
 from gridtwin.capture import Capture, ExportError, fmt_time
+from gridtwin.cosim import SimClock
 from gridtwin.netem import ETH_ARP, ETH_IPV4, EthernetFrame, build_ipv4_tcp
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
@@ -66,14 +68,14 @@ class TestFmtTime:
 
 class TestCapture:
     def test_empty_pcap_is_valid(self, tmp_path):
-        cap = Capture(step_s=1.0, epoch_s=0.0, deadband_kw=0.1)
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
         paths = cap.export(tmp_path, formats=("pcap",))
         header, packets = read_pcap(paths["pcap"].read_bytes())
         assert header == (2, 4, 0, 0, 65535, 1)
         assert packets == []
 
     def test_frames_round_trip_through_pcap(self, tmp_path):
-        cap = Capture(step_s=1.0, epoch_s=9 * 3600, deadband_kw=0.1,
+        cap = Capture(SimClock(epoch_s=9 * 3600), deadband_kw=0.1,
                       date="2021-06-15")
         f = sample_frame()
         cap.record_frame(f, step=0)
@@ -85,7 +87,7 @@ class TestCapture:
         assert (sec, usec) == (1623715200 + 9 * 3600, 0)
 
     def test_flows_keyed_by_mac_and_ip(self):
-        cap = Capture(step_s=1.0, epoch_s=0.0, deadband_kw=0.1)
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
         cap.record_frame(sample_frame(), 0)
         cap.record_frame(sample_frame(), 1)
         spoofed = EthernetFrame("02:00:00:00:00:66", "02:00:00:00:00:02",
@@ -94,24 +96,27 @@ class TestCapture:
         assert len(cap.flows) == 2  # same IPs, different source MAC: new flow
 
     def test_arp_frames_counted_but_not_flows(self):
-        cap = Capture(step_s=1.0, epoch_s=0.0, deadband_kw=0.1)
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
         cap.record_frame(EthernetFrame("02:00:00:00:00:01",
                                        "ff:ff:ff:ff:ff:ff", ETH_ARP,
                                        bytes(28)), 0)
         assert len(cap.frames) == 1 and cap.flows == {}
 
     def test_unknown_format_rejected(self, tmp_path):
-        cap = Capture(step_s=1.0, epoch_s=0.0, deadband_kw=0.1)
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
         with pytest.raises(ExportError):
             cap.export(tmp_path, formats=("xml",))
 
     def test_attack_labels_follow_window(self):
-        cap = Capture(step_s=1.0, epoch_s=100.0, deadband_kw=0.1,
-                      attack_window=(102.0, 104.0))
-        for step in range(6):
-            cap.record_sample(step, 0, 0, 0, 0, 50.0)
-        assert [s.attack_active for s in cap.samples] == \
-            [False, False, True, True, False, False]
+        for start_s, end_s, labels in (
+                (102.0, 104.0, [0, 0, 1, 1, 0, 0]),
+                # off the step grid: from the first step at or after each end
+                (101.5, 104.5, [0, 0, 1, 1, 1, 0])):
+            cap = Capture(SimClock(epoch_s=100.0), deadband_kw=0.1,
+                          plan=AttackPlan(start_s, end_s))
+            for step in range(6):
+                cap.record_sample(step, 0, 0, 0, 0, 50.0)
+            assert [int(s.attack_active) for s in cap.samples] == labels
 
 
 NODE_RE = re.compile(r"^node ([0-9a-f:]{17}) (\d+\.\d+\.\d+\.\d+) \S+$")

@@ -126,6 +126,20 @@ class TestRun:
         assert seen == [(0, 1), (1, 2)]
 
 
+class TestStepsFor:
+    @pytest.mark.parametrize("step_s, duration_s, steps", [
+        (1.0, 0.2, 1),      # at least one step
+        (1.0, 0.0, 1),
+        (0.7, 14.0, 20),
+        (0.7, 21.0, 30),    # 21 / 0.7 is 30.000000000000004
+        (1.0, 2.5, 2),      # ties round half to even
+        (1.0, 3.5, 4),
+        (0.5, 1.25, 2)])
+    def test_duration_to_steps(self, step_s, duration_s, steps):
+        assert SimClock(epoch_s=EPOCH, step_s=step_s).steps_for(
+            duration_s) == steps
+
+
 def build_chain(order):
     """Two simulators exchanging values; registration order parametrized."""
     s = make_scheduler()

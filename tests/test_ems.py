@@ -63,10 +63,11 @@ class TestControllerLoop:
         net = Network()
         ems_host = net.attach("ems", mac="02:00:00:00:00:01",
                               ip="192.168.10.10")
+        clock = SimClock(epoch_s=0.0, step_s=1.0)
         ems = EmsController(ems_host, ControlPolicy(),
                             meter_ip="192.168.10.30", pv_ip="192.168.10.21",
-                            bss_ip="192.168.10.22", step_s=1.0)
-        sched = Scheduler(SimClock(epoch_s=0.0, step_s=1.0))
+                            bss_ip="192.168.10.22", clock=clock)
+        sched = Scheduler(clock)
         sched.register(ems.handle())
         sched.add_hook(net.transport)
         sched.run(12)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gridtwin import netem
 from gridtwin.capture import Capture
+from gridtwin.cosim import SimClock
 from gridtwin.netem import (ARP_REPLY, BROADCAST_MAC, ETH_ARP, ETH_IPV4,
                             ArpMessage, EthernetFrame, InputError,
                             LearningSwitch, NetemError, Network,
@@ -227,7 +228,7 @@ class TestHostStack:
     def test_malformed_ip_frame_flooded_to_several_hosts(self, monkeypatch):
         net, a, b = two_hosts()
         c = net.attach("c", mac="02:00:00:00:00:0c", ip="192.168.10.3")
-        cap = Capture(step_s=1.0, epoch_s=0.0, deadband_kw=0.1)
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
         net.frame_sink = cap.record_frame
         parses = []
 

@@ -1,6 +1,7 @@
 import copy
 import gc
 import itertools
+import json
 import weakref
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from gridtwin import devices as dev
 from gridtwin.cli import main
 from gridtwin.grid import GridInputError, step_pv
-from gridtwin.scenario import ConfigError, ScenarioConfig, build, parse_time, validate
+from gridtwin.scenario import (ConfigError, ScenarioConfig, Simulation, build,
+                               parse_time, validate)
 from tests.conftest import load_golden, write_tiny_config
 
 
@@ -194,6 +196,16 @@ class TestCli:
         assert main(["run", str(cfg)]) == 0
         assert (tmp_path / "dataset-tiny" / "summary.json").is_file()
 
+    @pytest.mark.parametrize("out", ["taken", "taken/ds"])
+    def test_run_refuses_an_out_it_cannot_write(self, tmp_path, capsys,
+                                                monkeypatch, out):
+        (tmp_path / "taken").write_text("")
+        monkeypatch.setattr(Simulation, "run",
+                            lambda *a, **kw: pytest.fail("the run started"))
+        cfg = write_tiny_config(tmp_path)
+        assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_run_aborts_with_partial_dataset(self, tmp_path, capsys,
                                              monkeypatch):
         # a fault inside a simulator mid-run (validate refuses the configs
@@ -230,6 +242,33 @@ class TestCli:
 
     def test_report_missing_dataset(self, tmp_path):
         assert main(["report", str(tmp_path), str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("edit, row", [
+        (None, "09:15:00,1.0,0.0,2.0"),
+        (lambda s: [s], None),
+        (lambda s: {k: v for k, v in s.items() if k != "steps"}, None),
+        (lambda s: {**s, "frames": "many"}, None),
+        (lambda s: {**s, "attack_window": "11:30:00"}, None),
+    ], ids=["short-row", "summary-not-object", "summary-without-steps",
+            "summary-non-number", "window-not-object"])
+    def test_report_malformed_dataset(self, tmp_path, capsys, edit, row):
+        summary = {"steps": 1, "frames": 0, "flow_count": 0,
+                   "imbalance_integral_kws": 0.0, "peak_import_kw": 0.0,
+                   "pv_curtailed_kwh": 0.0, "attack_window": None}
+        good_row = "09:15:00,1.0,0.0,2.0,1.0,50.0,0"
+        for name, s, r in (("good", summary, good_row),
+                           ("bad", (edit or (lambda s: s))(summary),
+                            row or good_row)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "summary.json").write_text(json.dumps(s))
+            (tmp_path / name / "process.csv").write_text(
+                f"t,pv_kw,bss_kw,load_kw,transformer_kw,soc_pct,"
+                f"attack_active\n{r}\n")
+        good, bad = str(tmp_path / "good"), str(tmp_path / "bad")
+        assert main(["report", good, good]) == 0
+        capsys.readouterr()
+        assert main(["report", good, bad]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def set_field(cfg, path, value):
