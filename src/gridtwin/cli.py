@@ -4,7 +4,7 @@
     gridtwin run <cfg> [--until HH:MM[:SS]] [--out DIR] [--realtime]
     gridtwin report <dirA> <dirB>
 
-Exit codes: 0 ok, 1 config error, 2 runtime abort.
+Exit codes: 0 ok, 1 config or export error, 2 runtime abort.
 """
 
 from __future__ import annotations
@@ -59,9 +59,14 @@ def cmd_run(args) -> int:
         summary = sim.run(until_s=until, realtime=args.realtime)
     except SchedulerError as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
-        sim.export(outdir)  # flush partial outputs
+        summary = None
+    try:
+        sim.export(outdir)  # after an abort too: flush partial outputs
+    except OSError as exc:
+        print(f"export error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if summary is None:
         return EXIT_RUNTIME
-    sim.export(outdir)
     print(f"{cfg.name}: {summary.steps} steps in {summary.wall_s:.2f}s "
           f"-> {outdir}")
     return EXIT_OK
@@ -84,6 +89,8 @@ def _read_dataset(path: Path) -> dict:
             or not (window is None or isinstance(window, dict)
                     and {"start", "end"} <= window.keys()):
         raise ConfigError(f"{summary_file}: not a gridtwin run summary")
+    if window is not None:  # a bad time is refused here, where it is caught
+        parse_time(window["start"]), parse_time(window["end"])
     samples = []
     for row in process_file.read_text().splitlines()[1:]:
         parts = row.split(",")

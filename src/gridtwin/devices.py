@@ -10,18 +10,17 @@ says which signals and registers each device has.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import NamedTuple
 
 from .cosim import SimulatorHandle, StepContext
-from .grid import (BssState, BusBalance, LoadState, PvState, bus_balance,
-                   step_bss, step_pv)
+from .grid import (BssState, BusBalance, LoadState, PvState, bss_euler,
+                   over_rating, pv_output, transformer_kw)
 from .modbus import (DEVICE_BSS, DEVICE_LOAD, DEVICE_METER, DEVICE_PV,
                      NO_LIMIT, REG_MEAS, REG_SETPOINT, FrameError,
                      RegisterMap, decode, encode, fp_decode, serve)
 from .netem import Host
 from .profiles import TimeSeriesProfile, sample
-
-_UNSET = object()
 
 SIG_PV_OUTPUT = "pv.output"
 SIG_PV_AVAILABLE = "pv.available"
@@ -60,13 +59,22 @@ class GridSimulator:
     def __init__(self, pv: PvState, bss: BssState, load: LoadState,
                  load_profile: TimeSeriesProfile, pv_profile: TimeSeriesProfile,
                  transformer_rated_kva: float = BusBalance.transformer_rated_kva):
-        self.pv = pv
-        self.bss = bss
-        self.load = load
+        # the plant state: one attribute per state field, e.g. bss_soc_kwh
+        for device, state in (("pv", pv), ("bss", bss), ("load", load)):
+            for f in fields(state):
+                setattr(self, f"{device}_{f.name}", getattr(state, f.name))
         self.load_profile = load_profile
         self.pv_profile = pv_profile
         self.transformer_rated_kva = transformer_rated_kva
         self.events: list[tuple[int, str]] = []
+
+    def _state(self, cls: type, device: str):
+        return cls(**{f.name: getattr(self, f"{device}_{f.name}")
+                      for f in fields(cls)})
+
+    pv = property(lambda self: self._state(PvState, "pv"))
+    bss = property(lambda self: self._state(BssState, "bss"))
+    load = property(lambda self: self._state(LoadState, "load"))
 
     def handle(self) -> SimulatorHandle:
         return SimulatorHandle(
@@ -79,33 +87,28 @@ class GridSimulator:
     def step(self, ctx: StepContext) -> None:
         step_s = ctx.clock.step_s
         t_rel = ctx.step * step_s  # profile time = seconds since epoch
-        available = max(0.0, sample(self.pv_profile, t_rel))
-        demand = min(max(0.0, sample(self.load_profile, t_rel)),
-                     self.load.rated_kw)
-        pv, bss = self.pv, self.bss
-        limit = ctx.get(SIG_PV_LIMIT, _UNSET)
+        self.pv_available_kw = available = max(0.0, sample(self.pv_profile, t_rel))
+        self.load_demand_kw = demand = min(
+            max(0.0, sample(self.load_profile, t_rel)), self.load_rated_kw)
+        # a published None lifts the PV limit; an absent signal keeps both
+        self.pv_limit_kw = limit = ctx.get(SIG_PV_LIMIT, self.pv_limit_kw)
         setpoint = ctx.get(SIG_BSS_SETPOINT)
-        self.pv = step_pv(PvState(
-            available_kw=available, rated_kw=pv.rated_kw,
-            limit_kw=pv.limit_kw if limit is _UNSET else limit,
-            output_kw=pv.output_kw))
-        self.bss = step_bss(BssState(
-            capacity_kwh=bss.capacity_kwh, rated_kw=bss.rated_kw,
-            soc_kwh=bss.soc_kwh,
-            setpoint_kw=bss.setpoint_kw if setpoint is None else setpoint,
-            actual_kw=bss.actual_kw, efficiency=bss.efficiency), step_s)
-        self.load = LoadState(demand_kw=demand, rated_kw=self.load.rated_kw)
-        bal = bus_balance(self.load, self.pv, self.bss,
-                          self.transformer_rated_kva)
-        if bal.over_rating:
+        if setpoint is not None:
+            self.bss_setpoint_kw = setpoint
+        self.pv_output_kw = pv_kw = pv_output(available, self.pv_rated_kw, limit)
+        bss_kw, soc = bss_euler(self.bss_soc_kwh, self.bss_setpoint_kw,
+                                self.bss_capacity_kwh, self.bss_rated_kw,
+                                self.bss_efficiency, step_s)
+        self.bss_actual_kw, self.bss_soc_kwh = bss_kw, soc
+        grid_kw = transformer_kw(demand, bss_kw, pv_kw)
+        if over_rating(grid_kw, self.transformer_rated_kva):
             self.events.append((ctx.step, "transformer-over-rating"))
-        ctx.publish(SIG_PV_OUTPUT, self.pv.output_kw)
-        ctx.publish(SIG_PV_AVAILABLE, self.pv.available_kw)
-        ctx.publish(SIG_BSS_ACTUAL, self.bss.actual_kw)
-        ctx.publish(SIG_BSS_SOC,
-                    100.0 * self.bss.soc_kwh / self.bss.capacity_kwh)
-        ctx.publish(SIG_LOAD_DEMAND, self.load.demand_kw)
-        ctx.publish(SIG_TRANSFORMER, bal.transformer_kw)
+        ctx.publish(SIG_PV_OUTPUT, pv_kw)
+        ctx.publish(SIG_PV_AVAILABLE, available)
+        ctx.publish(SIG_BSS_ACTUAL, bss_kw)
+        ctx.publish(SIG_BSS_SOC, 100.0 * soc / self.bss_capacity_kwh)
+        ctx.publish(SIG_LOAD_DEMAND, demand)
+        ctx.publish(SIG_TRANSFORMER, grid_kw)
 
 
 class ModbusDevice:

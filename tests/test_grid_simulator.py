@@ -1,0 +1,176 @@
+"""GridSimulator.step, the grid physics as the scheduler runs it.
+
+The simulator keeps its plant state as floats and calls the float
+functions of ``gridtwin.grid`` directly.  Here it is checked against a
+reference loop built on the state-level ``step_pv``/``step_bss``/
+``bus_balance``, signal for signal and state for state, and a tiny run
+is checked to build no state dataclass while it steps.
+"""
+
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridtwin import devices as dev
+from gridtwin import grid as grid_mod
+from gridtwin.cosim import SimClock, StepContext
+from gridtwin.grid import (BssState, LoadState, PvState, bus_balance,
+                           step_bss, step_pv)
+from gridtwin.profiles import TimeSeriesProfile, sample
+from gridtwin.scenario import ScenarioConfig, build
+from tests.conftest import write_tiny_config
+
+_ABSENT = object()
+
+
+def reference_run(pv, bss, load, load_profile, pv_profile, rated_kva, step_s,
+                  boards):
+    """The grid step on frozen states: each step's published signals, the
+    events and the final (pv, bss, load).  boards[i] is what the grid
+    reads as last step's signals at step i."""
+    published, events = [], []
+    for step, board in enumerate(boards):
+        t_rel = step * step_s
+        available = max(0.0, sample(pv_profile, t_rel))
+        demand = min(max(0.0, sample(load_profile, t_rel)), load.rated_kw)
+        limit = board.get(dev.SIG_PV_LIMIT, _ABSENT)
+        setpoint = board.get(dev.SIG_BSS_SETPOINT)
+        pv = step_pv(replace(
+            pv, available_kw=available,
+            limit_kw=pv.limit_kw if limit is _ABSENT else limit))
+        bss = step_bss(replace(
+            bss, setpoint_kw=bss.setpoint_kw if setpoint is None else setpoint),
+            step_s)
+        load = replace(load, demand_kw=demand)
+        bal = bus_balance(load, pv, bss, rated_kva)
+        if bal.over_rating:
+            events.append((step, "transformer-over-rating"))
+        published.append({
+            dev.SIG_PV_OUTPUT: pv.output_kw,
+            dev.SIG_PV_AVAILABLE: pv.available_kw,
+            dev.SIG_BSS_ACTUAL: bss.actual_kw,
+            dev.SIG_BSS_SOC: 100.0 * bss.soc_kwh / bss.capacity_kwh,
+            dev.SIG_LOAD_DEMAND: load.demand_kw,
+            dev.SIG_TRANSFORMER: bal.transformer_kw})
+    return published, events, (pv, bss, load)
+
+
+def drive(grid, step_s, boards):
+    """Step a GridSimulator directly; each step's published signals."""
+    clock = SimClock(epoch_s=0.0, step_s=step_s)
+    handle = grid.handle()
+    published = []
+    for step, board in enumerate(boards):
+        clock.now = step
+        staged = {}
+        handle.behavior(StepContext(clock, board, staged, handle.outputs))
+        published.append(staged)
+    return published
+
+
+kw = st.floats(0.0, 60.0, allow_nan=False)
+rating = st.floats(0.1, 60.0, allow_nan=False)
+# a published signal may be a number, None, or not published at all
+signal = st.one_of(st.just(_ABSENT), st.none(),
+                   st.floats(-40.0, 40.0, allow_nan=False))
+
+
+@st.composite
+def profiles(draw):
+    times = draw(st.lists(st.floats(0.0, 600.0, allow_nan=False),
+                          min_size=1, max_size=8, unique=True))
+    values = draw(st.lists(st.floats(-5.0, 60.0, allow_nan=False),
+                           min_size=len(times), max_size=len(times)))
+    return TimeSeriesProfile(points=tuple(zip(sorted(times), values)),
+                             interpolation=draw(st.sampled_from(
+                                 ("hold", "linear"))))
+
+
+@st.composite
+def plants(draw):
+    pv = PvState(available_kw=draw(kw), rated_kw=draw(rating),
+                 limit_kw=draw(st.none() | kw), output_kw=draw(kw))
+    capacity = draw(st.floats(0.5, 50.0))
+    bss = BssState(capacity_kwh=capacity, rated_kw=draw(rating),
+                   soc_kwh=capacity * draw(st.floats(0.0, 1.0)),
+                   setpoint_kw=draw(st.floats(-40.0, 40.0)),
+                   actual_kw=draw(st.floats(-40.0, 40.0)),
+                   efficiency=draw(st.floats(0.5, 1.0)))
+    load = LoadState(demand_kw=draw(kw), rated_kw=draw(rating))
+    return pv, bss, load
+
+
+@st.composite
+def boards(draw):
+    board = {}
+    for name in (dev.SIG_PV_LIMIT, dev.SIG_BSS_SETPOINT):
+        value = draw(signal)
+        if value is not _ABSENT:
+            board[name] = value
+    return board
+
+
+class TestStepMatchesStateReference:
+    @given(plant=plants(), load_profile=profiles(), pv_profile=profiles(),
+           rated_kva=st.floats(0.5, 40.0),
+           step_s=st.sampled_from((0.5, 1.0, 5.0, 60.0, 900.0)),
+           inputs=st.lists(boards(), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_same_signals_events_and_states(self, plant, load_profile,
+                                            pv_profile, rated_kva, step_s,
+                                            inputs):
+        pv, bss, load = plant
+        grid = dev.GridSimulator(pv, bss, load, load_profile, pv_profile,
+                                 rated_kva)
+        got = drive(grid, step_s, inputs)
+        want, events, (pv_end, bss_end, load_end) = reference_run(
+            pv, bss, load, load_profile, pv_profile, rated_kva, step_s,
+            inputs)
+        assert got == want
+        assert grid.events == events
+        assert (grid.pv, grid.bss, grid.load) == (pv_end, bss_end, load_end)
+
+    def test_states_read_before_a_step_are_the_config_states(self):
+        pv, bss = PvState(limit_kw=2.0), BssState(soc_kwh=3.0)
+        load = LoadState(rated_kw=8.0)
+        profile = TimeSeriesProfile(points=((0.0, 1.0),))
+        grid = dev.GridSimulator(pv, bss, load, profile, profile)
+        assert (grid.pv, grid.bss, grid.load) == (pv, bss, load)
+
+
+class TestOverRating:
+    def test_event_on_exactly_the_steps_beyond_the_rating(self):
+        # one knot per second: transformer = load - pv with the battery idle
+        load = TimeSeriesProfile(points=tuple(enumerate(
+            (3.0, 6.0, 5.0, 1.0, 1.0, 9.0, 5.0))))
+        pv = TimeSeriesProfile(points=tuple(enumerate(
+            (0.0, 0.0, 0.0, 7.0, 5.0, 0.0, 10.0))))
+        grid = dev.GridSimulator(PvState(), BssState(), LoadState(), load, pv,
+                                 transformer_rated_kva=5.0)
+        published = drive(grid, 1.0, [{}] * 7)
+        transformer = [p[dev.SIG_TRANSFORMER] for p in published]
+        assert transformer == [3.0, 6.0, 5.0, -6.0, -4.0, 9.0, -5.0]
+        # 6 kW import, 6 kW export and 9 kW import exceed 5 kVA; 5 kW
+        # either way is at the rating, not over it
+        assert grid.events == [(1, "transformer-over-rating"),
+                               (3, "transformer-over-rating"),
+                               (5, "transformer-over-rating")]
+
+
+def test_run_builds_no_grid_dataclass(tmp_path, monkeypatch):
+    sim = build(ScenarioConfig.load(write_tiny_config(tmp_path, attack=True)))
+    built = []
+    for cls in (grid_mod.PvState, grid_mod.BssState, grid_mod.LoadState,
+                grid_mod.BusBalance):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    summary = sim.run()
+    assert summary.steps == 300
+    assert built == []
+    assert sim.grid.bss.soc_kwh >= 0  # reading a state still builds one
+    assert built == ["BssState"]

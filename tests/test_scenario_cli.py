@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gridtwin import devices as dev
 from gridtwin.cli import main
-from gridtwin.grid import GridInputError, step_pv
+from gridtwin.grid import GridInputError, pv_output
 from gridtwin.scenario import (ConfigError, ScenarioConfig, Simulation, build,
                                parse_time, validate)
 from tests.conftest import load_golden, write_tiny_config
@@ -212,17 +212,35 @@ class TestCli:
         # that once did this, see test_register_range_is_validated)
         calls = itertools.count()
 
-        def faulty_step_pv(state):
+        def faulty_pv_output(*args):
             if next(calls) == 30:
                 raise GridInputError("injected fault")
-            return step_pv(state)
-        monkeypatch.setattr(dev, "step_pv", faulty_step_pv)
+            return pv_output(*args)
+        monkeypatch.setattr(dev, "pv_output", faulty_pv_output)
         path = write_tiny_config(tmp_path)
         out = tmp_path / "partial"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert "runtime abort" in capsys.readouterr().err
         rows = (out / "process.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 30  # the steps before the fault
+
+    @pytest.mark.parametrize("abort", [False, True],
+                             ids=["after-run", "after-runtime-abort"])
+    def test_run_export_error_exits_1(self, tmp_path, capsys, monkeypatch,
+                                      abort):
+        # the --out directory exists, but process.csv cannot be written
+        out = tmp_path / "ds"
+        (out / "process.csv").mkdir(parents=True)
+        def fault(*args):
+            raise GridInputError("injected fault")
+        if abort:
+            monkeypatch.setattr(dev, "pv_output", fault)
+        cfg = write_tiny_config(tmp_path)
+        assert main(["run", str(cfg), "--out", str(out),
+                     "--until", "09:16:00"]) == 1
+        err = capsys.readouterr().err
+        assert "export error: " in err and "Traceback" not in err
+        assert ("runtime abort: " in err) == abort
 
     def test_report_identical_and_different(self, tmp_path, capsys):
         norm = write_tiny_config(tmp_path)
@@ -249,13 +267,17 @@ class TestCli:
         (lambda s: {k: v for k, v in s.items() if k != "steps"}, None),
         (lambda s: {**s, "frames": "many"}, None),
         (lambda s: {**s, "attack_window": "11:30:00"}, None),
+        (lambda s: {**s, "attack_window": {"start": "xx", "end": "xx"}},
+         None),
     ], ids=["short-row", "summary-not-object", "summary-without-steps",
-            "summary-non-number", "window-not-object"])
+            "summary-non-number", "window-not-object", "window-bad-time"])
     def test_report_malformed_dataset(self, tmp_path, capsys, edit, row):
         summary = {"steps": 1, "frames": 0, "flow_count": 0,
                    "imbalance_integral_kws": 0.0, "peak_import_kw": 0.0,
                    "pv_curtailed_kwh": 0.0, "attack_window": None}
-        good_row = "09:15:00,1.0,0.0,2.0,1.0,50.0,0"
+        # two samples, so that report integrates over the attack window
+        good_row = ("09:15:00,1.0,0.0,2.0,1.0,50.0,0\n"
+                    "09:15:01,1.0,0.0,2.0,1.0,50.0,0")
         for name, s, r in (("good", summary, good_row),
                            ("bad", (edit or (lambda s: s))(summary),
                             row or good_row)):

@@ -15,9 +15,21 @@ export in fresh processes.
 
 The output file holds each run's final JSON line and its artifact
 digests (from perfbench's ``# detail`` line), and per workload and
-end-to-end metric the median and quartiles of each side and the pairs
-the change won (ties count for neither side).  The same table is printed
-to standard output.  Uses the standard library only.
+end-to-end metric the median and quartiles of each side, the pairs
+the change won (ties count for neither side) and a verdict:
+
+    gain           the change won at least 9 in 10 pairs, and its median
+                   is better than the parent's by more than the parent's
+                   interquartile range (IQR)
+    regression     the change's median is worse than the parent's by more
+                   than the metric's BENCHMARK.json bound
+    unresolved     the parent's IQR is above the bound, relative to its
+                   median, and not every change run beats every parent run
+    no regression  otherwise
+
+The same table is printed to standard output.  Exits 1 if any run failed
+(no result, or perfbench's correctness gate refused it) or if the
+artifact digests of any pair differ.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ def export_parent(rev: str, into: Path) -> str:
     """The committed files of rev under into; its full commit id."""
     sha = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
     with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
-        tar.extractall(into)
+        tar.extractall(into, filter="data")
     return sha
 
 
@@ -81,9 +93,29 @@ def value(run: dict, metric: str) -> float | None:
     return metrics[metric]["value"] if metric in metrics else None
 
 
+def verdict(parent: list[float], change: list[float], wins: int, pairs: int,
+            lower: bool, bound: float) -> str:
+    """gain, regression, unresolved or no regression; see the module
+    docstring."""
+    p = quartiles(parent)
+    iqr = p["q3"] - p["q1"]
+    gap = p["median"] - statistics.median(change)  # > 0: the change is better
+    if not lower:
+        gap = -gap
+    if 10 * wins >= 9 * pairs and gap > iqr:
+        return "gain"
+    if -gap > bound * abs(p["median"]):
+        return "regression"
+    beats_all = max(change) < min(parent) if lower \
+        else min(change) > max(parent)
+    if iqr > bound * abs(p["median"]) and not beats_all:
+        return "unresolved"
+    return "no regression"
+
+
 def summarise(pairs: list[dict], spec: list[dict]) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the
-    pairs the change won."""
+    """Per end-to-end metric: each side's median and quartiles, the pairs
+    the change won and the verdict."""
     out = {}
     for m in spec:
         name, lower = m["name"], m["better"] == "lower"
@@ -100,8 +132,31 @@ def summarise(pairs: list[dict], spec: list[dict]) -> dict:
         out[name] = {"unit": m["unit"], "better": m["better"],
                      "bound": m["bound"], "change_wins": wins,
                      "pairs": len(pairs),
+                     "verdict": verdict(sides["parent"], sides["change"], wins,
+                                        len(pairs), lower, m["bound"]),
                      **{side: quartiles(v) for side, v in sides.items()}}
     return out
+
+
+def workload_entry(pairs: list[dict], spec: list[dict]) -> dict:
+    """A workload's pairs, how many have equal digests, how many runs
+    failed, and the per-metric summary."""
+    return {
+        "pairs": pairs,
+        "digests_equal": sum(
+            1 for p in pairs if p["parent"].get("digests")
+            and p["parent"].get("digests") == p["change"].get("digests")),
+        "failed_runs": sum(
+            1 for p in pairs for side in ("parent", "change")
+            if not p[side].get("result", {}).get("correct")),
+        "metrics": summarise(pairs, spec)}
+
+
+def clean(workloads: dict) -> bool:
+    """No run failed and every pair's digests are equal."""
+    return not any(entry["failed_runs"]
+                   or entry["digests_equal"] < len(entry["pairs"])
+                   for entry in workloads.values())
 
 
 def table(workloads: dict) -> str:
@@ -115,7 +170,8 @@ def table(workloads: dict) -> str:
                 f"{w:14s} {name:12s} {p['median']:10.4g} [{p['q1']:.4g}, "
                 f"{p['q3']:.4g}] -> {c['median']:10.4g} [{c['q1']:.4g}, "
                 f"{c['q3']:.4g}] {change:+7.1%}  wins {s['change_wins']}/"
-                f"{s['pairs']}  parent IQR {p['q3'] - p['q1']:.4g}")
+                f"{s['pairs']}  parent IQR {p['q3'] - p['q1']:.4g}  "
+                f"{s['verdict']}")
         rows.append(f"{w:14s} digests equal in {entry['digests_equal']}/"
                     f"{len(entry['pairs'])} pairs; failed runs "
                     f"{entry['failed_runs']}")
@@ -160,20 +216,12 @@ def main(argv=None) -> int:
                 print(f"# {workload} pair {i + 1}/{n} seed {seed}: run_s "
                       f"{value(pair['parent'], 'run_s')} -> "
                       f"{value(pair['change'], 'run_s')}", flush=True)
-            result["workloads"][workload] = {
-                "pairs": pairs,
-                "digests_equal": sum(
-                    1 for p in pairs if p["parent"].get("digests")
-                    and p["parent"].get("digests") == p["change"].get("digests")),
-                "failed_runs": sum(
-                    1 for p in pairs for side in ("parent", "change")
-                    if not p[side].get("result", {}).get("correct")),
-                "metrics": summarise(pairs, spec)}
+            result["workloads"][workload] = workload_entry(pairs, spec)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(table(result["workloads"]))
-    return 0
+    return 0 if clean(result["workloads"]) else 1
 
 
 if __name__ == "__main__":
