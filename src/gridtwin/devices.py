@@ -1,7 +1,8 @@
 """Simulators for the grid physics and the Modbus-speaking field devices.
 
-The grid simulator owns the physical states and replays the demand and
-generation profiles.  Each device simulator bridges one network host to
+The grid simulator holds the plant's ratings and the three numbers that
+carry from step to step (the PV limit, the BSS setpoint and its state of
+charge), and replays the demand and generation profiles.  Each device simulator bridges one network host to
 the physics: when a request is waiting it refreshes its measurement
 registers from last step's signals and answers, and every step it
 publishes its setpoint register as a command signal.  The role table
@@ -10,12 +11,11 @@ says which signals and registers each device has.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import NamedTuple
 
 from .cosim import SimulatorHandle, StepContext
-from .grid import (BssState, BusBalance, LoadState, PvState, bss_euler,
-                   over_rating, pv_output, transformer_kw)
+from .grid import (BssState, LoadState, PvState, bss_euler, pv_output,
+                   transformer_kw)
 from .modbus import (DEVICE_BSS, DEVICE_LOAD, DEVICE_METER, DEVICE_PV,
                      NO_LIMIT, REG_MEAS, REG_SETPOINT, FrameError,
                      RegisterMap, decode, encode, fp_decode, serve)
@@ -58,23 +58,16 @@ class GridSimulator:
 
     def __init__(self, pv: PvState, bss: BssState, load: LoadState,
                  load_profile: TimeSeriesProfile, pv_profile: TimeSeriesProfile,
-                 transformer_rated_kva: float = BusBalance.transformer_rated_kva):
-        # the plant state: one attribute per state field, e.g. bss_soc_kwh
-        for device, state in (("pv", pv), ("bss", bss), ("load", load)):
-            for f in fields(state):
-                setattr(self, f"{device}_{f.name}", getattr(state, f.name))
+                 transformer_rated_kva: float = 630.0):
+        self.pv, self.bss, self.load = pv, bss, load
         self.load_profile = load_profile
         self.pv_profile = pv_profile
         self.transformer_rated_kva = transformer_rated_kva
+        self.pv_limit_kw: float | None = None  # None: no limit
+        self.bss_setpoint_kw = 0.0              # >0 charging, <0 discharging
+        # pct / 100 first: capacity * pct / 100 can round above capacity
+        self.bss_soc_kwh = bss.capacity_kwh * (bss.initial_soc_pct / 100)
         self.events: list[tuple[int, str]] = []
-
-    def _state(self, cls: type, device: str):
-        return cls(**{f.name: getattr(self, f"{device}_{f.name}")
-                      for f in fields(cls)})
-
-    pv = property(lambda self: self._state(PvState, "pv"))
-    bss = property(lambda self: self._state(BssState, "bss"))
-    load = property(lambda self: self._state(LoadState, "load"))
 
     def handle(self) -> SimulatorHandle:
         return SimulatorHandle(
@@ -85,28 +78,30 @@ class GridSimulator:
             behavior=self.step)
 
     def step(self, ctx: StepContext) -> None:
+        pv, bss = self.pv, self.bss
         step_s = ctx.clock.step_s
         t_rel = ctx.step * step_s  # profile time = seconds since epoch
-        self.pv_available_kw = available = max(0.0, sample(self.pv_profile, t_rel))
-        self.load_demand_kw = demand = min(
-            max(0.0, sample(self.load_profile, t_rel)), self.load_rated_kw)
+        available = max(0.0, sample(self.pv_profile, t_rel))
+        demand = min(max(0.0, sample(self.load_profile, t_rel)),
+                     self.load.rated_kw)
         # a published None lifts the PV limit; an absent signal keeps both
         self.pv_limit_kw = limit = ctx.get(SIG_PV_LIMIT, self.pv_limit_kw)
         setpoint = ctx.get(SIG_BSS_SETPOINT)
         if setpoint is not None:
             self.bss_setpoint_kw = setpoint
-        self.pv_output_kw = pv_kw = pv_output(available, self.pv_rated_kw, limit)
+        pv_kw = pv_output(available, pv.rated_kw, limit)
         bss_kw, soc = bss_euler(self.bss_soc_kwh, self.bss_setpoint_kw,
-                                self.bss_capacity_kwh, self.bss_rated_kw,
-                                self.bss_efficiency, step_s)
-        self.bss_actual_kw, self.bss_soc_kwh = bss_kw, soc
+                                bss.capacity_kwh, bss.rated_kw,
+                                bss.efficiency, step_s)
+        self.bss_soc_kwh = soc
         grid_kw = transformer_kw(demand, bss_kw, pv_kw)
-        if over_rating(grid_kw, self.transformer_rated_kva):
+        if abs(grid_kw) > self.transformer_rated_kva:
             self.events.append((ctx.step, "transformer-over-rating"))
         ctx.publish(SIG_PV_OUTPUT, pv_kw)
         ctx.publish(SIG_PV_AVAILABLE, available)
         ctx.publish(SIG_BSS_ACTUAL, bss_kw)
-        ctx.publish(SIG_BSS_SOC, 100.0 * soc / self.bss_capacity_kwh)
+        # soc / capacity first: it is <= 1, where 100 * soc can round up
+        ctx.publish(SIG_BSS_SOC, 100.0 * (soc / bss.capacity_kwh))
         ctx.publish(SIG_LOAD_DEMAND, demand)
         ctx.publish(SIG_TRANSFORMER, grid_kw)
 

@@ -1,14 +1,16 @@
 """Physics of the emulated grid segment.
 
-Pure float functions for the PV inverter, battery storage (BSS) and the
-power balance at the substation transformer, and state-level wrappers.
+The ratings a scenario sets for the PV inverter, battery storage (BSS)
+and load bank, and the pure float functions a grid step is made of: PV
+curtailment, the battery's forward-Euler step and the power balance at
+the substation transformer.
 Sign convention: consumption-positive at the bus, BSS charging positive,
 transformer import positive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class GridInputError(ValueError):
@@ -17,36 +19,20 @@ class GridInputError(ValueError):
 
 @dataclass(frozen=True)
 class PvState:
-    available_kw: float = 0.0       # power available from irradiance
     rated_kw: float = 36.0          # nameplate
-    limit_kw: float | None = None   # active-power limit, None = unlimited
-    output_kw: float = 0.0          # delivered power
 
 
 @dataclass(frozen=True)
 class BssState:
     capacity_kwh: float = 22.0
     rated_kw: float = 15.0
-    soc_kwh: float = 11.0
-    setpoint_kw: float = 0.0        # >0 charging, <0 discharging
-    actual_kw: float = 0.0
     efficiency: float = 1.0         # round-trip charge/discharge factor
+    initial_soc_pct: float = 50.0
 
 
 @dataclass(frozen=True)
 class LoadState:
-    demand_kw: float = 0.0
     rated_kw: float = 20.0
-
-
-@dataclass(frozen=True)
-class BusBalance:
-    transformer_kw: float           # >0 = import from the overlaying grid
-    transformer_rated_kva: float = 630.0
-
-    @property
-    def over_rating(self) -> bool:
-        return over_rating(self.transformer_kw, self.transformer_rated_kva)
 
 
 def pv_output(available_kw: float, rated_kw: float, limit_kw: float | None) -> float:
@@ -89,25 +75,3 @@ def bss_euler(soc_kwh: float, setpoint_kw: float, capacity_kwh: float,
 def transformer_kw(demand_kw: float, bss_kw: float, pv_kw: float) -> float:
     return demand_kw + bss_kw - pv_kw
 
-
-def over_rating(kw: float, rated_kva: float) -> bool:
-    return abs(kw) > rated_kva
-
-
-def step_pv(state: PvState) -> PvState:
-    return replace(state, output_kw=pv_output(
-        state.available_kw, state.rated_kw, state.limit_kw))
-
-
-def step_bss(state: BssState, dt_s: float) -> BssState:
-    actual, soc = bss_euler(state.soc_kwh, state.setpoint_kw, state.capacity_kwh,
-                            state.rated_kw, state.efficiency, dt_s)
-    return replace(state, soc_kwh=soc, actual_kw=actual)
-
-
-def bus_balance(load: LoadState, pv: PvState, bss: BssState,
-                transformer_rated_kva: float = BusBalance.transformer_rated_kva
-                ) -> BusBalance:
-    """Power balance at the transformer for one instant."""
-    return BusBalance(transformer_kw(load.demand_kw, bss.actual_kw,
-                                     pv.output_kw), transformer_rated_kva)

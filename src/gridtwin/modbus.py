@@ -50,9 +50,6 @@ class FrameError(ValueError):
 class MbapHeader:
     transaction_id: int
     unit_id: int
-    protocol_id: int = 0
-    # derived from the PDU on encode, so excluded from equality
-    length: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ def decode(raw: bytes) -> ModbusAdu:
         raise FrameError(f"length field {length} != {len(raw) - 6} actual")
     function = raw[7]
     data = raw[8:]
-    adu = ModbusAdu(MbapHeader(tx, unit, 0, length), function, data)
+    adu = ModbusAdu(MbapHeader(tx, unit), function, data)
     if adu.is_exception and len(data) != 1:
         raise FrameError("exception response must carry exactly one code byte")
     return adu

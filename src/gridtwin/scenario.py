@@ -17,7 +17,7 @@ import datetime as _dt
 import ipaddress
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -171,6 +171,8 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     if expiry is not None and sim_clock is not None:
         net_kw["cache_expiry_steps"] = sim_clock.steps_for(expiry)
     network = Network(**net_kw)
+    if network.subnet.prefixlen < 24:  # the attacker probes every address
+        issues.append("network.subnet: must be a /24 or smaller")
 
     devices = section(raw, "devices", "devices")
     nodes = {role: section(devices, role, f"devices.{role}")
@@ -219,11 +221,9 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     bss = BssState(**fields(
         nodes["bss"], "devices.bss", rated_kw=_POSITIVE,
         capacity_kwh=_POSITIVE,
-        efficiency=(float, lambda x: 0 < x <= 1, "must be in (0, 1]")))
-    soc_pct = get(nodes["bss"], "initial_soc_pct", "devices.bss", float,
-                  lambda x: 0 <= x <= 100, "must be in [0, 100]", 50.0)
-    if soc_pct is not None:
-        bss = replace(bss, soc_kwh=bss.capacity_kwh * soc_pct / 100)
+        efficiency=(float, lambda x: 0 < x <= 1, "must be in (0, 1]"),
+        initial_soc_pct=(float, lambda x: 0 <= x <= 100,
+                         "must be in [0, 100]")))
     load = LoadState(**fields(nodes["load"], "devices.load",
                               rated_kw=_POSITIVE))
     grid = dict(pv=pv, bss=bss, load=load,

@@ -28,11 +28,10 @@ def expected_measurements(sim) -> dict[str, list[float]]:
     """What each device's registers from REG_MEAS up should show during
     the next step: the values published in the step just finished."""
     value = sim.scheduler.signals.get
-    bss = sim.grid.bss
     return {"pv": [value(dev.SIG_PV_OUTPUT, 0.0),
                    value(dev.SIG_PV_AVAILABLE, 0.0)],
             "bss": [value(dev.SIG_BSS_ACTUAL, 0.0),
-                    100.0 * bss.soc_kwh / bss.capacity_kwh],
+                    value(dev.SIG_BSS_SOC, 0.0)],
             "load": [value(dev.SIG_LOAD_DEMAND, 0.0)],
             "meter": [value(dev.SIG_TRANSFORMER, 0.0)]}
 
@@ -107,8 +106,7 @@ def test_bss_soc_register_is_percent(probe):
     words, shown = probe.read("bss", REG_MEAS + 1)
     assert 0 < shown["bss"][1] < 100
     assert words == [fp_encode(shown["bss"][1])]
-    bss = probe.sim.grid.bss
-    assert words != [fp_encode(bss.soc_kwh)]  # not kWh
+    assert words != [fp_encode(probe.sim.grid.bss_soc_kwh)]  # not kWh
 
 
 @pytest.mark.parametrize("role,writes", [
@@ -117,20 +115,20 @@ def test_bss_soc_register_is_percent(probe):
     ("bss", [(fp_encode(-4.2), -4.2), (NO_LIMIT, 327.67),
              (fp_encode(6.5), 6.5)])])
 def test_setpoint_write_reaches_the_grid(probe, role, writes):
-    attr = {"pv": "limit_kw", "bss": "setpoint_kw"}[role]
+    attr = {"pv": "pv_limit_kw", "bss": "bss_setpoint_kw"}[role]
     for word, want in writes:
         response = probe.write(role, REG_SETPOINT, word)
         assert not response.is_exception
         words, _ = probe.read(role, REG_SETPOINT)
         assert words == [word]
         # the device published the word; the grid applied it since
-        assert getattr(getattr(probe.sim.grid, role), attr) == want
+        assert getattr(probe.sim.grid, attr) == want
 
 
 def test_pv_setpoint_starts_at_no_limit(probe):
     words, _ = probe.read("pv", REG_SETPOINT)
     assert words == [NO_LIMIT]
-    assert probe.sim.grid.pv.limit_kw is None
+    assert probe.sim.grid.pv_limit_kw is None
 
 
 @pytest.mark.parametrize("role", ["load", "meter"])

@@ -2,8 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridtwin.cosim import SimClock, StepContext
+from gridtwin.devices import GridSimulator
 from gridtwin.grid import (BssState, GridInputError, LoadState, PvState,
-                           bus_balance, step_bss, step_pv)
+                           bss_euler, pv_output, transformer_kw)
+from gridtwin.profiles import TimeSeriesProfile
+
+BSS = BssState()  # the default battery: 22 kWh, 15 kW, unity efficiency
+
+
+def step_bss(soc, setpoint, dt_s, eta=BSS.efficiency):
+    """One Euler step of the default battery: (actual kW, SOC kWh)."""
+    return bss_euler(soc, setpoint, BSS.capacity_kwh, BSS.rated_kw, eta, dt_s)
 
 
 def euler_soc_oracle(soc, setpoint, eta, dt_s, capacity, rated):
@@ -23,103 +33,97 @@ def euler_soc_oracle(soc, setpoint, eta, dt_s, capacity, rated):
 
 class TestStepPv:
     def test_limit_binds(self):
-        s = step_pv(PvState(available_kw=10.0, rated_kw=36.0, limit_kw=3.5))
-        assert s.output_kw == 3.5
+        assert pv_output(10.0, 36.0, 3.5) == 3.5
 
     def test_below_limit_passes_through(self):
-        s = step_pv(PvState(available_kw=2.0, rated_kw=36.0, limit_kw=3.5))
-        assert s.output_kw == 2.0
+        assert pv_output(2.0, 36.0, 3.5) == 2.0
 
     def test_zero_available_no_limit(self):
-        assert step_pv(PvState(available_kw=0.0)).output_kw == 0.0
+        assert pv_output(0.0, 36.0, None) == 0.0
 
     def test_rated_caps_output(self):
-        assert step_pv(PvState(available_kw=50.0, rated_kw=36.0)).output_kw == 36.0
+        assert pv_output(50.0, 36.0, None) == 36.0
 
     def test_negative_available_rejected(self):
         with pytest.raises(GridInputError):
-            step_pv(PvState(available_kw=-1.0))
+            pv_output(-1.0, 36.0, None)
 
     @given(avail=st.floats(0, 50), limits=st.lists(
         st.floats(0, 40), min_size=2, max_size=6))
     def test_monotone_curtailment(self, avail, limits):
-        outs = [step_pv(PvState(available_kw=avail, limit_kw=l)).output_kw
+        outs = [pv_output(avail, 36.0, l)
                 for l in sorted(limits, reverse=True)]
         assert all(a >= b for a, b in zip(outs, outs[1:]))
 
 
 class TestStepBss:
     def test_one_hour_charge_from_empty(self):
-        s = BssState(soc_kwh=0.0, setpoint_kw=14.0)
         expect_p, expect_soc = euler_soc_oracle(0.0, 14.0, 1.0, 3600, 22.0, 15.0)
-        out = step_bss(s, 3600)
-        assert out.actual_kw == pytest.approx(expect_p) == 14.0
-        assert out.soc_kwh == pytest.approx(expect_soc) == 14.0
+        actual, soc = step_bss(0.0, 14.0, 3600)
+        assert actual == pytest.approx(expect_p) == 14.0
+        assert soc == pytest.approx(expect_soc) == 14.0
 
     def test_zero_setpoint_is_identity(self):
-        s = BssState(soc_kwh=7.5, setpoint_kw=0.0)
-        out = step_bss(s, 60)
-        assert out.actual_kw == 0.0 and out.soc_kwh == 7.5
+        assert step_bss(7.5, 0.0, 60) == (0.0, 7.5)
 
     def test_full_battery_refuses_charge(self):
-        s = BssState(soc_kwh=22.0, setpoint_kw=14.0)
         expect_p, _ = euler_soc_oracle(22.0, 14.0, 1.0, 3600, 22.0, 15.0)
-        assert step_bss(s, 3600).actual_kw == expect_p == 0.0
+        assert step_bss(22.0, 14.0, 3600)[0] == expect_p == 0.0
 
     def test_empty_battery_refuses_discharge(self):
-        assert step_bss(BssState(soc_kwh=0.0, setpoint_kw=-5.0), 1.0).actual_kw == 0.0
+        assert step_bss(0.0, -5.0, 1.0)[0] == 0.0
 
     def test_bad_dt_rejected(self):
         with pytest.raises(GridInputError):
-            step_bss(BssState(), 0.0)
+            step_bss(11.0, 0.0, 0.0)
 
     @given(setpoints=st.lists(st.floats(-30, 30), min_size=1, max_size=200),
            soc0=st.floats(0, 22))
     @settings(max_examples=200)
     def test_soc_never_leaves_bounds(self, setpoints, soc0):
-        s = BssState(soc_kwh=soc0)
+        soc = soc0
         for p in setpoints:
-            s = step_bss(BssState(soc_kwh=s.soc_kwh, setpoint_kw=p), 1.0)
-            assert 0.0 <= s.soc_kwh <= s.capacity_kwh
-            assert abs(s.actual_kw) <= s.rated_kw + 1e-12
+            actual, soc = step_bss(soc, p, 1.0)
+            assert 0.0 <= soc <= BSS.capacity_kwh
+            assert abs(actual) <= BSS.rated_kw + 1e-12
 
     @given(energy=st.floats(0.1, 10.0), soc0=st.floats(5.0, 12.0))
     def test_charge_discharge_round_trip_unity_efficiency(self, energy, soc0):
         hours = energy / 10.0
-        s = step_bss(BssState(soc_kwh=soc0, setpoint_kw=10.0), hours * 3600)
-        s = step_bss(BssState(soc_kwh=s.soc_kwh, setpoint_kw=-10.0), hours * 3600)
-        assert s.soc_kwh == pytest.approx(soc0, abs=1e-9)
+        _, soc = step_bss(soc0, 10.0, hours * 3600)
+        _, soc = step_bss(soc, -10.0, hours * 3600)
+        assert soc == pytest.approx(soc0, abs=1e-9)
 
     @given(soc=st.floats(2, 20), p=st.floats(-15, 15),
            eta=st.floats(0.7, 1.0), dt=st.floats(0.5, 3600))
     @settings(max_examples=300)
     def test_matches_euler_oracle(self, soc, p, eta, dt):
-        out = step_bss(BssState(soc_kwh=soc, setpoint_kw=p, efficiency=eta), dt)
+        actual, out_soc = step_bss(soc, p, dt, eta)
         op, osoc = euler_soc_oracle(soc, p, eta, dt, 22.0, 15.0)
-        assert out.actual_kw == pytest.approx(op, abs=1e-9)
-        assert out.soc_kwh == pytest.approx(osoc, abs=1e-9)
+        assert actual == pytest.approx(op, abs=1e-9)
+        assert out_soc == pytest.approx(osoc, abs=1e-9)
 
 
 class TestBusBalance:
     def test_symmetric(self):
-        bal = bus_balance(LoadState(demand_kw=5.0),
-                          PvState(output_kw=5.0), BssState(actual_kw=0.0))
-        assert bal.transformer_kw == 0.0
+        assert transformer_kw(5.0, 0.0, 5.0) == 0.0
 
     def test_attack_shape(self):
-        bal = bus_balance(LoadState(demand_kw=6.0),
-                          PvState(output_kw=3.5), BssState(actual_kw=14.0))
-        assert bal.transformer_kw == pytest.approx(16.5)
+        assert transformer_kw(6.0, 14.0, 3.5) == pytest.approx(16.5)
 
     def test_all_zero(self):
-        assert bus_balance(LoadState(), PvState(), BssState()).transformer_kw == 0.0
+        assert transformer_kw(0.0, 0.0, 0.0) == 0.0
 
     @given(load=st.floats(0, 20), pv=st.floats(0, 36), bss=st.floats(-15, 15))
     def test_conservation_identity(self, load, pv, bss):
-        bal = bus_balance(LoadState(demand_kw=load),
-                          PvState(output_kw=pv), BssState(actual_kw=bss))
-        assert abs(bal.transformer_kw + pv - load - bss) < 1e-9
+        grid_kw = transformer_kw(load, bss, pv)
+        assert abs(grid_kw + pv - load - bss) < 1e-9
 
     def test_over_rating_flag(self):
-        assert bus_balance(LoadState(demand_kw=700.0, rated_kw=1000.0),
-                           PvState(), BssState()).over_rating
+        # a 700 kW load alone is over the default 630 kVA transformer
+        grid = GridSimulator(PvState(), BssState(), LoadState(rated_kw=1000.0),
+                             TimeSeriesProfile(points=((0.0, 700.0),)),
+                             TimeSeriesProfile(points=((0.0, 0.0),)))
+        clock = SimClock(epoch_s=0.0, step_s=1.0)
+        grid.step(StepContext(clock, {}, {}, grid.handle().outputs))
+        assert grid.events == [(0, "transformer-over-rating")]

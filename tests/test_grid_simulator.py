@@ -1,13 +1,11 @@
 """GridSimulator.step, the grid physics as the scheduler runs it.
 
-The simulator keeps its plant state as floats and calls the float
-functions of ``gridtwin.grid`` directly.  Here it is checked against a
-reference loop built on the state-level ``step_pv``/``step_bss``/
-``bus_balance``, signal for signal and state for state, and a tiny run
-is checked to build no state dataclass while it steps.
+The simulator keeps the state that carries from step to step as three
+floats and calls the float functions of ``gridtwin.grid`` directly.
+Here it is checked against a reference loop written out on plain floats,
+signal for signal and state for state, and a tiny run is checked to
+build no state dataclass while it steps.
 """
-
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +13,8 @@ from hypothesis import strategies as st
 from gridtwin import devices as dev
 from gridtwin import grid as grid_mod
 from gridtwin.cosim import SimClock, StepContext
-from gridtwin.grid import (BssState, LoadState, PvState, bus_balance,
-                           step_bss, step_pv)
+from gridtwin.grid import (BssState, LoadState, PvState, bss_euler,
+                           pv_output, transformer_kw)
 from gridtwin.profiles import TimeSeriesProfile, sample
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
@@ -26,34 +24,35 @@ _ABSENT = object()
 
 def reference_run(pv, bss, load, load_profile, pv_profile, rated_kva, step_s,
                   boards):
-    """The grid step on frozen states: each step's published signals, the
-    events and the final (pv, bss, load).  boards[i] is what the grid
-    reads as last step's signals at step i."""
+    """The grid step on plain floats: each step's published signals, the
+    events and the final (PV limit, BSS setpoint, SOC kWh).  boards[i] is
+    what the grid reads as last step's signals at step i."""
+    limit, setpoint = None, 0.0
+    soc = bss.capacity_kwh * (bss.initial_soc_pct / 100)
     published, events = [], []
     for step, board in enumerate(boards):
         t_rel = step * step_s
         available = max(0.0, sample(pv_profile, t_rel))
         demand = min(max(0.0, sample(load_profile, t_rel)), load.rated_kw)
-        limit = board.get(dev.SIG_PV_LIMIT, _ABSENT)
-        setpoint = board.get(dev.SIG_BSS_SETPOINT)
-        pv = step_pv(replace(
-            pv, available_kw=available,
-            limit_kw=pv.limit_kw if limit is _ABSENT else limit))
-        bss = step_bss(replace(
-            bss, setpoint_kw=bss.setpoint_kw if setpoint is None else setpoint),
-            step_s)
-        load = replace(load, demand_kw=demand)
-        bal = bus_balance(load, pv, bss, rated_kva)
-        if bal.over_rating:
+        signal = board.get(dev.SIG_PV_LIMIT, _ABSENT)
+        if signal is not _ABSENT:
+            limit = signal
+        if board.get(dev.SIG_BSS_SETPOINT) is not None:
+            setpoint = board[dev.SIG_BSS_SETPOINT]
+        pv_kw = pv_output(available, pv.rated_kw, limit)
+        bss_kw, soc = bss_euler(soc, setpoint, bss.capacity_kwh, bss.rated_kw,
+                                bss.efficiency, step_s)
+        grid_kw = transformer_kw(demand, bss_kw, pv_kw)
+        if abs(grid_kw) > rated_kva:
             events.append((step, "transformer-over-rating"))
         published.append({
-            dev.SIG_PV_OUTPUT: pv.output_kw,
-            dev.SIG_PV_AVAILABLE: pv.available_kw,
-            dev.SIG_BSS_ACTUAL: bss.actual_kw,
-            dev.SIG_BSS_SOC: 100.0 * bss.soc_kwh / bss.capacity_kwh,
-            dev.SIG_LOAD_DEMAND: load.demand_kw,
-            dev.SIG_TRANSFORMER: bal.transformer_kw})
-    return published, events, (pv, bss, load)
+            dev.SIG_PV_OUTPUT: pv_kw,
+            dev.SIG_PV_AVAILABLE: available,
+            dev.SIG_BSS_ACTUAL: bss_kw,
+            dev.SIG_BSS_SOC: 100.0 * (soc / bss.capacity_kwh),
+            dev.SIG_LOAD_DEMAND: demand,
+            dev.SIG_TRANSFORMER: grid_kw})
+    return published, events, (limit, setpoint, soc)
 
 
 def drive(grid, step_s, boards):
@@ -69,7 +68,6 @@ def drive(grid, step_s, boards):
     return published
 
 
-kw = st.floats(0.0, 60.0, allow_nan=False)
 rating = st.floats(0.1, 60.0, allow_nan=False)
 # a published signal may be a number, None, or not published at all
 signal = st.one_of(st.just(_ABSENT), st.none(),
@@ -89,15 +87,12 @@ def profiles(draw):
 
 @st.composite
 def plants(draw):
-    pv = PvState(available_kw=draw(kw), rated_kw=draw(rating),
-                 limit_kw=draw(st.none() | kw), output_kw=draw(kw))
-    capacity = draw(st.floats(0.5, 50.0))
-    bss = BssState(capacity_kwh=capacity, rated_kw=draw(rating),
-                   soc_kwh=capacity * draw(st.floats(0.0, 1.0)),
-                   setpoint_kw=draw(st.floats(-40.0, 40.0)),
-                   actual_kw=draw(st.floats(-40.0, 40.0)),
-                   efficiency=draw(st.floats(0.5, 1.0)))
-    load = LoadState(demand_kw=draw(kw), rated_kw=draw(rating))
+    pv = PvState(rated_kw=draw(rating))
+    bss = BssState(capacity_kwh=draw(st.floats(0.5, 50.0)),
+                   rated_kw=draw(rating),
+                   efficiency=draw(st.floats(0.5, 1.0)),
+                   initial_soc_pct=draw(st.floats(0.0, 100.0)))
+    load = LoadState(rated_kw=draw(rating))
     return pv, bss, load
 
 
@@ -124,19 +119,24 @@ class TestStepMatchesStateReference:
         grid = dev.GridSimulator(pv, bss, load, load_profile, pv_profile,
                                  rated_kva)
         got = drive(grid, step_s, inputs)
-        want, events, (pv_end, bss_end, load_end) = reference_run(
+        want, events, state = reference_run(
             pv, bss, load, load_profile, pv_profile, rated_kva, step_s,
             inputs)
         assert got == want
         assert grid.events == events
-        assert (grid.pv, grid.bss, grid.load) == (pv_end, bss_end, load_end)
+        assert (grid.pv_limit_kw, grid.bss_setpoint_kw,
+                grid.bss_soc_kwh) == state
 
     def test_states_read_before_a_step_are_the_config_states(self):
-        pv, bss = PvState(limit_kw=2.0), BssState(soc_kwh=3.0)
+        pv, bss = PvState(rated_kw=2.0), BssState(capacity_kwh=8.0,
+                                                  initial_soc_pct=25.0)
         load = LoadState(rated_kw=8.0)
         profile = TimeSeriesProfile(points=((0.0, 1.0),))
         grid = dev.GridSimulator(pv, bss, load, profile, profile)
         assert (grid.pv, grid.bss, grid.load) == (pv, bss, load)
+        # no PV limit, an idle battery, and the initial charge in kWh
+        assert (grid.pv_limit_kw, grid.bss_setpoint_kw,
+                grid.bss_soc_kwh) == (None, 0.0, 2.0)
 
 
 class TestOverRating:
@@ -161,8 +161,7 @@ class TestOverRating:
 def test_run_builds_no_grid_dataclass(tmp_path, monkeypatch):
     sim = build(ScenarioConfig.load(write_tiny_config(tmp_path, attack=True)))
     built = []
-    for cls in (grid_mod.PvState, grid_mod.BssState, grid_mod.LoadState,
-                grid_mod.BusBalance):
+    for cls in (grid_mod.PvState, grid_mod.BssState, grid_mod.LoadState):
         init = cls.__init__
 
         def counting(self, *args, _init=init, **kwargs):
@@ -172,5 +171,3 @@ def test_run_builds_no_grid_dataclass(tmp_path, monkeypatch):
     summary = sim.run()
     assert summary.steps == 300
     assert built == []
-    assert sim.grid.bss.soc_kwh >= 0  # reading a state still builds one
-    assert built == ["BssState"]

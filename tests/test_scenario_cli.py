@@ -9,6 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridtwin import cosim
 from gridtwin import devices as dev
 from gridtwin.cli import main
 from gridtwin.grid import GridInputError, pv_output
@@ -51,6 +52,9 @@ class TestValidate:
 
     def test_tiny_config_is_clean(self, tmp_path):
         cfg = ScenarioConfig.load(write_tiny_config(tmp_path, attack=True))
+        assert validate(cfg) == []
+        # a subnet smaller than a /24 holds every tiny address as well
+        cfg.raw["network"]["subnet"] = "192.168.10.0/25"
         assert validate(cfg) == []
 
     def test_attack_end_before_start(self, tmp_path):
@@ -206,6 +210,39 @@ class TestCli:
         assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
 
+    def test_run_starts_from_a_full_battery(self, tmp_path):
+        # capacity * 100 / 100 rounds above this capacity, which once
+        # aborted the run at step 0 with exit code 2
+        def mutate(cfg):
+            cfg["devices"]["bss"].update(capacity_kwh=13.125916774101373,
+                                         initial_soc_pct=100)
+        path = edited_config(tmp_path, mutate)
+        assert main(["run", str(path), "--out", str(tmp_path / "ds")]) == 0
+
+    @pytest.mark.parametrize("realtime", [False, True],
+                             ids=["as-fast-as-possible", "realtime"])
+    def test_run_realtime_paces_the_steps(self, tmp_path, monkeypatch,
+                                          realtime):
+        clock = FakeTime(tick=0.25)
+        monkeypatch.setattr(cosim, "time", clock)
+        starts = []  # (step, fake time it started at)
+        step_all = cosim.Scheduler.step_all
+
+        def timed_step_all(sched):
+            starts.append((sched.clock.now, clock.now))
+            return step_all(sched)
+        monkeypatch.setattr(cosim.Scheduler, "step_all", timed_step_all)
+        cfg = write_tiny_config(tmp_path)
+        argv = ["run", str(cfg), "--out", str(tmp_path / "ds")]
+        assert main(argv + ["--realtime"] * realtime) == 0
+        assert len(starts) == 300
+        if realtime:
+            # step k starts no earlier than k steps of 1 s after the first
+            assert all(t - starts[0][1] >= k for k, t in starts)
+            assert clock.now - starts[0][1] >= 300
+        else:
+            assert clock.sleeps == []
+
     def test_run_aborts_with_partial_dataset(self, tmp_path, capsys,
                                              monkeypatch):
         # a fault inside a simulator mid-run (validate refuses the configs
@@ -293,6 +330,22 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class FakeTime:
+    """Stands in for the time module in gridtwin.cosim: each reading of
+    the clock advances it by tick seconds, and sleep advances it."""
+
+    def __init__(self, tick: float):
+        self.now, self.tick, self.sleeps = 0.0, tick, []
+
+    def monotonic(self) -> float:
+        self.now += self.tick
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
 def set_field(cfg, path, value):
     node = cfg
     for key in path[:-1]:
@@ -309,6 +362,9 @@ def set_field(cfg, path, value):
     (("devices",), [1]),
     (("devices", "bss", "capacity_kwh"), 0),
     (("clock", "start"), 41400),  # how YAML loads an unquoted 11:30:00
+    # the attacker would probe 65,534 or 510 addresses in one step
+    (("network", "subnet"), "192.168.0.0/16"),
+    (("network", "subnet"), "192.168.10.0/23"),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_bad_field_is_reported_not_raised(tmp_path, path, value):
     cfg_path = edited_config(tmp_path, lambda cfg: set_field(cfg, path, value))
@@ -316,6 +372,8 @@ def test_bad_field_is_reported_not_raised(tmp_path, path, value):
     assert issues != []
     if path[-1] == "start":
         assert any("quote the time" in issue for issue in issues)
+    if path[-1] == "subnet":
+        assert issues == ["network.subnet: must be a /24 or smaller"]
     assert main(["validate", str(cfg_path)]) == 1
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "ds")]) == 1
 

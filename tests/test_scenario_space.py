@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridtwin.scenario import ScenarioConfig, build, validate
@@ -77,6 +77,23 @@ def scenarios(draw):
     return overrides, load_csv, pv_csv
 
 
+def small_battery(capacity_kwh: float, initial_soc_pct: float):
+    """A scenario in the shape scenarios() draws: 16 kW of PV into an
+    empty load, with a 15 kW battery of the given size and charge."""
+    devices = {"pv": {"rated_kw": 20.0},
+               "bss": {"rated_kw": 15.0, "capacity_kwh": capacity_kwh,
+                       "initial_soc_pct": initial_soc_pct,
+                       "efficiency": 1.0},
+               "load": {"rated_kw": 10.0},
+               "meter": {"transformer_rated_kva": 100.0}}
+    ems = {"period_s": 1.0, "deadband_kw": 0.1, "manages_pv_limit": False,
+           "request_timeout_steps": 4}
+    profiles = {which: {"interpolation": "hold"} for which in ("load", "pv")}
+    overrides = {"clock": {"step_s": 1.0}, "devices": devices, "ems": ems,
+                 "profiles": profiles, "attack": None}
+    return overrides, profile_csv([0.0], 60), profile_csv([16.0], 60)
+
+
 def merge(base: dict, overrides: dict) -> dict:
     """base with each override dict merged in, key by key; None replaces."""
     out = dict(base)
@@ -96,6 +113,12 @@ def run_and_export(cfg: ScenarioConfig, outdir: Path):
 
 @settings(max_examples=20, deadline=None)
 @given(scenario=scenarios())
+# the battery charges to exactly its capacity: 100 * soc / capacity
+# gave a published SOC of 100.00000000000001 %
+@example(scenario=small_battery(1.570346365528567, 50.0))
+# a full start: capacity * 100 / 100 rounded above the capacity and
+# aborted the run at step 0
+@example(scenario=small_battery(13.125916774101373, 100.0))
 def test_generated_scenarios_hold_the_invariants(scenario):
     overrides, load_csv, pv_csv = scenario
     with tempfile.TemporaryDirectory() as tmp:
