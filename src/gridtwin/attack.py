@@ -24,8 +24,7 @@ from .modbus import (FC_WRITE_SINGLE, REG_DEVICE_TYPE, REG_SETPOINT,
                      FrameError, decode, encode, fp_encode,
                      parse_read_response, parse_write_single,
                      read_holding_request, write_single_request, ModbusAdu)
-from .netem import (ARP_REPLY, ARP_REQUEST, ETH_ARP, ArpMessage, Host,
-                    IpDelivery, InputError)
+from .netem import ARP_REPLY, ARP_REQUEST, ArpMessage, Host, IpDelivery
 
 PORT_PROBE = 49300
 PORT_INJECT = 49310
@@ -123,13 +122,7 @@ class Attacker:
 
     def _observe_broadcasts(self) -> None:
         """Passively note who ARP-resolves whom (EMS fingerprint)."""
-        for frame in self.host.read_tap():
-            if frame.ethertype != ETH_ARP:
-                continue
-            try:
-                msg = ArpMessage.from_bytes(frame.payload)
-            except InputError:
-                continue
+        for msg in self.host.read_tap():
             if msg.op == ARP_REQUEST and msg.sender_ip != self.host.ip:
                 self._arp_askers.setdefault(msg.sender_ip, set()).add(
                     msg.target_ip)

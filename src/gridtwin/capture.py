@@ -95,7 +95,7 @@ class Capture:
         f = frame.ipv4  # the parse the receiving hosts use too
         if f is None:
             return  # ARP shows up in the pcap, flows track IP conversations
-        key = (frame.src_mac, frame.dst_mac, f["src_ip"], f["dst_ip"])
+        key = (frame.src_mac, frame.dst_mac, f.src_ip, f.dst_ip)
         rec = self.flows.get(key)
         if rec is None:
             rec = FlowRecord(*key, first_ts=t)

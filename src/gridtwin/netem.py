@@ -1,6 +1,6 @@
 """Emulated layer-2/3 network.
 
-Hosts with MAC/IP addresses hang off a learning switch on one flat
+Hosts with MAC/IP addresses hang off one learning switch on a flat
 /24.  Hosts keep their own ARP caches; any received ARP reply
 (solicited or gratuitous) overwrites a cache entry — the vulnerability
 the MITM attack exploits.  Frames queued during a simulation step are
@@ -81,14 +81,14 @@ class EthernetFrame:
     payload: bytes
 
     @cached_property
-    def ipv4(self) -> dict | None:
+    def ipv4(self) -> IpDelivery | None:
         """The parsed IPv4/TCP packet, or None if the frame is not IPv4 or
         is malformed.  Parsed on first use; the capture and every
-        receiving host share the one dict, so none may change it."""
+        receiving host share the one immutable record."""
         if self.ethertype != ETH_IPV4:
             return None
         try:
-            return parse_ipv4_tcp(self.payload)
+            return IpDelivery(**parse_ipv4_tcp(self.payload))
         except InputError:
             return None
 
@@ -183,49 +183,31 @@ def parse_ipv4_tcp(raw: bytes) -> dict:
                 seq=seq, ack=ack, payload=tcp[off:])
 
 
-# -- hosts, switch, network ----------------------------------------------
-
-class LearningSwitch:
-    """MAC-learning switch: known unicast to one port, otherwise flood."""
-
-    def __init__(self):
-        self.mac_table: dict[str, int] = {}
-
-    def forward(self, frame: EthernetFrame, ingress: int,
-                ports: list[int]) -> tuple[list[int], bool]:
-        """Returns (egress ports, flooded?)."""
-        self.mac_table[frame.src_mac] = ingress
-        if frame.dst_mac != BROADCAST_MAC and frame.dst_mac in self.mac_table:
-            out = self.mac_table[frame.dst_mac]
-            if out == ingress:
-                return [], False
-            return [out], False
-        return [p for p in ports if p != ingress], True
-
+# -- hosts and the network -----------------------------------------------
 
 class Host:
     """One endpoint's addresses and network stack, driven by the Network
     transport.  Made by ``Network.attach``."""
 
-    def __init__(self, net: "Network", id: str, mac: str, ip: str, port: int,
-                 promiscuous: bool = False, accept_foreign: bool = False):
+    def __init__(self, net: "Network", id: str, mac: str, ip: str,
+                 promiscuous: bool = False):
         # weak: the Network owns its hosts, and one dropped is freed
         # without waiting for a cycle collection
         self.net = weakref.proxy(net)
         self.id = id
         self.mac = mac
         self.ip = ip
-        self.port = port                      # switch port
-        self.promiscuous = promiscuous        # raw frame tap for the application
-        self.accept_foreign = accept_foreign  # deliver IP packets not to our IP
+        # the attacker's receive mode: every ARP message it sees goes to
+        # the tap, and IP packets addressed to others are delivered too
+        self.promiscuous = promiscuous
         self.arp_cache: dict[str, tuple[str, int]] = {}  # ip -> (mac, step)
         self.outbox: list[EthernetFrame] = []
         self.inbox: list[IpDelivery] = []
-        self.tap: list[EthernetFrame] = []
+        self.tap: list[ArpMessage] = []
         self.events: list[tuple[int, str, str]] = []  # (step, kind, detail)
         # IPv4 packets awaiting ARP: (dst ip, packet, step queued)
         self._pending: list[tuple[str, bytes, int]] = []
-        self._arp_inflight: set[str] = set()
+        self._arp_inflight: dict[str, int] = {}  # ip -> step requested
 
     # -- application API --------------------------------------------------
 
@@ -233,7 +215,7 @@ class Host:
         out, self.inbox = self.inbox, []
         return out
 
-    def read_tap(self) -> list[EthernetFrame]:
+    def read_tap(self) -> list[ArpMessage]:
         out, self.tap = self.tap, []
         return out
 
@@ -243,7 +225,10 @@ class Host:
         entry = self.arp_cache.get(ip)
         if entry is not None:
             return entry[0]
-        self._request_arp(ip)
+        if ip not in self._arp_inflight:
+            self._arp_inflight[ip] = self.net.step
+            req = ArpMessage(ARP_REQUEST, self.mac, self.ip, ZERO_MAC, ip)
+            self.send_arp(req, BROADCAST_MAC)
         return None
 
     def send_ip(self, dst_ip: str, payload: bytes,
@@ -251,18 +236,15 @@ class Host:
         """Send an application payload over IPv4/TCP; resolves via ARP."""
         if not payload:
             raise InputError("zero-length payload")
-        self.net.check_subnet(dst_ip)
+        dst_mac = self.resolve(dst_ip)  # refuses before any flow state moves
         seq, ack = self.net.next_seq(self.ip, src_port, dst_ip, dst_port,
                                      len(payload))
         pkt = build_ipv4_tcp(self.ip, dst_ip, src_port, dst_port, seq, ack,
                              payload, self.net.next_ip_id())
-        cached = self.arp_cache.get(dst_ip)
-        if cached is not None:
-            self.outbox.append(EthernetFrame(self.mac, cached[0], ETH_IPV4,
-                                             pkt))
-        else:
+        if dst_mac is None:
             self._pending.append((dst_ip, pkt, self.net.step))
-            self._request_arp(dst_ip)
+        else:
+            self.outbox.append(EthernetFrame(self.mac, dst_mac, ETH_IPV4, pkt))
 
     def forward_ip(self, d: IpDelivery, payload: bytes, dst_mac: str) -> None:
         """Re-emit an intercepted packet (MITM): original IPs/ports/seq are
@@ -278,17 +260,9 @@ class Host:
 
     # -- stack internals --------------------------------------------------
 
-    def _request_arp(self, ip: str) -> None:
-        if ip in self._arp_inflight:
-            return
-        self._arp_inflight.add(ip)
-        req = ArpMessage(ARP_REQUEST, self.mac, self.ip, ZERO_MAC, ip)
-        self.outbox.append(EthernetFrame(self.mac, BROADCAST_MAC, ETH_ARP,
-                                         req.to_bytes()))
-
     def _learn(self, ip: str, mac: str, step: int) -> None:
         self.arp_cache[ip] = (mac, step)
-        self._arp_inflight.discard(ip)
+        self._arp_inflight.pop(ip, None)
         still = []
         for p in self._pending:
             dst_ip, pkt, _ = p
@@ -299,14 +273,14 @@ class Host:
         self._pending = still
 
     def _on_frame(self, frame: EthernetFrame, step: int) -> None:
-        if self.promiscuous:
-            self.tap.append(frame)
         if frame.ethertype == ETH_ARP:
             try:
                 msg = ArpMessage.from_bytes(frame.payload)
             except InputError:
                 self.net.drop("malformed-arp")
                 return
+            if self.promiscuous:
+                self.tap.append(msg)
             if msg.op == ARP_REPLY:
                 # any reply overwrites the cache: the spoofing vulnerability
                 self._learn(msg.sender_ip, msg.sender_mac, step)
@@ -316,28 +290,32 @@ class Host:
                                    msg.sender_mac, msg.sender_ip)
                 self.send_arp(reply, msg.sender_mac)
         elif frame.ethertype == ETH_IPV4:
-            f = frame.ipv4
-            if f is None:
+            d = frame.ipv4
+            if d is None:
                 self.net.drop("malformed-ip")
-                return
-            if f["dst_ip"] != self.ip and not self.accept_foreign:
+            elif d.dst_ip != self.ip and not self.promiscuous:
                 self.net.drop("foreign-ip")
-                return
-            self.inbox.append(IpDelivery(**f))
+            else:
+                self.inbox.append(d)
         else:
             self.net.drop("unknown-ethertype")
 
     def _expire(self, step: int) -> None:
+        """Drop what waited ARP_TIMEOUT_STEPS for a reply: queued packets
+        and unanswered requests, so the next send asks again."""
+        old = step - ARP_TIMEOUT_STEPS
         still = []
         for p in self._pending:
             dst_ip, _, since = p
-            if step - since >= ARP_TIMEOUT_STEPS:
-                self._arp_inflight.discard(dst_ip)
+            if since > old:
+                still.append(p)
+            else:
                 self.events.append((step, "resolution-error", dst_ip))
                 self.net.drop("arp-timeout")
-            else:
-                still.append(p)
         self._pending = still
+        inflight = self._arp_inflight
+        for ip in [i for i, since in inflight.items() if since <= old]:
+            del inflight[ip]
         if self.net.cache_expiry_steps is not None:
             cache = self.arp_cache
             for ip in [i for i, (_, t) in cache.items()
@@ -346,19 +324,17 @@ class Host:
 
 
 class Network:
-    """The switch plus all attached hosts; transported once per step."""
+    """One learning switch and the hosts on it; transported once per step."""
 
     def __init__(self, subnet: str = "192.168.10.0/24",
                  cache_expiry_steps: int | None = None):
         self.subnet = ipaddress.IPv4Network(subnet)
         self.cache_expiry_steps = cache_expiry_steps
-        self.switch = LearningSwitch()
-        self.hosts: dict[str, Host] = {}
-        self._by_port: dict[int, Host] = {}
-        self._ports: list[int] = []       # ascending switch ports
+        self.hosts: dict[str, Host] = {}  # in attach order
+        self.mac_table: dict[str, Host] = {}  # source MAC -> host it came from
         self._order: list[Host] = []      # hosts sorted by id
         self._in_subnet: set[str] = set()  # addresses check_subnet accepted
-        self.step = 0
+        self.step = 0                     # the step being computed
         self.frame_sink: Callable[[EthernetFrame, int], None] | None = None
         self.delivered = 0
         self.flooded = 0
@@ -366,20 +342,17 @@ class Network:
         self._ip_id = 0
         self._flows: dict[tuple, int] = {}
 
-    def attach(self, id: str, mac: str, ip: str, promiscuous: bool = False,
-               accept_foreign: bool = False) -> Host:
-        """A new host on the next switch port."""
+    def attach(self, id: str, mac: str, ip: str,
+               promiscuous: bool = False) -> Host:
+        """A new host on the switch, flooded to after those before it."""
         if id in self.hosts:
             raise NetemError(f"duplicate host id {id!r}")
         for h in self.hosts.values():
             if h.ip == ip or h.mac == mac:
                 raise NetemError(f"address collision with {h.id!r}")
         self.check_subnet(ip)
-        host = Host(self, id, mac, ip, len(self.hosts), promiscuous,
-                    accept_foreign)
+        host = Host(self, id, mac, ip, promiscuous)
         self.hosts[id] = host
-        self._by_port[host.port] = host
-        self._ports.append(host.port)
         self._order = [self.hosts[hid] for hid in sorted(self.hosts)]
         return host
 
@@ -405,8 +378,10 @@ class Network:
         return seq, self._flows.get(peer, 1000)
 
     def transport(self, step: int) -> None:
-        """End-of-step hook: deliver all frames queued during this step."""
-        self.step = step
+        """End-of-step hook: deliver all frames queued during this step.
+        The switch learns each sender's MAC; a frame to a learned MAC
+        reaches that host (none if it is the sender's own), any other is
+        flooded to every other host in attach order."""
         # drain every outbox first: frames sent while these are delivered
         # go out at the next transport
         batch: list[tuple[Host, list[EthernetFrame]]] = []
@@ -414,22 +389,27 @@ class Network:
             if host.outbox:
                 batch.append((host, host.outbox))
                 host.outbox = []
+        table = self.mac_table
         for sender, frames in batch:
-            ingress = sender.port
             for frame in frames:
-                egress, flooded = self.switch.forward(frame, ingress,
-                                                      self._ports)
-                if flooded:
+                table[frame.src_mac] = sender
+                dst = (None if frame.dst_mac == BROADCAST_MAC
+                       else table.get(frame.dst_mac))
+                if dst is None:
                     self.flooded += 1
+                    receivers = [h for h in self.hosts.values()
+                                 if h is not sender]
                 else:
                     self.delivered += 1
+                    receivers = () if dst is sender else (dst,)
                 if self.frame_sink:
                     self.frame_sink(frame, step)
-                for port in egress:
-                    self._by_port[port]._on_frame(frame, step)
-        # a host has something to expire only with packets awaiting ARP or
-        # with cache expiry on
+                for host in receivers:
+                    host._on_frame(frame, step)
+        # a host has something to expire only while it awaits ARP replies
+        # or with cache expiry on
         expiring = self.cache_expiry_steps is not None
         for host in self._order:
-            if host._pending or expiring:
+            if host._arp_inflight or host._pending or expiring:
                 host._expire(step)
+        self.step = step + 1

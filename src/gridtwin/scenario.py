@@ -171,6 +171,8 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     if expiry is not None and sim_clock is not None:
         net_kw["cache_expiry_steps"] = sim_clock.steps_for(expiry)
     network = Network(**net_kw)
+    # no subnet to check the IPs against if the one written was refused
+    refused = net.get("subnet") is not None and "subnet" not in net_kw
     if network.subnet.prefixlen < 24:  # the attacker probes every address
         issues.append("network.subnet: must be a /24 or smaller")
 
@@ -192,7 +194,8 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
                       _MAC_RE.match, "invalid MAC")
         ip = attempt(f"{path}.ip",
                      lambda: str(ipaddress.IPv4Address(str(node.get("ip")))),
-                     lambda ip: ipaddress.IPv4Address(ip) in network.subnet,
+                     lambda ip: refused or (ipaddress.IPv4Address(ip)
+                                            in network.subnet),
                      f"outside subnet {network.subnet}")
         for kind, value in (("MAC", mac), ("IP", ip)):
             if value in seen:
@@ -200,9 +203,7 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
                               f"{value} (also {seen[value]})")
             elif value is not None:
                 seen[value] = path
-        spy = role == "attacker"
-        endpoints[role] = dict(mac=mac, ip=ip, promiscuous=spy,
-                               accept_foreign=spy)
+        endpoints[role] = dict(mac=mac, ip=ip, promiscuous=role == "attacker")
 
     profiles = section(raw, "profiles", "profiles")
     prof = {}

@@ -4,7 +4,8 @@ import yaml
 from gridtwin import modbus as mb
 from gridtwin.attack import AttackPlan, Attacker
 from gridtwin.cosim import SimClock
-from gridtwin.netem import Network, mac_bytes
+from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, ArpMessage, Network,
+                            mac_bytes)
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
 
@@ -23,8 +24,7 @@ def tiny_attack(tmp_path_factory):
 def bare_attacker():
     net = Network()
     host = net.attach("attacker", mac="02:00:00:00:00:66",
-                      ip="192.168.10.66", promiscuous=True,
-                      accept_foreign=True)
+                      ip="192.168.10.66", promiscuous=True)
     atk = Attacker(host, AttackPlan(start_s=100.0, end_s=200.0),
                    SimClock(epoch_s=0.0))
     atk.roles = {IP["pv"]: "PV", IP["bss"]: "BSS",
@@ -70,6 +70,25 @@ class TestKillChain:
         hosts = tiny_attack.network.hosts
         for role, ip in IP.items():
             assert atk.scan_results[ip] == hosts[role].mac
+
+    def test_tap_holds_only_the_arp_messages_seen(self, tmp_path):
+        sim = build(ScenarioConfig.load(write_tiny_config(tmp_path,
+                                                          attack=True)))
+        host, tapped = sim.attacker.host, []
+        read_tap = host.read_tap
+
+        def recording():
+            out = read_tap()
+            tapped.extend(out)
+            return out
+        host.read_tap = recording
+        sim.run()
+        assert all(type(m) is ArpMessage for m in tapped)
+        # the EMS resolving its three peers, then the five scan replies
+        assert [(m.op, m.sender_ip, m.target_ip) for m in tapped[:3]] == [
+            (ARP_REQUEST, IP["ems"], IP[r]) for r in ("meter", "pv", "bss")]
+        assert sorted((m.op, m.sender_ip) for m in tapped[3:]) == sorted(
+            (ARP_REPLY, ip) for ip in IP.values())
 
     def test_roles_identified_including_ems(self, tiny_attack):
         entries = tiny_attack.attacker.roles

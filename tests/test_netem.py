@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from gridtwin import netem
 from gridtwin.capture import Capture
 from gridtwin.cosim import SimClock
-from gridtwin.netem import (ARP_REPLY, BROADCAST_MAC, ETH_ARP, ETH_IPV4,
-                            ArpMessage, EthernetFrame, InputError,
-                            LearningSwitch, NetemError, Network,
+from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, BROADCAST_MAC, ETH_ARP,
+                            ETH_IPV4, ZERO_MAC, ArpMessage, EthernetFrame,
+                            Host, InputError, IpDelivery, NetemError, Network,
                             ResolutionError, build_ipv4_tcp, ip_bytes, ip_str,
                             mac_bytes, mac_str, parse_ipv4_tcp)
 from gridtwin.scenario import ScenarioConfig, build
@@ -153,26 +153,59 @@ class TestAddressHelpers:
 
 
 class TestLearningSwitch:
-    def test_unknown_unicast_floods(self):
-        sw = LearningSwitch()
-        f = EthernetFrame("02:00:00:00:00:01", "02:00:00:00:00:02", ETH_IPV4, b"")
-        egress, flooded = sw.forward(f, ingress=0, ports=[0, 1, 2])
-        assert flooded and egress == [1, 2]
+    """The switch inside Network.transport: it learns each sender's MAC."""
 
-    def test_learned_unicast_single_port(self):
-        sw = LearningSwitch()
-        a = EthernetFrame("02:00:00:00:00:01", BROADCAST_MAC, ETH_ARP, b"")
-        sw.forward(a, ingress=0, ports=[0, 1, 2])
-        back = EthernetFrame("02:00:00:00:00:02", "02:00:00:00:00:01",
-                             ETH_IPV4, b"")
-        egress, flooded = sw.forward(back, ingress=1, ports=[0, 1, 2])
-        assert not flooded and egress == [0]
+    @staticmethod
+    def hosts():
+        """Four hosts attached out of id order: z, a, m, b."""
+        net = Network()
+        return net, [net.attach(hid, mac=f"02:00:00:00:00:0{i}",
+                                ip=f"192.168.10.{i + 1}")
+                     for i, hid in enumerate("zamb")]
 
-    def test_hairpin_discarded(self):
-        sw = LearningSwitch()
-        f = EthernetFrame("02:00:00:00:00:01", "02:00:00:00:00:01", ETH_IPV4, b"")
-        sw.forward(f, ingress=0, ports=[0, 1])
-        assert sw.forward(f, ingress=0, ports=[0, 1]) == ([], False)
+    @staticmethod
+    def receivers(monkeypatch) -> list[str]:
+        """The ids of the hosts handed a frame, in delivery order."""
+        seen = []
+        on_frame = Host._on_frame
+
+        def recording(host, frame, step):
+            seen.append(host.id)
+            on_frame(host, frame, step)
+        monkeypatch.setattr(Host, "_on_frame", recording)
+        return seen
+
+    def test_unknown_unicast_floods(self, monkeypatch):
+        net, (z, a, m, b) = self.hosts()
+        seen = self.receivers(monkeypatch)
+        m.outbox.append(EthernetFrame(m.mac, a.mac, ETH_IPV4, build_ipv4_tcp(
+            m.ip, a.ip, 1, 2, 0, 0, b"x")))  # a's MAC is not learned yet
+        pump(net, 1)
+        assert seen == ["z", "a", "b"]  # every other host, in attach order
+        assert (net.delivered, net.flooded) == (0, 1)
+        assert [d.payload for d in a.receive()] == [b"x"]
+        assert net.dropped == {"foreign-ip": 2}  # z and b
+
+    def test_learned_unicast_single_port(self, monkeypatch):
+        net, (z, a, m, b) = self.hosts()
+        a.send_ip(b.ip, b"x")
+        pump(net, 1)  # the ARP request floods, and the switch learns a
+        seen = self.receivers(monkeypatch)
+        pump(net, 2, start=1)  # b's reply to a, then a's packet to b
+        assert seen == ["a", "b"]
+        assert (net.delivered, net.flooded) == (2, 1)
+        assert [d.payload for d in b.receive()] == [b"x"]
+
+    def test_hairpin_discarded(self, monkeypatch):
+        net, (z, a, m, b) = self.hosts()
+        seen = self.receivers(monkeypatch)
+        sent = []
+        net.frame_sink = lambda frame, step: sent.append(frame)
+        a.outbox.append(EthernetFrame(a.mac, a.mac, ETH_IPV4, build_ipv4_tcp(
+            a.ip, a.ip, 1, 2, 0, 0, b"x")))
+        pump(net, 1)
+        assert seen == [] and a.receive() == []  # reaches nobody
+        assert (net.delivered, net.flooded) == (1, 0) and len(sent) == 1
 
 
 class TestHostStack:
@@ -212,6 +245,27 @@ class TestHostStack:
         assert any(kind == "resolution-error" and detail == "192.168.10.99"
                    for _, kind, detail in a.events)
 
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_packet_waits_three_steps_from_the_step_it_was_sent(self, k):
+        net, a, _ = two_hosts()
+        pump(net, k)
+        a.send_ip("192.168.10.99", b"x")  # sent during step k
+        pump(net, 3, start=k)
+        assert a.events == [] and net.dropped == {}
+        pump(net, 1, start=k + 3)
+        assert a.events == [(k + 3, "resolution-error", "192.168.10.99")]
+        assert net.dropped == {"arp-timeout": 1}
+
+    def test_unanswered_resolve_is_asked_again(self):
+        net, a, _ = two_hosts()
+        assert a.resolve("192.168.10.3") is None  # nobody home yet
+        pump(net, 4)
+        c = net.attach("c", mac="02:00:00:00:00:0c", ip="192.168.10.3")
+        a.send_ip(c.ip, b"late")  # a fresh ARP request, which c answers
+        pump(net, 3, start=4)
+        assert [d.payload for d in c.receive()] == [b"late"]
+        assert a.events == [] and net.dropped == {}
+
     def test_duplicate_address_rejected(self):
         net, a, _ = two_hosts()
         with pytest.raises(NetemError):
@@ -227,7 +281,9 @@ class TestHostStack:
 
     def test_malformed_ip_frame_flooded_to_several_hosts(self, monkeypatch):
         net, a, b = two_hosts()
-        c = net.attach("c", mac="02:00:00:00:00:0c", ip="192.168.10.3")
+        # promiscuous, so that c also takes the valid packet to b below
+        c = net.attach("c", mac="02:00:00:00:00:0c", ip="192.168.10.3",
+                       promiscuous=True)
         cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
         net.frame_sink = cap.record_frame
         parses = []
@@ -248,6 +304,15 @@ class TestHostStack:
         assert cap.flows == {}
         assert b.receive() == [] and c.receive() == []
         assert len(parses) == 1  # shared by the capture and both hosts
+        good = EthernetFrame(a.mac, b.mac, ETH_IPV4, build_ipv4_tcp(
+            a.ip, b.ip, 1, 2, 0, 0, b"y"))
+        a.outbox.append(good)  # b's MAC is still not learned: flooded
+        pump(net, 1, start=1)
+        assert net.flooded == 2
+        [to_b], [to_c] = b.receive(), c.receive()
+        assert to_b is to_c is good.ipv4  # one record for the capture too
+        assert to_b == IpDelivery(a.ip, b.ip, 1, 2, 0, 0, b"y")
+        assert len(parses) == 2
 
     def test_tcp_seq_advances_per_flow(self):
         net, a, b = two_hosts()
@@ -277,8 +342,8 @@ class TestArpSpoofing:
     def test_traffic_follows_poisoned_cache(self):
         net, a, b = two_hosts()
         mallory = net.attach("m", mac="02:00:00:00:00:ee",
-                             ip="192.168.10.66", accept_foreign=True)
-        # prime the switch so mallory's port is known
+                             ip="192.168.10.66", promiscuous=True)
+        # prime the switch so that it knows mallory's MAC
         mallory.send_ip(a.ip, b"hi")
         pump(net, 3)
         a.receive()
@@ -296,10 +361,10 @@ class TestArpSpoofing:
         spy = net.attach("spy", mac="02:00:00:00:00:ee",
                          ip="192.168.10.66", promiscuous=True)
         a.send_ip(b.ip, b"x")
-        pump(net, 1)
-        taps = spy.read_tap()
-        assert any(f.ethertype == ETH_ARP and f.dst_mac == BROADCAST_MAC
-                   for f in taps)
+        pump(net, 3)  # the ARP request floods; the reply and packet do not
+        assert spy.read_tap() == [
+            ArpMessage(ARP_REQUEST, a.mac, a.ip, ZERO_MAC, b.ip)]
+        assert spy.read_tap() == []
 
 
 class TestCacheExpiry:

@@ -87,6 +87,14 @@ class TestValidate:
         cfg = ScenarioConfig.load(edited_config(tmp_path, mutate))
         assert any("outside subnet" in i for i in validate(cfg))
 
+    def test_refused_subnet_is_the_only_issue(self, tmp_path):
+        def mutate(cfg):
+            cfg["network"]["subnet"] = "10.0.0.1/24"  # host bits set
+            for node in cfg["devices"].values():
+                node["ip"] = "10.0.0." + node["ip"].rsplit(".", 1)[1]
+        issues = validate(ScenarioConfig.load(edited_config(tmp_path, mutate)))
+        assert len(issues) == 1 and issues[0].startswith("network.subnet:")
+
     def test_missing_profile_file(self, tmp_path):
         def mutate(cfg):
             cfg["profiles"]["pv"]["file"] = "nope.csv"
