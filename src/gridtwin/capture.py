@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .attack import AttackPlan
 from .cosim import SimClock
-from .netem import EthernetFrame
+from .netem import EthernetFrame, IpDelivery
 # still importable from here: perfbench/tracing.py wraps it by this name
 from .netem import parse_ipv4_tcp  # noqa: F401
 
@@ -90,10 +90,10 @@ class Capture:
 
     def record_frame(self, frame: EthernetFrame, step: int) -> None:
         t = self.clock.time_s(step)
-        raw = frame.to_bytes()
+        raw = frame.to_bytes()  # the only place a frame's bytes are made
         self.frames.append((t, raw))
-        f = frame.ipv4  # the parse the receiving hosts use too
-        if f is None:
+        f = frame.packet
+        if not isinstance(f, IpDelivery):
             return  # ARP shows up in the pcap, flows track IP conversations
         key = (frame.src_mac, frame.dst_mac, f.src_ip, f.dst_ip)
         rec = self.flows.get(key)
@@ -106,7 +106,7 @@ class Capture:
 
     def record_sample(self, step: int, pv_kw: float, bss_kw: float,
                       load_kw: float, transformer_kw: float,
-                      soc_pct: float, pv_available_kw: float = 0.0) -> None:
+                      soc_pct: float, pv_available_kw: float) -> None:
         start, end = self._window
         self.samples.append(ProcessSample(
             self.clock.time_s(step), pv_kw, pv_available_kw, bss_kw, load_kw,

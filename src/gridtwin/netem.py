@@ -8,8 +8,10 @@ delivered at the end of that step (one-step latency), in an order
 independent of simulator registration: the queue is drained sorted by
 sending host id, then per-host send sequence.
 
-Application payloads travel as real Ethernet/IPv4/TCP frames (with
-valid checksums) so captures decode in standard protocol analyzers.
+A frame carries its packet as a record (an ``ArpMessage`` or an
+``IpDelivery``) that every receiving host shares.  Its bytes, real
+Ethernet/IPv4/TCP with valid checksums, are made once, when the capture
+records the frame, so captures decode in standard protocol analyzers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import socket
 import struct
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 ETH_IPV4 = 0x0800
@@ -56,11 +58,6 @@ def mac_bytes(mac: str) -> bytes:
 
 
 @lru_cache(maxsize=1024)
-def mac_str(raw: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in raw)
-
-
-@lru_cache(maxsize=1024)
 def ip_bytes(ip: str) -> bytes:
     return ipaddress.IPv4Address(ip).packed
 
@@ -71,33 +68,6 @@ def ip_str(raw: bytes) -> str:
         raise ipaddress.AddressValueError(
             f"packed IPv4 address must be 4 bytes, got {len(raw)}")
     return socket.inet_ntoa(raw)
-
-
-@dataclass(frozen=True)
-class EthernetFrame:
-    src_mac: str
-    dst_mac: str
-    ethertype: int
-    payload: bytes
-
-    @cached_property
-    def ipv4(self) -> IpDelivery | None:
-        """The parsed IPv4/TCP packet, or None if the frame is not IPv4 or
-        is malformed.  Parsed on first use; the capture and every
-        receiving host share the one immutable record."""
-        if self.ethertype != ETH_IPV4:
-            return None
-        try:
-            return IpDelivery(**parse_ipv4_tcp(self.payload))
-        except InputError:
-            return None
-
-    def to_bytes(self) -> bytes:
-        raw = mac_bytes(self.dst_mac) + mac_bytes(self.src_mac) \
-            + struct.pack(">H", self.ethertype) + self.payload
-        if len(raw) < MIN_FRAME_LEN:
-            raw += bytes(MIN_FRAME_LEN - len(raw))
-        return raw
 
 
 @dataclass(frozen=True)
@@ -112,16 +82,6 @@ class ArpMessage:
         return struct.pack(">HHBBH", 1, ETH_IPV4, 6, 4, self.op) \
             + mac_bytes(self.sender_mac) + ip_bytes(self.sender_ip) \
             + mac_bytes(self.target_mac) + ip_bytes(self.target_ip)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "ArpMessage":
-        if len(raw) < 28:
-            raise InputError("truncated ARP payload")
-        htype, ptype, hlen, plen, op = struct.unpack(">HHBBH", raw[:8])
-        if (htype, ptype, hlen, plen) != (1, ETH_IPV4, 6, 4):
-            raise InputError("unsupported ARP header")
-        return cls(op, mac_str(raw[8:14]), ip_str(raw[14:18]),
-                   mac_str(raw[18:24]), ip_str(raw[24:28]))
 
 
 # -- IPv4 + TCP encapsulation --------------------------------------------
@@ -153,7 +113,7 @@ def build_ipv4_tcp(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
 
 
 class IpDelivery(NamedTuple):
-    """A parsed IPv4/TCP packet handed to an application."""
+    """An IPv4/TCP packet: sent as this record, handed to applications."""
     src_ip: str
     dst_ip: str
     src_port: int
@@ -161,6 +121,26 @@ class IpDelivery(NamedTuple):
     seq: int
     ack: int
     payload: bytes
+    ip_id: int
+
+
+@dataclass(frozen=True)
+class EthernetFrame:
+    src_mac: str
+    dst_mac: str
+    packet: ArpMessage | IpDelivery
+
+    def to_bytes(self) -> bytes:
+        p = self.packet
+        if isinstance(p, IpDelivery):
+            ethertype, body = ETH_IPV4, build_ipv4_tcp(*p)
+        else:
+            ethertype, body = ETH_ARP, p.to_bytes()
+        raw = mac_bytes(self.dst_mac) + mac_bytes(self.src_mac) \
+            + struct.pack(">H", ethertype) + body
+        if len(raw) < MIN_FRAME_LEN:
+            raw += bytes(MIN_FRAME_LEN - len(raw))
+        return raw
 
 
 def parse_ipv4_tcp(raw: bytes) -> dict:
@@ -205,8 +185,8 @@ class Host:
         self.inbox: list[IpDelivery] = []
         self.tap: list[ArpMessage] = []
         self.events: list[tuple[int, str, str]] = []  # (step, kind, detail)
-        # IPv4 packets awaiting ARP: (dst ip, packet, step queued)
-        self._pending: list[tuple[str, bytes, int]] = []
+        # IPv4 packets awaiting ARP: (packet, step queued)
+        self._pending: list[tuple[IpDelivery, int]] = []
         self._arp_inflight: dict[str, int] = {}  # ip -> step requested
 
     # -- application API --------------------------------------------------
@@ -239,46 +219,36 @@ class Host:
         dst_mac = self.resolve(dst_ip)  # refuses before any flow state moves
         seq, ack = self.net.next_seq(self.ip, src_port, dst_ip, dst_port,
                                      len(payload))
-        pkt = build_ipv4_tcp(self.ip, dst_ip, src_port, dst_port, seq, ack,
-                             payload, self.net.next_ip_id())
+        pkt = IpDelivery(self.ip, dst_ip, src_port, dst_port, seq, ack,
+                         payload, self.net.next_ip_id())
         if dst_mac is None:
-            self._pending.append((dst_ip, pkt, self.net.step))
+            self._pending.append((pkt, self.net.step))
         else:
-            self.outbox.append(EthernetFrame(self.mac, dst_mac, ETH_IPV4, pkt))
+            self.outbox.append(EthernetFrame(self.mac, dst_mac, pkt))
 
     def forward_ip(self, d: IpDelivery, payload: bytes, dst_mac: str) -> None:
         """Re-emit an intercepted packet (MITM): original IPs/ports/seq are
         preserved, source MAC becomes ours, payload may be rewritten."""
-        pkt = build_ipv4_tcp(d.src_ip, d.dst_ip, d.src_port, d.dst_port,
-                             d.seq, d.ack, payload, self.net.next_ip_id())
-        self.outbox.append(EthernetFrame(self.mac, dst_mac, ETH_IPV4, pkt))
+        pkt = d._replace(payload=payload, ip_id=self.net.next_ip_id())
+        self.outbox.append(EthernetFrame(self.mac, dst_mac, pkt))
 
     def send_arp(self, msg: ArpMessage, dst_mac: str) -> None:
         """Emit an arbitrary ARP message (used by the attacker)."""
-        self.outbox.append(EthernetFrame(self.mac, dst_mac, ETH_ARP,
-                                         msg.to_bytes()))
+        self.outbox.append(EthernetFrame(self.mac, dst_mac, msg))
 
     # -- stack internals --------------------------------------------------
 
     def _learn(self, ip: str, mac: str, step: int) -> None:
         self.arp_cache[ip] = (mac, step)
         self._arp_inflight.pop(ip, None)
-        still = []
-        for p in self._pending:
-            dst_ip, pkt, _ = p
-            if dst_ip == ip:  # goes out next transport
-                self.outbox.append(EthernetFrame(self.mac, mac, ETH_IPV4, pkt))
-            else:
-                still.append(p)
-        self._pending = still
+        for pkt, _ in self._pending:
+            if pkt.dst_ip == ip:  # goes out next transport
+                self.outbox.append(EthernetFrame(self.mac, mac, pkt))
+        self._pending = [p for p in self._pending if p[0].dst_ip != ip]
 
     def _on_frame(self, frame: EthernetFrame, step: int) -> None:
-        if frame.ethertype == ETH_ARP:
-            try:
-                msg = ArpMessage.from_bytes(frame.payload)
-            except InputError:
-                self.net.drop("malformed-arp")
-                return
+        msg = frame.packet
+        if isinstance(msg, ArpMessage):
             if self.promiscuous:
                 self.tap.append(msg)
             if msg.op == ARP_REPLY:
@@ -289,30 +259,20 @@ class Host:
                 reply = ArpMessage(ARP_REPLY, self.mac, self.ip,
                                    msg.sender_mac, msg.sender_ip)
                 self.send_arp(reply, msg.sender_mac)
-        elif frame.ethertype == ETH_IPV4:
-            d = frame.ipv4
-            if d is None:
-                self.net.drop("malformed-ip")
-            elif d.dst_ip != self.ip and not self.promiscuous:
-                self.net.drop("foreign-ip")
-            else:
-                self.inbox.append(d)
+        elif msg.dst_ip != self.ip and not self.promiscuous:
+            self.net.drop("foreign-ip")
         else:
-            self.net.drop("unknown-ethertype")
+            self.inbox.append(msg)
 
     def _expire(self, step: int) -> None:
         """Drop what waited ARP_TIMEOUT_STEPS for a reply: queued packets
         and unanswered requests, so the next send asks again."""
         old = step - ARP_TIMEOUT_STEPS
-        still = []
-        for p in self._pending:
-            dst_ip, _, since = p
-            if since > old:
-                still.append(p)
-            else:
-                self.events.append((step, "resolution-error", dst_ip))
+        for pkt, since in self._pending:
+            if since <= old:
+                self.events.append((step, "resolution-error", pkt.dst_ip))
                 self.net.drop("arp-timeout")
-        self._pending = still
+        self._pending = [p for p in self._pending if p[1] > old]
         inflight = self._arp_inflight
         for ip in [i for i, since in inflight.items() if since <= old]:
             del inflight[ip]

@@ -58,10 +58,25 @@ def parse_time(text: str) -> float:
 _MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
 
 
+def _number(value) -> float:
+    """float(value), refusing a boolean: YAML reads yes and true as one."""
+    if isinstance(value, bool):
+        raise TypeError(f"must be a number, not {value!r}")
+    return float(value)
+
+
+def _whole(value) -> int:
+    """A number with no fractional part, as an int."""
+    x = _number(value)
+    if x % 1:  # also refuses inf and NaN
+        raise ValueError(f"must be a whole number, not {value!r}")
+    return int(x)
+
+
 # (conversion, range check, reason) of a number field; NaN fails them all
-_FINITE = (float, math.isfinite, "must be a finite number")
-_POSITIVE = (float, lambda x: 0 < x < math.inf, "must be > 0")
-_NON_NEGATIVE = (float, lambda x: 0 <= x < math.inf, "must be >= 0")
+_FINITE = (_number, math.isfinite, "must be a finite number")
+_POSITIVE = (_number, lambda x: 0 < x < math.inf, "must be > 0")
+_NON_NEGATIVE = (_number, lambda x: 0 <= x < math.inf, "must be >= 0")
 
 
 def _word(kw: float) -> int | None:
@@ -90,7 +105,8 @@ class ScenarioConfig:
 
     @property
     def name(self) -> str:
-        return str(self.raw.get("name", "scenario"))
+        name = self.raw.get("name")
+        return "scenario" if name is None else str(name)
 
     @property
     def clock(self) -> dict:
@@ -110,7 +126,7 @@ class ScenarioConfig:
 
     @property
     def step_s(self) -> float:
-        return float(self.clock.get("step_s", 1.0))
+        return _number(self.clock.get("step_s", 1.0))
 
 
 def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
@@ -222,8 +238,8 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     bss = BssState(**fields(
         nodes["bss"], "devices.bss", rated_kw=_POSITIVE,
         capacity_kwh=_POSITIVE,
-        efficiency=(float, lambda x: 0 < x <= 1, "must be in (0, 1]"),
-        initial_soc_pct=(float, lambda x: 0 <= x <= 100,
+        efficiency=(_number, lambda x: 0 < x <= 1, "must be in (0, 1]"),
+        initial_soc_pct=(_number, lambda x: 0 <= x <= 100,
                          "must be in [0, 100]")))
     load = LoadState(**fields(nodes["load"], "devices.load",
                               rated_kw=_POSITIVE))
@@ -253,7 +269,7 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
         ems, "ems", period_s=_POSITIVE, deadband_kw=_NON_NEGATIVE,
         manages_pv_limit=(lambda b: b, lambda b: isinstance(b, bool),
                           "must be true or false"),
-        request_timeout_steps=(int, lambda n: n >= 1, "must be >= 1")))
+        request_timeout_steps=(_whole, lambda n: n >= 1, "must be >= 1")))
     if step is not None and policy.period_s < step:
         issues.append("ems.period_s: must be >= clock.step_s")
 

@@ -6,7 +6,8 @@ import pytest
 from gridtwin.attack import AttackPlan
 from gridtwin.capture import Capture, ExportError, fmt_time
 from gridtwin.cosim import SimClock
-from gridtwin.netem import ETH_ARP, ETH_IPV4, EthernetFrame, build_ipv4_tcp
+from gridtwin.netem import (ARP_REQUEST, BROADCAST_MAC, ETH_IPV4, ZERO_MAC,
+                            ArpMessage, EthernetFrame, IpDelivery)
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
 
@@ -47,10 +48,9 @@ def decode_modbus_frame(frame: bytes):
 
 
 def sample_frame(payload=b"hello"):
-    pkt = build_ipv4_tcp("192.168.10.1", "192.168.10.2", 40000, 502,
-                        1000, 1000, payload)
-    return EthernetFrame("02:00:00:00:00:01", "02:00:00:00:00:02",
-                         ETH_IPV4, pkt)
+    pkt = IpDelivery("192.168.10.1", "192.168.10.2", 40000, 502,
+                     1000, 1000, payload, 1)
+    return EthernetFrame("02:00:00:00:00:01", "02:00:00:00:00:02", pkt)
 
 
 class TestFmtTime:
@@ -91,15 +91,17 @@ class TestCapture:
         cap.record_frame(sample_frame(), 0)
         cap.record_frame(sample_frame(), 1)
         spoofed = EthernetFrame("02:00:00:00:00:66", "02:00:00:00:00:02",
-                                ETH_IPV4, sample_frame().payload)
+                                sample_frame().packet)
         cap.record_frame(spoofed, 2)
         assert len(cap.flows) == 2  # same IPs, different source MAC: new flow
 
     def test_arp_frames_counted_but_not_flows(self):
         cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
-        cap.record_frame(EthernetFrame("02:00:00:00:00:01",
-                                       "ff:ff:ff:ff:ff:ff", ETH_ARP,
-                                       bytes(28)), 0)
+        cap.record_frame(EthernetFrame("02:00:00:00:00:01", BROADCAST_MAC,
+                                       ArpMessage(ARP_REQUEST,
+                                                  "02:00:00:00:00:01",
+                                                  "192.168.10.1", ZERO_MAC,
+                                                  "192.168.10.2")), 0)
         assert len(cap.frames) == 1 and cap.flows == {}
 
     def test_unknown_format_rejected(self, tmp_path):
@@ -115,7 +117,7 @@ class TestCapture:
             cap = Capture(SimClock(epoch_s=100.0), deadband_kw=0.1,
                           plan=AttackPlan(start_s, end_s))
             for step in range(6):
-                cap.record_sample(step, 0, 0, 0, 0, 50.0)
+                cap.record_sample(step, 0, 0, 0, 0, 50.0, 0)
             assert [int(s.attack_active) for s in cap.samples] == labels
 
 

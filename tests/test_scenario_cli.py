@@ -208,6 +208,13 @@ class TestCli:
         assert main(["run", str(cfg)]) == 0
         assert (tmp_path / "dataset-tiny" / "summary.json").is_file()
 
+    def test_null_name_takes_the_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_tiny_config(tmp_path, name=None)
+        assert ScenarioConfig.load(cfg).name == "scenario"
+        assert main(["run", str(cfg)]) == 0
+        assert (tmp_path / "dataset-scenario" / "summary.json").is_file()
+
     @pytest.mark.parametrize("out", ["taken", "taken/ds"])
     def test_run_refuses_an_out_it_cannot_write(self, tmp_path, capsys,
                                                 monkeypatch, out):
@@ -373,6 +380,11 @@ def set_field(cfg, path, value):
     # the attacker would probe 65,534 or 510 addresses in one step
     (("network", "subnet"), "192.168.0.0/16"),
     (("network", "subnet"), "192.168.10.0/23"),
+    # YAML reads yes and true as booleans, which float() and int() take
+    (("devices", "pv", "rated_kw"), True),
+    (("clock", "step_s"), True),
+    (("ems", "request_timeout_steps"), True),
+    (("ems", "request_timeout_steps"), 2.5),  # once run as 2
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_bad_field_is_reported_not_raised(tmp_path, path, value):
     cfg_path = edited_config(tmp_path, lambda cfg: set_field(cfg, path, value))
