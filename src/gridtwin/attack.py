@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .cosim import SimClock, SimulatorHandle, StepContext
 from .devices import ROLES
-from .modbus import (FC_WRITE_SINGLE, REG_DEVICE_TYPE, REG_SETPOINT,
-                     FrameError, decode, encode, fp_encode,
+from .modbus import (FC_READ_HOLDING, FC_WRITE_SINGLE, REG_DEVICE_TYPE,
+                     REG_SETPOINT, FrameError, decode, encode, fp_encode,
                      parse_read_response, parse_write_single,
                      read_holding_request, write_single_request, ModbusAdu)
 from .netem import ARP_REPLY, ARP_REQUEST, ArpMessage, Host, IpDelivery
@@ -61,7 +61,6 @@ class AttackPlan:
 class Attacker:
     def __init__(self, host: Host, plan: AttackPlan, clock: SimClock):
         self.host = host
-        self.plan = plan
         self.scan_step, self.start_step, self.end_step = plan.steps(clock)
         self.repoison_steps = clock.steps_for(plan.repoison_period_s)
         # role label -> setpoint (kW) planted on start and forced on rewrite
@@ -154,10 +153,10 @@ class Attacker:
             adu = decode(d.payload)
         except FrameError:
             return
-        ip = self._probes.pop(adu.header.transaction_id, None)
+        ip = self._probes.pop(adu.transaction_id, None)
         if ip is None or adu.is_exception:
             return
-        if adu.function == 0x03:
+        if adu.function == FC_READ_HOLDING:
             try:
                 dev_type = parse_read_response(adu)[0]
             except FrameError:
@@ -219,8 +218,8 @@ class Attacker:
         value = self.forced.get(self.roles.get(dst_ip))
         if addr != REG_SETPOINT or value is None:
             return adu
-        return write_single_request(adu.header.transaction_id,
-                                    adu.header.unit_id, addr, fp_encode(value))
+        return write_single_request(adu.transaction_id,
+                                    adu.unit_id, addr, fp_encode(value))
 
     def _intercept(self, d: IpDelivery) -> None:
         true_mac = self.scan_results.get(d.dst_ip)

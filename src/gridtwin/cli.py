@@ -22,16 +22,9 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
-def _load(path: str) -> ScenarioConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
-    return ScenarioConfig.load(p)
-
-
 def cmd_validate(args) -> int:
     try:
-        cfg = _load(args.config)
+        cfg = ScenarioConfig.load(args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -47,7 +40,7 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        cfg = _load(args.config)
+        cfg = ScenarioConfig.load(args.config)
         sim = build(cfg)
         until = parse_time(args.until) if args.until else None
         outdir = Path(args.out) if args.out else Path(f"dataset-{cfg.name}")

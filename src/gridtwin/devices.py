@@ -18,7 +18,7 @@ from .grid import (BssState, LoadState, PvState, bss_euler, pv_output,
                    transformer_kw)
 from .modbus import (DEVICE_BSS, DEVICE_LOAD, DEVICE_METER, DEVICE_PV,
                      NO_LIMIT, REG_MEAS, REG_SETPOINT, FrameError,
-                     RegisterMap, decode, encode, fp_decode, serve)
+                     RegisterMap, decode, encode, fp_decode, fp_encode, serve)
 from .netem import Host
 from .profiles import TimeSeriesProfile, sample
 
@@ -131,7 +131,7 @@ class ModbusDevice:
             # only the requests served here read the measurement
             # registers, so they are refreshed only when one is waiting
             for addr, signal in enumerate(role.measures, REG_MEAS):
-                regmap.set_value(addr, ctx.get(signal, 0.0))
+                regmap.registers[addr] = fp_encode(ctx.get(signal, 0.0))
             for d in host.receive():
                 try:
                     request = decode(d.payload)
@@ -141,6 +141,6 @@ class ModbusDevice:
                              dst_port=d.src_port, src_port=d.dst_port)
         if role.setpoint is not None:
             signal, initial = role.setpoint
-            raw = regmap.get(REG_SETPOINT)
+            raw = regmap.registers[REG_SETPOINT]
             ctx.publish(signal,
                         None if raw == NO_LIMIT == initial else fp_decode(raw))

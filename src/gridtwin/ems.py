@@ -71,7 +71,7 @@ class EmsController:
         return self._txid
 
     def _send(self, ip: str, adu, src_port: int, kind: str, step: int) -> None:
-        self._outstanding[adu.header.transaction_id] = (kind, step)
+        self._outstanding[adu.transaction_id] = (kind, step)
         self.host.send_ip(ip, encode(adu), src_port=src_port)
 
     def step(self, ctx: StepContext) -> None:
@@ -118,7 +118,7 @@ class EmsController:
                 adu = decode(d.payload)
             except FrameError:
                 continue
-            entry = self._outstanding.pop(adu.header.transaction_id, None)
+            entry = self._outstanding.pop(adu.transaction_id, None)
             if entry is None:
                 continue  # stale or unsolicited
             kind, _ = entry

@@ -2,8 +2,10 @@
 
 Implements MBAP framing plus function codes 0x03 (read holding
 registers), 0x06 (write single register) and 0x10 (write multiple
-registers).  The register layout is shared by the EMS, the devices and
-the attacker:
+registers).  A message is one flat record, `ModbusAdu`; a response is
+its request with the function and data replaced, so it keeps the
+request's transaction and unit ids.  The register layout is shared by
+the EMS, the devices and the attacker:
 
     register 0   device type (1=PV, 2=BSS, 3=LoadBank, 4=Meter), read-only
     10-block     measurements (signed fixed-point, 0.01 kW / 0.01 %)
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 MODBUS_PORT = 502
 
@@ -46,15 +49,9 @@ class FrameError(ValueError):
     """Bytes on the wire do not form a valid Modbus TCP ADU."""
 
 
-@dataclass(frozen=True)
-class MbapHeader:
+class ModbusAdu(NamedTuple):
     transaction_id: int
     unit_id: int
-
-
-@dataclass(frozen=True)
-class ModbusAdu:
-    header: MbapHeader
     function: int
     data: bytes
 
@@ -80,8 +77,8 @@ def fp_decode(word: int) -> float:
 
 def encode(adu: ModbusAdu) -> bytes:
     body = bytes([adu.function]) + adu.data
-    return struct.pack(">HHHB", adu.header.transaction_id & 0xFFFF, 0,
-                       1 + len(body), adu.header.unit_id & 0xFF) + body
+    return struct.pack(">HHHB", adu.transaction_id & 0xFFFF, 0,
+                       1 + len(body), adu.unit_id & 0xFF) + body
 
 
 def decode(raw: bytes) -> ModbusAdu:
@@ -94,7 +91,7 @@ def decode(raw: bytes) -> ModbusAdu:
         raise FrameError(f"length field {length} != {len(raw) - 6} actual")
     function = raw[7]
     data = raw[8:]
-    adu = ModbusAdu(MbapHeader(tx, unit), function, data)
+    adu = ModbusAdu(tx, unit, function, data)
     if adu.is_exception and len(data) != 1:
         raise FrameError("exception response must carry exactly one code byte")
     return adu
@@ -103,19 +100,18 @@ def decode(raw: bytes) -> ModbusAdu:
 # -- request/response builders -------------------------------------------
 
 def read_holding_request(tx: int, unit: int, addr: int, qty: int = 1) -> ModbusAdu:
-    return ModbusAdu(MbapHeader(tx, unit), FC_READ_HOLDING,
-                     struct.pack(">HH", addr, qty))
+    return ModbusAdu(tx, unit, FC_READ_HOLDING, struct.pack(">HH", addr, qty))
 
 
 def write_single_request(tx: int, unit: int, addr: int, value: int) -> ModbusAdu:
-    return ModbusAdu(MbapHeader(tx, unit), FC_WRITE_SINGLE,
+    return ModbusAdu(tx, unit, FC_WRITE_SINGLE,
                      struct.pack(">HH", addr, value & 0xFFFF))
 
 
 def write_multiple_request(tx: int, unit: int, addr: int, values: list[int]) -> ModbusAdu:
     data = struct.pack(">HHB", addr, len(values), 2 * len(values))
     data += b"".join(struct.pack(">H", v & 0xFFFF) for v in values)
-    return ModbusAdu(MbapHeader(tx, unit), FC_WRITE_MULTIPLE, data)
+    return ModbusAdu(tx, unit, FC_WRITE_MULTIPLE, data)
 
 
 def parse_read_response(adu: ModbusAdu) -> list[int]:
@@ -144,16 +140,9 @@ class RegisterMap:
     def __post_init__(self):
         self.registers.setdefault(REG_DEVICE_TYPE, self.device_type)
 
-    def get(self, addr: int) -> int:
-        return self.registers[addr]
-
-    def set_value(self, addr: int, kw: float) -> None:
-        """Device-side measurement update via fixed-point encoding."""
-        self.registers[addr] = fp_encode(kw)
-
 
 def _exception(req: ModbusAdu, code: int) -> ModbusAdu:
-    return ModbusAdu(req.header, req.function | 0x80, bytes([code]))
+    return req._replace(function=req.function | 0x80, data=bytes([code]))
 
 
 def serve(request: ModbusAdu, regmap: RegisterMap) -> ModbusAdu:
@@ -169,7 +158,7 @@ def serve(request: ModbusAdu, regmap: RegisterMap) -> ModbusAdu:
             return _exception(request, EXC_ILLEGAL_ADDRESS)
         words = b"".join(struct.pack(">H", regmap.registers[a])
                          for a in range(addr, addr + qty))
-        return ModbusAdu(request.header, fc, bytes([len(words)]) + words)
+        return request._replace(data=bytes([len(words)]) + words)
     if fc == FC_WRITE_SINGLE:
         if len(data) != 4:
             return _exception(request, EXC_ILLEGAL_VALUE)
@@ -177,7 +166,7 @@ def serve(request: ModbusAdu, regmap: RegisterMap) -> ModbusAdu:
         if addr not in regmap.registers or addr == REG_DEVICE_TYPE:
             return _exception(request, EXC_ILLEGAL_ADDRESS)
         regmap.registers[addr] = value
-        return ModbusAdu(request.header, fc, data)  # echo
+        return request  # echo
     if fc == FC_WRITE_MULTIPLE:
         if len(data) < 5:
             return _exception(request, EXC_ILLEGAL_VALUE)
@@ -189,5 +178,5 @@ def serve(request: ModbusAdu, regmap: RegisterMap) -> ModbusAdu:
             return _exception(request, EXC_ILLEGAL_ADDRESS)
         values = [v for (v,) in struct.iter_unpack(">H", data[5:])]
         regmap.registers.update(zip(addrs, values))
-        return ModbusAdu(request.header, fc, struct.pack(">HH", addr, qty))
+        return request._replace(data=struct.pack(">HH", addr, qty))
     return _exception(request, EXC_ILLEGAL_FUNCTION)

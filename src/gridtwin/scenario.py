@@ -8,7 +8,8 @@ attack) ship with the package under ``gridtwin/data/configs``.
 
 One pass (``_read``) reads, converts and range-checks every field once:
 ``validate`` returns its issues and ``build`` wires its values.  A key
-the YAML leaves unset keeps the default its dataclass declares.
+the YAML leaves unset keeps the default its dataclass declares; a key
+the pass never reads is refused as unknown.
 """
 
 from __future__ import annotations
@@ -87,6 +88,20 @@ def _word(kw: float) -> int | None:
         return None
 
 
+class _Keys(dict):
+    """A scenario mapping, its sub-mappings wrapped too, that records
+    which keys are asked for with get: a key never asked for is unknown."""
+
+    def __init__(self, node: dict, path: str = ""):
+        super().__init__((k, _Keys(v, f"{path}{k}.") if isinstance(v, dict)
+                          else v) for k, v in node.items())
+        self.path, self.read = path, set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 @dataclass
 class ScenarioConfig:
     raw: dict
@@ -96,7 +111,9 @@ class ScenarioConfig:
     def load(cls, path: str | Path) -> "ScenarioConfig":
         path = Path(path)
         try:
-            data = yaml.safe_load(path.read_text())
+            data = yaml.safe_load(path.read_bytes())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
         if not isinstance(data, dict):
@@ -108,25 +125,24 @@ class ScenarioConfig:
         name = self.raw.get("name")
         return "scenario" if name is None else str(name)
 
-    @property
-    def clock(self) -> dict:
-        """The clock keys that are set; the three properties below hold
-        their defaults, and the pass reads the clock through them."""
+    def _clock(self, key: str, default):
+        """A clock key, or its default if it is unset or null; the three
+        properties below hold the defaults, and the pass reads them."""
         clock = self.raw.get("clock")
-        return {k: v for k, v in clock.items() if v is not None} \
-            if isinstance(clock, dict) else {}
+        value = clock.get(key) if isinstance(clock, dict) else None
+        return default if value is None else value
 
     @property
     def start_s(self) -> float:
-        return parse_time(self.clock.get("start", "09:15:00"))
+        return parse_time(self._clock("start", "09:15:00"))
 
     @property
     def end_s(self) -> float:
-        return parse_time(self.clock.get("end", "15:00:00"))
+        return parse_time(self._clock("end", "15:00:00"))
 
     @property
     def step_s(self) -> float:
-        return _number(self.clock.get("step_s", 1.0))
+        return _number(self._clock("step_s", 1.0))
 
 
 def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
@@ -134,6 +150,8 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     range-checked once.  Returns the values ``build`` wires and every
     bad value as a 'path: reason' issue; it never raises."""
     issues: list[str] = []
+    cfg = ScenarioConfig(_Keys(cfg.raw), cfg.base_dir)
+    sections: list[_Keys] = [cfg.raw]  # mappings whose keys must be read
 
     def attempt(path, read, ok=None, reason=""):
         """read(), or None and an issue if it fails or ok() rejects it."""
@@ -162,12 +180,15 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     def section(node, key, path):
         """node[key] if it is a mapping, else {} (and an issue if set)."""
         sub = node.get(key)
-        if sub is None or isinstance(sub, dict):
-            return sub or {}
-        issues.append(f"{path}: must be a mapping, not {sub!r}")
+        if isinstance(sub, dict):
+            sections.append(sub)
+            return sub
+        if sub is not None:
+            issues.append(f"{path}: must be a mapping, not {sub!r}")
         return {}
 
     raw = cfg.raw
+    attempt("name", lambda: cfg.name)  # the CLI names the run by it
     clock = section(raw, "clock", "clock")
     start = attempt("clock.start", lambda: cfg.start_s)
     end = attempt("clock.end", lambda: cfg.end_s)
@@ -300,6 +321,8 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     formats = get(output, "formats", "output", tuple,
                   lambda fs: all(f in FORMATS for f in fs),
                   f"unsupported format (known: {', '.join(FORMATS)})", FORMATS)
+    issues.extend(f"{node.path}{key}: unknown key" for node in sections
+                  for key in node if key not in node.read)
 
     return {"clock": sim_clock, "network": network,
             "endpoints": endpoints, "grid": grid, "policy": policy,

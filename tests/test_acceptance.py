@@ -163,7 +163,7 @@ class TestAcceptance:
         mismatches = 0
         for _ in range(10_000):
             adu = mb.ModbusAdu(
-                mb.MbapHeader(rng.randrange(0x10000), rng.randrange(256)),
+                rng.randrange(0x10000), rng.randrange(256),
                 rng.randrange(1, 128),
                 rng.randbytes(rng.randrange(0, 64)))
             if mb.decode(mb.encode(adu)) != adu:

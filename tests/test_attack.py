@@ -39,7 +39,7 @@ class TestManipulate:
         out = atk.manipulate(req, IP["bss"])
         addr, value = mb.parse_write_single(out)
         assert (addr, mb.fp_decode(value)) == (mb.REG_SETPOINT, 14.0)
-        assert out.header.transaction_id == 9  # id preserved: stays stealthy
+        assert out.transaction_id == 9  # id preserved: stays stealthy
 
     def test_pv_setpoint_rewritten_to_limit(self):
         atk = bare_attacker()

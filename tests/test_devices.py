@@ -60,8 +60,7 @@ class Probe:
             self.sim.scheduler.step_all()
             for d in self.host.receive():
                 response = decode(d.payload)
-                if response.header.transaction_id == \
-                        request.header.transaction_id:
+                if response.transaction_id == request.transaction_id:
                     return response, shown
         pytest.fail(f"no response from {role} in {MAX_STEPS} steps")
 

@@ -9,7 +9,7 @@ from gridtwin import modbus as mb
 
 def poll(regmap, addresses):
     """Read registers and apply the fixed-point scaling."""
-    return [mb.fp_decode(regmap.get(a)) for a in addresses]
+    return [mb.fp_decode(regmap.registers[a]) for a in addresses]
 
 
 class TestFixedPoint:
@@ -60,7 +60,7 @@ class TestCodec:
            data=st.binary(min_size=0, max_size=64))
     @settings(max_examples=500)
     def test_fuzz_round_trip(self, tx, unit, fc, data):
-        adu = mb.ModbusAdu(mb.MbapHeader(tx, unit), fc, data)
+        adu = mb.ModbusAdu(tx, unit, fc, data)
         assert mb.decode(mb.encode(adu)) == adu
 
     @given(raw=st.binary(min_size=0, max_size=64))
@@ -82,12 +82,12 @@ class TestServe:
         req = mb.write_single_request(7, 1, 20, 350)
         resp = mb.serve(req, m)
         assert resp.function == 0x06 and resp.data == req.data
-        assert mb.fp_decode(m.get(20)) == 3.5
+        assert mb.fp_decode(m.registers[20]) == 3.5
 
     def test_bss_setpoint_write(self):
         m = mb.RegisterMap(mb.DEVICE_BSS, {10: 0, 11: 0, 20: 0})
         mb.serve(mb.write_single_request(8, 1, 20, 1400), m)
-        assert mb.fp_decode(m.get(20)) == 14.0
+        assert mb.fp_decode(m.registers[20]) == 14.0
 
     def test_unmapped_read_is_exception_2(self):
         resp = mb.serve(mb.read_holding_request(9, 1, 9999), pv_map())
@@ -97,14 +97,14 @@ class TestServe:
         m = pv_map()
         resp = mb.serve(mb.write_single_request(1, 1, 0, 99), m)
         assert resp.is_exception
-        assert m.get(0) == mb.DEVICE_PV
+        assert m.registers[0] == mb.DEVICE_PV
 
     def test_device_type_poll(self):
         resp = mb.serve(mb.read_holding_request(2, 1, 0), pv_map())
         assert mb.parse_read_response(resp) == [mb.DEVICE_PV]
 
     def test_unknown_function_is_exception_1(self):
-        req = mb.ModbusAdu(mb.MbapHeader(3, 1), 0x2B, b"\x00")
+        req = mb.ModbusAdu(3, 1, 0x2B, b"\x00")
         resp = mb.serve(req, pv_map())
         assert resp.is_exception and resp.data == bytes([mb.EXC_ILLEGAL_FUNCTION])
 
@@ -112,15 +112,29 @@ class TestServe:
         m = mb.RegisterMap(mb.DEVICE_BSS, {10: 0, 11: 0})
         resp = mb.serve(mb.write_multiple_request(4, 1, 10, [100, 200]), m)
         assert not resp.is_exception
-        assert m.get(10) == 100 and m.get(11) == 200
+        assert m.registers[10] == 100 and m.registers[11] == 200
 
-    @given(tx=st.integers(0, 0xFFFF), addr=st.integers(0, 30),
-           qty=st.integers(1, 5))
-    @settings(max_examples=200)
-    def test_totality_and_id_matching(self, tx, addr, qty):
-        resp = mb.serve(mb.read_holding_request(tx, 1, addr, qty), pv_map())
-        assert resp.header.transaction_id == tx
-        assert resp.header.unit_id == 1
+    @given(tx=st.integers(0, 0xFFFF), unit=st.integers(0, 255),
+           addr=st.integers(0, 30), qty=st.integers(1, 5),
+           kind=st.sampled_from(["read", "write-single", "write-multiple",
+                                 "unknown"]),
+           unknown_fc=st.sampled_from([0x01, 0x04, 0x05, 0x0F, 0x17, 0x2B]))
+    @settings(max_examples=400)
+    def test_totality_and_id_matching(self, tx, unit, addr, qty, kind,
+                                      unknown_fc):
+        request = {
+            "read": mb.read_holding_request(tx, unit, addr, qty),
+            "write-single": mb.write_single_request(tx, unit, addr, 0x1234),
+            "write-multiple": mb.write_multiple_request(
+                tx, unit, addr, list(range(qty))),
+            "unknown": mb.ModbusAdu(tx, unit, unknown_fc, b"\x00\x00"),
+        }[kind]
+        resp = mb.serve(request, pv_map())
+        # exceptions included: every response echoes the request's ids
+        assert (resp.transaction_id, resp.unit_id) == (tx, unit)
+        assert resp.function & 0x7F == request.function
+        assert resp.is_exception or kind != "unknown"
+        assert mb.decode(mb.encode(resp)) == resp
 
     def test_poll_applies_scaling(self):
         m = mb.RegisterMap(mb.DEVICE_METER, {10: mb.fp_encode(-1.23)})

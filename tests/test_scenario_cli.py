@@ -2,14 +2,16 @@ import copy
 import gc
 import itertools
 import json
+import re
 import weakref
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtwin import cosim
+from gridtwin import cosim, data_path
 from gridtwin import devices as dev
 from gridtwin.cli import main
 from gridtwin.grid import GridInputError, pv_output
@@ -49,6 +51,14 @@ class TestValidate:
     def test_golden_configs_are_clean(self):
         for name in ("normal", "attack"):
             assert validate(load_golden(name)) == []
+
+    def test_readme_scenario_example_is_clean(self):
+        readme = Path(__file__).parent.parent / "README.md"
+        block = re.search(r"## Scenario configuration\n.*?```yaml\n(.*?)```",
+                          readme.read_text(), re.DOTALL).group(1)
+        cfg = ScenarioConfig(yaml.safe_load(block),
+                             base_dir=data_path("configs"))
+        assert validate(cfg) == []
 
     def test_tiny_config_is_clean(self, tmp_path):
         cfg = ScenarioConfig.load(write_tiny_config(tmp_path, attack=True))
@@ -175,6 +185,16 @@ class TestCli:
 
     def test_validate_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "ghost.yaml")]) == 1
+
+    def test_config_not_utf8_is_an_error_not_a_traceback(self, tmp_path,
+                                                        capsys):
+        path = write_tiny_config(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"tiny", b"tiny\xff", 1))
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path), "--out", str(tmp_path / "ds")]) == 1
+        out = capsys.readouterr()
+        assert "Traceback" not in out.out + out.err
+        assert out.err.count("cannot parse") == 2
 
     def test_run_writes_dataset(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)
@@ -385,11 +405,18 @@ def set_field(cfg, path, value):
     (("clock", "step_s"), True),
     (("ems", "request_timeout_steps"), True),
     (("ems", "request_timeout_steps"), 2.5),  # once run as 2
+    # unknown keys, once ignored so that a typo took the default
+    (("ems", "deadbnd_kw"), 5),
+    (("attak",), {"start": "11:30:00"}),
+    (("devices", "pvv"), {"rated_kw": 36.0}),
+    (("clock", "stepp"), 3),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_bad_field_is_reported_not_raised(tmp_path, path, value):
     cfg_path = edited_config(tmp_path, lambda cfg: set_field(cfg, path, value))
     issues = validate(ScenarioConfig.load(cfg_path))
     assert issues != []
+    if path[-1] in ("deadbnd_kw", "attak", "pvv", "stepp"):
+        assert issues == [f"{'.'.join(path)}: unknown key"]
     if path[-1] == "start":
         assert any("quote the time" in issue for issue in issues)
     if path[-1] == "subnet":
