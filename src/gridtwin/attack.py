@@ -228,9 +228,14 @@ class Attacker:
         payload = d.payload
         if self.mitm_active:
             try:
-                payload = encode(self.manipulate(decode(payload), d.dst_ip))
+                adu = decode(payload)
+                rewritten = self.manipulate(adu, d.dst_ip)
+                # encode(decode(p)) == p: what is not rewritten goes
+                # out as it came, and so does a malformed payload
+                if rewritten is not adu:
+                    payload = encode(rewritten)
             except FrameError:
-                payload = d.payload  # malformed: forward untouched
+                pass
         self.host.forward_ip(d, payload, true_mac)
 
     def stop_mitm(self, ctx: StepContext) -> None:

@@ -12,6 +12,8 @@ A frame carries its packet as a record (an ``ArpMessage`` or an
 ``IpDelivery``) that every receiving host shares.  Its bytes, real
 Ethernet/IPv4/TCP with valid checksums, are made once, when the capture
 records the frame, so captures decode in standard protocol analyzers.
+A flow's header constants and checksum partial sums are computed once;
+each frame then adds its variable words and packs one header.
 """
 
 from __future__ import annotations
@@ -85,31 +87,47 @@ class ArpMessage:
 
 
 # -- IPv4 + TCP encapsulation --------------------------------------------
+#
+# RFC 1071 checksums.  Since 2**16 = 1 modulo 0xFFFF, bytes read as one
+# big-endian number are congruent to the sum of their 16-bit words, so
+# a sum can be kept modulo 0xFFFF and end-around-carry folded at the
+# end as (s - 1) % 0xFFFF + 1: 0xFFFF, not 0, for a nonzero sum (and no
+# sum here is zero).  Within a flow only the lengths, ip_id, seq, ack
+# and payload vary, so a flow's constant words are summed once.
 
-def _checksum(data: bytes) -> int:
-    """RFC 1071 checksum.  Read as one big-endian number, the data is
-    congruent to the sum of its 16-bit words modulo 0xFFFF (2**16 = 1
-    there), and end-around-carry folding keeps that residue, giving
-    0xFFFF rather than 0 for a nonzero sum."""
-    if len(data) % 2:
-        data += b"\x00"
-    n = int.from_bytes(data, "big")
-    total = (n - 1) % 0xFFFF + 1 if n else 0
-    return ~total & 0xFFFF
+_IPV4_TCP_HEADER = struct.Struct(">HHHHHH8sHHIIHHHH")
+
+
+@lru_cache(maxsize=1024)
+def _tcp_flow(src_ip: str, dst_ip: str, src_port: int,
+              dst_port: int) -> tuple[bytes, int, int]:
+    """A flow's packed address pair and its constant IPv4 and TCP
+    (pseudo-header included) words, each summed modulo 0xFFFF."""
+    addrs = ip_bytes(src_ip) + ip_bytes(dst_ip)
+    a = int.from_bytes(addrs, "big")  # the four address words
+    # version/IHL, DF, TTL/proto
+    ip_sum = (0x4500 + 0x4000 + 0x4006 + a) % 0xFFFF
+    # proto, ports, data offset/flags, window
+    tcp_sum = (a + 6 + src_port + dst_port + 0x5018 + 8192) % 0xFFFF
+    return addrs, ip_sum, tcp_sum
 
 
 def build_ipv4_tcp(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
                    seq: int, ack: int, payload: bytes, ip_id: int = 0) -> bytes:
-    tcp = struct.pack(">HHIIBBHHH", src_port, dst_port, seq & 0xFFFFFFFF,
-                      ack & 0xFFFFFFFF, 5 << 4, 0x18, 8192, 0, 0) + payload
-    addrs = ip_bytes(src_ip) + ip_bytes(dst_ip)
-    pseudo = addrs + struct.pack(">BBH", 0, 6, len(tcp))
-    tcp = tcp[:16] + struct.pack(">H", _checksum(pseudo + tcp)) + tcp[18:]
-    total = 20 + len(tcp)
-    ip = struct.pack(">BBHHHBBH", 0x45, 0, total, ip_id & 0xFFFF, 0x4000, 64, 6, 0) \
-        + addrs
-    ip = ip[:10] + struct.pack(">H", _checksum(ip)) + ip[12:]
-    return ip + tcp
+    addrs, ip_sum, tcp_sum = _tcp_flow(src_ip, dst_ip, src_port, dst_port)
+    n = len(payload)
+    ip_id &= 0xFFFF
+    seq &= 0xFFFFFFFF
+    ack &= 0xFFFFFFFF
+    ip_sum += 40 + n + ip_id
+    # an odd payload is summed as if padded with one zero byte
+    tcp_sum += 20 + n + seq + ack \
+        + (int.from_bytes(payload, "big") << (n & 1) * 8)
+    return _IPV4_TCP_HEADER.pack(
+        0x4500, 40 + n, ip_id, 0x4000, 0x4006,
+        ~((ip_sum - 1) % 0xFFFF + 1) & 0xFFFF, addrs,
+        src_port, dst_port, seq, ack, 0x5018, 8192,
+        ~((tcp_sum - 1) % 0xFFFF + 1) & 0xFFFF, 0) + payload
 
 
 class IpDelivery(NamedTuple):
@@ -124,6 +142,11 @@ class IpDelivery(NamedTuple):
     ip_id: int
 
 
+@lru_cache(maxsize=1024)
+def _eth_header(dst_mac: str, src_mac: str, ethertype: int) -> bytes:
+    return mac_bytes(dst_mac) + mac_bytes(src_mac) + struct.pack(">H", ethertype)
+
+
 @dataclass(frozen=True)
 class EthernetFrame:
     src_mac: str
@@ -136,8 +159,7 @@ class EthernetFrame:
             ethertype, body = ETH_IPV4, build_ipv4_tcp(*p)
         else:
             ethertype, body = ETH_ARP, p.to_bytes()
-        raw = mac_bytes(self.dst_mac) + mac_bytes(self.src_mac) \
-            + struct.pack(">H", ethertype) + body
+        raw = _eth_header(self.dst_mac, self.src_mac, ethertype) + body
         if len(raw) < MIN_FRAME_LEN:
             raw += bytes(MIN_FRAME_LEN - len(raw))
         return raw

@@ -188,7 +188,11 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
         return {}
 
     raw = cfg.raw
-    attempt("name", lambda: cfg.name)  # the CLI names the run by it
+    # the CLI names the run's output directory by it
+    attempt("name", lambda: cfg.name,
+            lambda n: n not in ("", ".", "..") and not set(n) & set("/\\\0"),
+            "must be a file name: not empty, '.' or '..', and no '/', "
+            "'\\' or NUL")
     clock = section(raw, "clock", "clock")
     start = attempt("clock.start", lambda: cfg.start_s)
     end = attempt("clock.end", lambda: cfg.end_s)

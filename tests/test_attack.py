@@ -128,6 +128,26 @@ class TestKillChain:
         # the MITM round trip must stay under the EMS request timeout
         assert not [e for e in tiny_attack.ems.events if "timeout" in e[1]]
 
+    def test_forwards_what_it_did_not_rewrite_as_it_came(self, tmp_path):
+        sim = build(ScenarioConfig.load(write_tiny_config(tmp_path,
+                                                          attack=True)))
+        host = sim.attacker.host
+        forward, legs = host.forward_ip, []
+
+        def recording(d, payload, dst_mac):
+            legs.append((d.payload, payload))
+            forward(d, payload, dst_mac)
+        host.forward_ip = recording
+        sim.run()
+        rewritten = [(a, b) for a, b in legs if b is not a]
+        assert rewritten and len(rewritten) < len(legs)
+        for came, went in rewritten:
+            came, went = mb.decode(came), mb.decode(went)
+            assert went.function == mb.FC_WRITE_SINGLE
+            assert went.data[:2] == came.data[:2]  # the register address
+            assert went.data[2:] != came.data[2:]  # only its value differs
+            assert went._replace(data=came.data) == came
+
     def test_attacker_silent_after_stop(self, tiny_attack):
         atk_mac = mac_bytes(tiny_attack.attacker.host.mac)
         end_t = tiny_attack.config.start_s + 240

@@ -80,3 +80,16 @@ def test_every_attribute_perfbench_reads_exists(tmp_path):
         ("attacker", ("events",)))
         for attr in attrs if not hasattr(getattr(sim, obj), attr)]
     assert missing == []
+
+
+def test_micro_replays_find_the_run_bytes_rebuilt(tracing, tmp_path):
+    # the benchmark's byte check, on the tiny attack run's capture:
+    # build_ipv4_tcp(parse_ipv4_tcp(frame)) == frame and
+    # encode(decode(payload)) == payload
+    sim = build(ScenarioConfig.load(write_tiny_config(tmp_path, attack=True)))
+    summary = sim.run()
+    sim.export(tmp_path / "out")
+    micro, errors = tracing.micro_replays(tmp_path / "out" / "capture.pcap",
+                                          sim, summary.steps)
+    assert errors == []
+    assert micro["netem.build_ipv4_tcp_ns"] > 0  # frames were replayed

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gridtwin import netem
 from gridtwin.capture import Capture
 from gridtwin.cosim import SimClock
 from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, BROADCAST_MAC, ETH_ARP,
@@ -38,6 +37,33 @@ def ones_complement_sum(data: bytes) -> int:
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
     return total
+
+
+def reference_build_ipv4_tcp(src_ip, dst_ip, src_port, dst_port, seq, ack,
+                             payload, ip_id=0):
+    """The struct-and-slice builder: each header packed whole, then its
+    checksum field filled in from a pass over the packed bytes."""
+    def checksum(data):
+        return ~ones_complement_sum(data) & 0xFFFF
+
+    tcp = struct.pack(">HHIIBBHHH", src_port, dst_port, seq & 0xFFFFFFFF,
+                      ack & 0xFFFFFFFF, 5 << 4, 0x18, 8192, 0, 0) + payload
+    addrs = ip_bytes(src_ip) + ip_bytes(dst_ip)
+    pseudo = addrs + struct.pack(">BBH", 0, 6, len(tcp))
+    tcp = tcp[:16] + struct.pack(">H", checksum(pseudo + tcp)) + tcp[18:]
+    total = 20 + len(tcp)
+    ip = struct.pack(">BBHHHBBH", 0x45, 0, total, ip_id & 0xFFFF, 0x4000,
+                     64, 6, 0) + addrs
+    ip = ip[:10] + struct.pack(">H", checksum(ip)) + ip[12:]
+    return ip + tcp
+
+
+# inputs whose IPv4, and separately TCP, words sum to a nonzero multiple
+# of 0xFFFF, so that checksum field is 0x0000
+IP_SUM_ZERO = ("192.168.10.1", "192.168.10.2", 50000, 502, 1000, 1000,
+               b"x", 107899)
+TCP_SUM_ZERO = ("192.168.10.1", "192.168.10.2", 50000, 502, 4294980649,
+                2**33, b"\x00\x06\x01", 7)
 
 
 def mac_of(raw: bytes) -> str:
@@ -104,11 +130,26 @@ class TestWireFormats:
         with pytest.raises(InputError):
             parse_ipv4_tcp(bytes(pkt))
 
-    @given(data=st.binary(max_size=80))
-    @example(data=b"\xff\xff" * 3)  # a nonzero multiple of 0xFFFF
-    @example(data=bytes(7))
-    def test_checksum_matches_word_sum(self, data):
-        assert netem._checksum(data) == ~ones_complement_sum(data) & 0xFFFF
+    @given(src_ip=st.ip_addresses(v=4).map(str),
+           dst_ip=st.ip_addresses(v=4).map(str),
+           src_port=st.integers(0, 0xFFFF), dst_port=st.integers(0, 0xFFFF),
+           seq=st.integers(0, 2**33), ack=st.integers(0, 2**33),
+           payload=st.binary(max_size=300), ip_id=st.integers(0, 2**17))
+    @example(*IP_SUM_ZERO)
+    @example(*TCP_SUM_ZERO)
+    def test_build_matches_reference(self, src_ip, dst_ip, src_port,
+                                     dst_port, seq, ack, payload, ip_id):
+        args = (src_ip, dst_ip, src_port, dst_port, seq, ack, payload, ip_id)
+        pkt = build_ipv4_tcp(*args)
+        assert pkt == reference_build_ipv4_tcp(*args)
+        tcp = pkt[20:]
+        pseudo = pkt[12:20] + struct.pack(">BBH", 0, 6, len(tcp))
+        assert ones_complement_sum(pkt[:20]) == 0xFFFF
+        assert ones_complement_sum(pseudo + tcp) == 0xFFFF
+
+    def test_checksum_field_can_be_zero(self):
+        assert build_ipv4_tcp(*IP_SUM_ZERO)[10:12] == b"\x00\x00"
+        assert build_ipv4_tcp(*TCP_SUM_ZERO)[36:38] == b"\x00\x00"
 
 
 class TestAddressHelpers:

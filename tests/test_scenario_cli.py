@@ -20,6 +20,11 @@ from gridtwin.scenario import (ConfigError, ScenarioConfig, Simulation, build,
 from tests.conftest import load_golden, write_tiny_config
 
 
+# names that are not one file name; the default output directory is
+# dataset-<name>
+BAD_NAMES = ("x/y", "../escape", "a\\b", ".", "..", "", "a\0b")
+
+
 def edited_config(tmp_path, mutate, attack=False):
     path = write_tiny_config(tmp_path, attack=attack)
     cfg = yaml.safe_load(path.read_text())
@@ -235,6 +240,16 @@ class TestCli:
         assert main(["run", str(cfg)]) == 0
         assert (tmp_path / "dataset-scenario" / "summary.json").is_file()
 
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_run_refuses_a_name_that_is_not_a_file_name(
+            self, tmp_path, monkeypatch, name):
+        cfg = write_tiny_config(tmp_path, name=name)
+        work = tmp_path / "work" / "here"
+        work.mkdir(parents=True)
+        monkeypatch.chdir(work)
+        assert main(["run", str(cfg)]) == 1
+        assert list((tmp_path / "work").rglob("*")) == [work]
+
     @pytest.mark.parametrize("out", ["taken", "taken/ds"])
     def test_run_refuses_an_out_it_cannot_write(self, tmp_path, capsys,
                                                 monkeypatch, out):
@@ -410,6 +425,8 @@ def set_field(cfg, path, value):
     (("attak",), {"start": "11:30:00"}),
     (("devices", "pvv"), {"rated_kw": 36.0}),
     (("clock", "stepp"), 3),
+    # each once validated; run then wrote into a subdirectory or raised
+    *((("name",), name) for name in BAD_NAMES),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_bad_field_is_reported_not_raised(tmp_path, path, value):
     cfg_path = edited_config(tmp_path, lambda cfg: set_field(cfg, path, value))
@@ -421,6 +438,8 @@ def test_bad_field_is_reported_not_raised(tmp_path, path, value):
         assert any("quote the time" in issue for issue in issues)
     if path[-1] == "subnet":
         assert issues == ["network.subnet: must be a /24 or smaller"]
+    if path[-1] == "name":
+        assert len(issues) == 1 and issues[0].startswith("name: ")
     assert main(["validate", str(cfg_path)]) == 1
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "ds")]) == 1
 
