@@ -5,6 +5,11 @@ transports, aggregated flow records keyed by the full
 (src MAC, dst MAC, src IP, dst IP) 4-tuple (so ARP spoofing splits
 flows instead of merging them), and a plain-text data-flow graph.
 
+A run holds no Python object per frame or per step: each frame is
+appended to one ``bytearray`` as its finished pcap record, and each step
+to one ``array('d')`` as a row of ``ROW`` doubles.  ``Capture.samples``
+is a read-only view that makes a ``ProcessSample`` for the row asked.
+
 Export formats:
   process.csv    t,pv_kw,bss_kw,load_kw,transformer_kw,soc_pct,attack_active
   flows.csv      src_mac,dst_mac,src_ip,dst_ip,frames,bytes,first_ts,last_ts
@@ -18,7 +23,10 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import struct
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 
 from .attack import AttackPlan
@@ -30,6 +38,9 @@ from .netem import parse_ipv4_tcp  # noqa: F401
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_LINKTYPE_ETHERNET = 1
 FORMATS = ("process", "flows", "pcap", "graph", "summary")
+PCAP_HEADER = struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535,
+                          PCAP_LINKTYPE_ETHERNET)
+_RECORD_HEADER = struct.Struct("<IIII")  # sec, usec, incl_len, orig_len
 
 
 class ExportError(ValueError):
@@ -45,6 +56,12 @@ def fmt_time(t_s: float) -> str:
     return f"{base}.{ms:03d}" if ms else base
 
 
+def day_epoch(date: str) -> float:
+    """Midnight UTC of an ISO date, in seconds since 1970-01-01."""
+    day = _dt.datetime.fromisoformat(date).replace(tzinfo=_dt.timezone.utc)
+    return day.timestamp()
+
+
 @dataclass(frozen=True)
 class ProcessSample:
     t_s: float
@@ -55,6 +72,40 @@ class ProcessSample:
     transformer_kw: float
     soc_pct: float
     attack_active: bool
+
+
+# a sample row: ProcessSample's fields in order, attack_active as 0.0/1.0
+ROW = 8
+T, PV, PV_AVAILABLE, BSS, LOAD, TRANSFORMER, SOC, ACTIVE = range(ROW)
+
+
+def _sample(t_s, pv_kw, pv_available_kw, bss_kw, load_kw, transformer_kw,
+            soc_pct, attack_active) -> ProcessSample:
+    return ProcessSample(t_s, pv_kw, pv_available_kw, bss_kw, load_kw,
+                         transformer_kw, soc_pct, attack_active != 0.0)
+
+
+class SampleView(Sequence):
+    """The recorded steps as ProcessSamples, each made when it is read."""
+
+    def __init__(self, rows: array):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows) // ROW
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("sample index out of range")
+        return _sample(*self._rows[i * ROW:(i + 1) * ROW])
+
+    def __iter__(self):
+        return starmap(_sample, zip(*[iter(self._rows)] * ROW))
 
 
 @dataclass
@@ -80,18 +131,34 @@ class Capture:
         # attack_active marks the steps the attacker's window covers
         self._window = (0, 0) if plan is None else plan.steps(clock)[1:]
         self.roles_by_ip = roles_by_ip or {}  # ip -> (role, true mac)
-        day = _dt.datetime.fromisoformat(date).replace(tzinfo=_dt.timezone.utc)
-        self._day_epoch = day.timestamp()
-        self.samples: list[ProcessSample] = []
-        self.frames: list[tuple[float, bytes]] = []
+        self._day_epoch = day_epoch(date)
+        self.rows = array("d")  # ROW doubles per recorded step
+        self.samples = SampleView(self.rows)
+        self.pcap_records = bytearray()  # capture.pcap after its header
+        self.frame_count = 0
         self.flows: dict[tuple[str, str, str, str], FlowRecord] = {}
+        self._stamp = (-1, 0.0, 0, 0)  # step, t, pcap sec, pcap usec
 
     # -- recording --------------------------------------------------------
 
-    def record_frame(self, frame: EthernetFrame, step: int) -> None:
+    def _stamp_of(self, step: int) -> tuple[int, float, int, int]:
         t = self.clock.time_s(step)
+        ts = self._day_epoch + t
+        sec = int(ts)
+        usec = round((ts - sec) * 1_000_000)
+        if usec == 1_000_000:
+            sec, usec = sec + 1, 0
+        return step, t, sec, usec
+
+    def record_frame(self, frame: EthernetFrame, step: int) -> None:
+        if self._stamp[0] != step:
+            self._stamp = self._stamp_of(step)
+        _, t, sec, usec = self._stamp
         raw = frame.to_bytes()  # the only place a frame's bytes are made
-        self.frames.append((t, raw))
+        n = len(raw)
+        self.pcap_records += _RECORD_HEADER.pack(sec, usec, n, n)
+        self.pcap_records += raw
+        self.frame_count += 1
         f = frame.packet
         if not isinstance(f, IpDelivery):
             return  # ARP shows up in the pcap, flows track IP conversations
@@ -101,16 +168,16 @@ class Capture:
             rec = FlowRecord(*key, first_ts=t)
             self.flows[key] = rec
         rec.frames += 1
-        rec.bytes += len(raw)
+        rec.bytes += n
         rec.last_ts = t
 
     def record_sample(self, step: int, pv_kw: float, bss_kw: float,
                       load_kw: float, transformer_kw: float,
                       soc_pct: float, pv_available_kw: float) -> None:
         start, end = self._window
-        self.samples.append(ProcessSample(
-            self.clock.time_s(step), pv_kw, pv_available_kw, bss_kw, load_kw,
-            transformer_kw, soc_pct, start <= step < end))
+        self.rows.extend((self.clock.time_s(step), pv_kw, pv_available_kw,
+                          bss_kw, load_kw, transformer_kw, soc_pct,
+                          start <= step < end))
 
     # -- export -----------------------------------------------------------
 
@@ -138,13 +205,14 @@ class Capture:
         return written
 
     def _export_process(self, path: Path) -> Path:
-        lines = ["t,pv_kw,bss_kw,load_kw,transformer_kw,soc_pct,attack_active"]
-        for s in self.samples:
-            lines.append(",".join([
-                fmt_time(s.t_s), f"{s.pv_kw:.6f}", f"{s.bss_kw:.6f}",
-                f"{s.load_kw:.6f}", f"{s.transformer_kw:.6f}",
-                f"{s.soc_pct:.6f}", "1" if s.attack_active else "0"]))
-        path.write_text("\n".join(lines) + "\n")
+        # row by row: the text of every row at once would outweigh the rows
+        with path.open("w") as fh:
+            fh.write("t,pv_kw,bss_kw,load_kw,transformer_kw,soc_pct,"
+                     "attack_active\n")
+            for t, pv, _, bss, load, tr, soc, active in zip(
+                    *[iter(self.rows)] * ROW):
+                fh.write(f"{fmt_time(t)},{pv:.6f},{bss:.6f},{load:.6f},"
+                         f"{tr:.6f},{soc:.6f},{'1' if active else '0'}\n")
         return path
 
     def _export_flows(self, path: Path) -> Path:
@@ -159,16 +227,8 @@ class Capture:
 
     def _export_pcap(self, path: Path) -> Path:
         with path.open("wb") as fh:
-            fh.write(struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535,
-                                 PCAP_LINKTYPE_ETHERNET))
-            for t, raw in self.frames:
-                ts = self._day_epoch + t
-                sec = int(ts)
-                usec = round((ts - sec) * 1_000_000)
-                if usec == 1_000_000:
-                    sec, usec = sec + 1, 0
-                fh.write(struct.pack("<IIII", sec, usec, len(raw), len(raw)))
-                fh.write(raw)
+            fh.write(PCAP_HEADER)
+            fh.write(self.pcap_records)
         return path
 
     def _node_role(self, mac: str, ip: str) -> str:
@@ -195,45 +255,47 @@ class Capture:
     def integral_abs_transformer(self, t0: float | None = None,
                                  t1: float | None = None) -> float:
         """∫|transformer_kw| dt in kW·s over [t0, t1)."""
+        rows = self.rows
         return self._integral(
-            s for s in self.samples
-            if (t0 is None or s.t_s >= t0) and (t1 is None or s.t_s < t1))
+            p for t, p in zip(rows[T::ROW], rows[TRANSFORMER::ROW])
+            if (t0 is None or t >= t0) and (t1 is None or t < t1))
 
-    def _integral(self, samples) -> float:
-        """∫|transformer_kw| dt in kW·s over the given samples."""
+    def _integral(self, powers) -> float:
+        """∫|transformer_kw| dt in kW·s over the given powers, one a step."""
         total = 0.0
-        for s in samples:
-            total += abs(s.transformer_kw) * self.clock.step_s
+        for p in powers:
+            total += abs(p) * self.clock.step_s
         return total
 
     def summarize(self) -> dict:
-        samples, n = self.samples, len(self.samples)
-        power = [s.transformer_kw for s in samples]
+        rows, n = self.rows, len(self.samples)
+        power = rows[TRANSFORMER::ROW]
         out = {
             "steps": n,
-            "frames": len(self.frames),
+            "frames": self.frame_count,
             "flow_count": len(self.flows),
-            "imbalance_integral_kws": self._integral(samples),
+            "imbalance_integral_kws": self._integral(power),
             "peak_import_kw": max(power, default=0.0),
             "peak_export_kw": min(power, default=0.0),
             "pv_curtailed_kwh": sum(
-                max(0.0, s.pv_available_kw - s.pv_kw) * self.clock.step_s
-                for s in samples) / 3600.0,
+                max(0.0, avail - pv) * self.clock.step_s
+                for pv, avail in zip(rows[PV::ROW], rows[PV_AVAILABLE::ROW])
+            ) / 3600.0,
             "within_deadband_fraction": (
                 sum(1 for p in power if abs(p) <= self.deadband_kw) / n
                 if n else 0.0),
             "attack_window": None,
         }
         if self.plan is not None:
-            window = [s for s in samples if s.attack_active]
+            active = rows[ACTIVE::ROW]
+            window = [p for p, a in zip(power, active) if a]
+            bss = [b for b, a in zip(rows[BSS::ROW], active) if a]
             out["attack_window"] = {
                 "start": fmt_time(self.plan.start_s),
                 "end": fmt_time(self.plan.end_s),
                 "imbalance_integral_kws": self._integral(window),
                 "labeled_steps": len(window),
-                "peak_import_kw": max((s.transformer_kw for s in window),
-                                      default=0.0),
-                "mean_bss_kw": (sum(s.bss_kw for s in window) / len(window)
-                                if window else 0.0),
+                "peak_import_kw": max(window, default=0.0),
+                "mean_bss_kw": sum(bss) / len(bss) if bss else 0.0,
             }
         return out

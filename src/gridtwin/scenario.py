@@ -25,7 +25,7 @@ import yaml
 
 from . import devices as dev
 from .attack import AttackPlan, Attacker
-from .capture import Capture, FORMATS
+from .capture import Capture, FORMATS, day_epoch
 from .cosim import RunSummary, Scheduler, SimClock
 from .ems import ControlPolicy, EmsController
 from .grid import BssState, LoadState, PvState
@@ -202,8 +202,13 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
         issues.append("clock: start must precede end")
     sim_clock = (None if start is None or step is None
                  else SimClock(epoch_s=start, step_s=step))
+    # the pcap stamps a frame with day epoch + t in unsigned 32-bit seconds
     capture_kw = fields(clock, "clock", date=(
-        lambda d: _dt.date.fromisoformat(str(d)).isoformat(),))
+        lambda d: _dt.date.fromisoformat(str(d)).isoformat(),
+        lambda d: not run_ok or (0 <= day_epoch(d) + start
+                                 and day_epoch(d) + end < 2**32),
+        "must put the run between 1970-01-01 00:00:00 and 2106-02-07 "
+        "06:28:15 UTC, the range of pcap timestamps"))
 
     net = section(raw, "network", "network")
     net_kw = fields(net, "network",

@@ -8,6 +8,7 @@ from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, ArpMessage, Network,
                             mac_bytes)
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
+from tests.test_capture import DAY_EPOCH, read_pcap
 
 IP = {"ems": "192.168.10.10", "pv": "192.168.10.21", "bss": "192.168.10.22",
       "load": "192.168.10.23", "meter": "192.168.10.30"}
@@ -148,11 +149,14 @@ class TestKillChain:
             assert went.data[2:] != came.data[2:]  # only its value differs
             assert went._replace(data=came.data) == came
 
-    def test_attacker_silent_after_stop(self, tiny_attack):
+    def test_attacker_silent_after_stop(self, tiny_attack, tmp_path):
         atk_mac = mac_bytes(tiny_attack.attacker.host.mac)
         end_t = tiny_attack.config.start_s + 240
-        late = [t for t, raw in tiny_attack.capture.frames
-                if raw[6:12] == atk_mac and t > end_t + 2]
+        pcap = tiny_attack.export(tmp_path)["pcap"]
+        _, packets = read_pcap(pcap.read_bytes())
+        late = [t for sec, usec, raw in packets
+                if raw[6:12] == atk_mac
+                and (t := sec + usec / 1e6 - DAY_EPOCH) > end_t + 2]
         assert late == []
 
     @pytest.mark.parametrize("step_s, start, end, lead_s", [

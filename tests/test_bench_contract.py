@@ -80,6 +80,11 @@ def test_every_attribute_perfbench_reads_exists(tmp_path):
         ("attacker", ("events",)))
         for attr in attrs if not hasattr(getattr(sim, obj), attr)]
     assert missing == []
+    # iteration.check iterates the samples and reads these off each one
+    sim.run()
+    read = [(s.transformer_kw, s.load_kw, s.bss_kw, s.pv_kw, s.soc_pct)
+            for s in sim.capture.samples]
+    assert len(read) == sim.scheduler.clock.now == 300
 
 
 def test_micro_replays_find_the_run_bytes_rebuilt(tracing, tmp_path):

@@ -1,15 +1,19 @@
+import json
 import re
 import struct
 
 import pytest
 
 from gridtwin.attack import AttackPlan
-from gridtwin.capture import Capture, ExportError, fmt_time
+from gridtwin.capture import Capture, ExportError, ProcessSample, fmt_time
 from gridtwin.cosim import SimClock
 from gridtwin.netem import (ARP_REQUEST, BROADCAST_MAC, ETH_IPV4, ZERO_MAC,
                             ArpMessage, EthernetFrame, IpDelivery)
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
+
+
+DAY_EPOCH = 1623715200  # 2021-06-15 00:00 UTC, Capture's default date
 
 
 def read_pcap(raw: bytes):
@@ -83,8 +87,16 @@ class TestCapture:
         _, packets = read_pcap(paths["pcap"].read_bytes())
         [(sec, usec, raw)] = packets
         assert raw == f.to_bytes()
-        # 2021-06-15 00:00 UTC is 1623715200; frame lands at 09:00
-        assert (sec, usec) == (1623715200 + 9 * 3600, 0)
+        # the frame lands at 09:00
+        assert (sec, usec) == (DAY_EPOCH + 9 * 3600, 0)
+
+    def test_stamp_rounding_up_carries_into_the_next_second(self, tmp_path):
+        # 0.9999996 s rounds to 1,000,000 us: the stamp is the next second
+        cap = Capture(SimClock(epoch_s=0.9999996), deadband_kw=0.1)
+        cap.record_frame(sample_frame(), step=0)
+        paths = cap.export(tmp_path, formats=("pcap",))
+        _, [(sec, usec, _)] = read_pcap(paths["pcap"].read_bytes())
+        assert (sec, usec) == (DAY_EPOCH + 1, 0)
 
     def test_flows_keyed_by_mac_and_ip(self):
         cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
@@ -102,7 +114,7 @@ class TestCapture:
                                                   "02:00:00:00:00:01",
                                                   "192.168.10.1", ZERO_MAC,
                                                   "192.168.10.2")), 0)
-        assert len(cap.frames) == 1 and cap.flows == {}
+        assert cap.summarize()["frames"] == 1 and cap.flows == {}
 
     def test_unknown_format_rejected(self, tmp_path):
         cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
@@ -119,6 +131,30 @@ class TestCapture:
             for step in range(6):
                 cap.record_sample(step, 0, 0, 0, 0, 50.0, 0)
             assert [int(s.attack_active) for s in cap.samples] == labels
+
+    def test_samples_view_reads_the_recorded_values(self):
+        cap = Capture(SimClock(epoch_s=100.0, step_s=0.5), deadband_kw=0.1,
+                      plan=AttackPlan(110.0, 120.0))
+        recorded = []
+        for step in range(60):
+            kw = {"pv_kw": step * 0.25, "bss_kw": -step / 3,
+                  "load_kw": 5.0 + step / 7, "transformer_kw": step * -0.1,
+                  "soc_pct": 50.0 + step / 11, "pv_available_kw": step * 0.3}
+            cap.record_sample(step, **kw)
+            t = 100.0 + step * 0.5
+            recorded.append(ProcessSample(t_s=t, attack_active=110 <= t < 120,
+                                          **kw))
+        view = cap.samples
+        assert len(view) == 60
+        assert view[0] == recorded[0] and view[-1] == recorded[-1]
+        assert view[-60] == recorded[0] and view[25] == recorded[25]
+        assert view[-20:] == recorded[-20:]
+        assert view[40:55] == recorded[40:55]
+        assert view[::7] == recorded[::7]
+        assert list(view) == recorded
+        for past_the_end in (60, -61):
+            with pytest.raises(IndexError):
+                view[past_the_end]
 
 
 NODE_RE = re.compile(r"^node ([0-9a-f:]{17}) (\d+\.\d+\.\d+\.\d+) \S+$")
@@ -178,3 +214,16 @@ class TestTinyRunConsistency:
         assert s["steps"] == 300
         oracle = sum(abs(x.transformer_kw) for x in sim.capture.samples)
         assert s["imbalance_integral_kws"] == pytest.approx(oracle)
+
+    def test_pcap_is_its_header_then_the_recorded_buffer(self, tmp_path):
+        sim = build(ScenarioConfig.load(write_tiny_config(tmp_path,
+                                                          attack=True)))
+        sim.run()
+        written = sim.export(tmp_path / "out")
+        raw = written["pcap"].read_bytes()
+        header, packets = read_pcap(raw)
+        assert header == (2, 4, 0, 0, 65535, 1)
+        assert raw[24:] == sim.capture.pcap_records
+        summary = json.loads(written["summary"].read_text())
+        net = sim.network
+        assert summary["frames"] == len(packets) == net.delivered + net.flooded

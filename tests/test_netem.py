@@ -15,6 +15,7 @@ from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, BROADCAST_MAC, ETH_ARP,
                             mac_bytes, parse_ipv4_tcp)
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
+from tests.test_capture import DAY_EPOCH, read_pcap
 
 
 def two_hosts():
@@ -313,7 +314,7 @@ class TestHostStack:
         pump(net, 3)
         assert len(seen) == net.delivered + net.flooded == 3
 
-    def test_malformed_ip_frame_flooded_to_several_hosts(self):
+    def test_malformed_ip_frame_flooded_to_several_hosts(self, tmp_path):
         net, a, b = two_hosts()
         # promiscuous, so that c also takes the packet to b below
         c = net.attach("c", mac="02:00:00:00:00:0c", ip="192.168.10.3",
@@ -325,8 +326,10 @@ class TestHostStack:
         a.outbox.append(frame)  # b's MAC is not learned yet: flooded
         pump(net, 1)
         assert (net.delivered, net.flooded) == (0, 1) and net.dropped == {}
-        assert cap.frames == [(0.0, frame.to_bytes())]
-        assert len(cap.frames) == net.delivered + net.flooded
+        _, packets = read_pcap(cap.export(tmp_path, ("pcap",))["pcap"]
+                               .read_bytes())
+        assert packets == [(DAY_EPOCH, 0, frame.to_bytes())]
+        assert len(packets) == net.delivered + net.flooded
         [to_b], [to_c] = b.receive(), c.receive()
         assert to_b is to_c is frame.packet  # one record for the capture too
 
@@ -401,7 +404,9 @@ class TestCacheExpiry:
         sim.run()
         for peer in ("meter", "pv", "bss"):  # the EMS polls all three
             assert len(learned["ems", net.hosts[peer].ip]) > 1
-        arp = sum(1 for _, raw in sim.capture.frames
+        _, packets = read_pcap(sim.export(tmp_path / "out")["pcap"]
+                               .read_bytes())
+        arp = sum(1 for _, _, raw in packets
                   if raw[12:14] == struct.pack(">H", ETH_ARP))
         assert arp > 6  # 6 without expiry: one request and reply per peer
         assert not [ev for ev in sim.ems.events if ev[-1].endswith("-timeout")]
@@ -422,7 +427,9 @@ class TestWireFidelity:
             sink(frame, step)
         net.frame_sink = wrapped
         sim.run()
-        raws = [raw for _, raw in sim.capture.frames]
+        _, packets = read_pcap(sim.export(tmp_path / "out")["pcap"]
+                               .read_bytes())
+        raws = [raw for _, _, raw in packets]
         assert len(raws) == len(carried) == net.delivered + net.flooded
         kinds = {"ipv4": 0, "arp": 0}
         for frame, raw in zip(carried, raws):

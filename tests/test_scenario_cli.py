@@ -23,6 +23,8 @@ from tests.conftest import load_golden, write_tiny_config
 # names that are not one file name; the default output directory is
 # dataset-<name>
 BAD_NAMES = ("x/y", "../escape", "a\\b", ".", "..", "", "a\0b")
+# days whose frames a pcap's unsigned 32-bit seconds cannot stamp
+BAD_DATES = ("1969-12-31", "2106-02-08", "9999-12-31")
 
 
 def edited_config(tmp_path, mutate, attack=False):
@@ -250,6 +252,17 @@ class TestCli:
         assert main(["run", str(cfg)]) == 1
         assert list((tmp_path / "work").rglob("*")) == [work]
 
+    @pytest.mark.parametrize("date", BAD_DATES)
+    def test_run_refuses_a_date_the_pcap_cannot_stamp(self, tmp_path, capsys,
+                                                      date):
+        cfg = edited_config(tmp_path, lambda c: set_field(
+            c, ("clock", "date"), date))
+        out = tmp_path / "ds"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: clock.date: ")
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("out", ["taken", "taken/ds"])
     def test_run_refuses_an_out_it_cannot_write(self, tmp_path, capsys,
                                                 monkeypatch, out):
@@ -427,6 +440,8 @@ def set_field(cfg, path, value):
     (("clock", "stepp"), 3),
     # each once validated; run then wrote into a subdirectory or raised
     *((("name",), name) for name in BAD_NAMES),
+    # each once validated; run then raised struct.error writing the pcap
+    *((("clock", "date"), date) for date in BAD_DATES),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_bad_field_is_reported_not_raised(tmp_path, path, value):
     cfg_path = edited_config(tmp_path, lambda cfg: set_field(cfg, path, value))
@@ -438,8 +453,9 @@ def test_bad_field_is_reported_not_raised(tmp_path, path, value):
         assert any("quote the time" in issue for issue in issues)
     if path[-1] == "subnet":
         assert issues == ["network.subnet: must be a /24 or smaller"]
-    if path[-1] == "name":
-        assert len(issues) == 1 and issues[0].startswith("name: ")
+    if path[-1] in ("name", "date"):
+        assert len(issues) == 1 and issues[0].startswith(
+            f"{'.'.join(path)}: ")
     assert main(["validate", str(cfg_path)]) == 1
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "ds")]) == 1
 
