@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cosim import SimClock, SimulatorHandle, StepContext
+from .cosim import SimClock, SimulatorHandle
 from .devices import ROLES
 from .modbus import (FC_READ_HOLDING, FC_WRITE_SINGLE, REG_DEVICE_TYPE,
                      REG_SETPOINT, FrameError, decode, encode, fp_encode,
@@ -96,22 +96,21 @@ class Attacker:
 
     # -- per-step behavior ------------------------------------------------
 
-    def step(self, ctx: StepContext) -> None:
+    def step(self, step: int, signals) -> None:
         self._observe_broadcasts()
         deliveries = self.host.receive()
-        step = ctx.step
         if step == self.scan_step:
             self.arp_scan()
         elif step == self.scan_step + 3:
-            self.identify_roles(ctx)
+            self.identify_roles(step)
         if self.start_step <= step < self.end_step:
             if not self.mitm_active:
-                self.start_mitm(ctx)
+                self.start_mitm(step)
             elif step - self._last_poison_step >= self.repoison_steps:
                 self._send_bindings(poison=True)
                 self._last_poison_step = step
         elif self.mitm_active and step >= self.end_step:
-            self.stop_mitm(ctx)
+            self.stop_mitm(step)
 
         for d in deliveries:
             if d.dst_ip == self.host.ip:
@@ -135,7 +134,7 @@ class Attacker:
             if ip != self.host.ip:
                 self.host.resolve(ip)
 
-    def identify_roles(self, ctx: StepContext) -> None:
+    def identify_roles(self, step: int) -> None:
         """Read register 0 of every scan responder; label the EMS from the
         observed ARP-request pattern."""
         self.scan_results = {ip: mac for ip, (mac, _) in
@@ -146,7 +145,7 @@ class Attacker:
             adu = read_holding_request(tx, 1, REG_DEVICE_TYPE)
             self.host.send_ip(ip, encode(adu), src_port=PORT_PROBE)
             self.roles.setdefault(ip, "unknown")
-        self.events.append((ctx.step, "identify-roles"))
+        self.events.append((step, "identify-roles"))
 
     def _handle_own(self, d: IpDelivery) -> None:
         try:
@@ -176,13 +175,13 @@ class Attacker:
                     self.roles.get(asker) in (None, "unknown"):
                 self.roles[asker] = "EMS"
 
-    def start_mitm(self, ctx: StepContext) -> None:
+    def start_mitm(self, step: int) -> None:
         if self.ems_ip is None:
-            self.events.append((ctx.step, "mitm-aborted-no-ems"))
+            self.events.append((step, "mitm-aborted-no-ems"))
             return
         self.mitm_active = True
         self._send_bindings(poison=True)
-        self._last_poison_step = ctx.step
+        self._last_poison_step = step
         # plant the PV limit and the forced BSS charging setpoint directly
         for role, value in self.forced.items():
             ip = next((i for i, r in self.roles.items() if r == role),
@@ -191,7 +190,7 @@ class Attacker:
                 adu = write_single_request(self._next_tx(), 1, REG_SETPOINT,
                                            fp_encode(value))
                 self.host.send_ip(ip, encode(adu), src_port=PORT_INJECT)
-        self.events.append((ctx.step, "mitm-start"))
+        self.events.append((step, "mitm-start"))
 
     def _send_bindings(self, poison: bool) -> None:
         """ARP replies telling the EMS where each victim is and each victim
@@ -238,8 +237,8 @@ class Attacker:
                 pass
         self.host.forward_ip(d, payload, true_mac)
 
-    def stop_mitm(self, ctx: StepContext) -> None:
+    def stop_mitm(self, step: int) -> None:
         """Stop poisoning and repair the caches; the PV limit stays."""
         self.mitm_active = False
         self._send_bindings(poison=False)
-        self.events.append((ctx.step, "mitm-stop"))
+        self.events.append((step, "mitm-stop"))

@@ -1,9 +1,11 @@
 """Discrete-time co-simulation scheduler.
 
-Registered simulators advance in lockstep with two-phase semantics:
-during a step every simulator sees only the signals published in the
-*previous* step; all new outputs are published atomically afterwards.
-This makes results independent of registration order.
+Registered simulators advance in lockstep with two-phase semantics.  A
+simulator's ``behavior(step, signals)`` sees in ``signals`` only what was
+published in the *previous* step, and returns what it publishes in this
+one: a dict of its declared outputs, or None.  All new outputs are
+published together after every simulator has run, so results do not
+depend on registration order.
 
 End-of-step hooks run after publication in a fixed order; the network
 transport and the capture recorder live there.
@@ -65,7 +67,10 @@ class SimClock:
     def step_at(self, t_s: float) -> int:
         """The first step whose time_s is at or after a time-of-day (0
         before the start)."""
-        n = max(0, math.ceil((t_s - self.epoch_s) / self.step_s))
+        q = (t_s - self.epoch_s) / self.step_s
+        if q >= 2**53:  # floats skip step indices here; the loops would hang
+            raise OverflowError(f"{q:g} steps of {self.step_s:g} s")
+        n = max(0, math.ceil(q))
         # the quotient can round across an integer (21 s / 0.7 s gives
         # 30.000000000000004); the step times decide, as they do for the
         # attack_active labels
@@ -82,35 +87,14 @@ class RunSummary:
     wall_s: float
 
 
-class StepContext:
-    """What one simulator sees during its compute phase."""
-
-    def __init__(self, clock: SimClock, board: dict, staged: dict, outputs):
-        self.clock = clock
-        self._board = board
-        self._staged = staged
-        self._outputs = outputs
-
-    @property
-    def step(self) -> int:
-        return self.clock.now
-
-    def get(self, signal: str, default=None):
-        """Value published in the previous step (or default)."""
-        return self._board.get(signal, default)
-
-    def publish(self, signal: str, value) -> None:
-        if signal not in self._outputs:
-            raise SignalConflictError(f"undeclared output signal {signal!r}")
-        self._staged[signal] = value
-
-
 @dataclass
 class SimulatorHandle:
     id: str
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
-    behavior: Callable[[StepContext], None] = lambda ctx: None
+    # behavior(step, last step's signals) -> the signals it publishes in
+    # this step, each one of outputs, or None
+    behavior: Callable[..., dict | None] = lambda step, signals: None
 
 
 class Scheduler:
@@ -122,12 +106,11 @@ class Scheduler:
         self._board: dict[str, Any] = {}
         # most recently published values, read-only (for hooks/inspection)
         self.signals = MappingProxyType(self._board)
-        self._started = False
-        # one context per simulator, made when the run starts
-        self._contexts: list[tuple[SimulatorHandle, StepContext]] = []
+        # (simulator, its declared outputs), made when the run starts
+        self._declared: list[tuple[SimulatorHandle, frozenset]] | None = None
 
     def register(self, handle: SimulatorHandle) -> str:
-        if self._started:
+        if self._declared is not None:
             raise LifecycleError("cannot register after the run has started")
         if any(s.id == handle.id for s in self._sims):
             raise DuplicateIdError(f"duplicate simulator id {handle.id!r}")
@@ -141,7 +124,7 @@ class Scheduler:
 
     def add_hook(self, fn: Callable[[int], None]) -> None:
         """End-of-step hook, run after publication in registration order."""
-        if self._started:
+        if self._declared is not None:
             raise LifecycleError("cannot add hooks after the run has started")
         self._hooks.append(fn)
 
@@ -154,24 +137,26 @@ class Scheduler:
 
     def step_all(self) -> dict[str, Any]:
         """Advance one step; the signals published in it."""
-        staged: dict[str, Any] = {}
-        if not self._started:
+        if self._declared is None:
             self._check_inputs()
-            self._contexts = [
-                (sim, StepContext(self.clock, self._board, staged, sim.outputs))
-                for sim in self._sims]
-            self._started = True
-        for sim, ctx in self._contexts:
-            ctx._staged = staged
+            self._declared = [(sim, frozenset(sim.outputs))
+                              for sim in self._sims]
+        step, signals = self.clock.now, self.signals
+        staged: dict[str, Any] = {}
+        for sim, outputs in self._declared:
             try:
-                sim.behavior(ctx)
-            except SchedulerError:
-                raise
+                published = sim.behavior(step, signals)
             except Exception as exc:  # noqa: BLE001 - diagnostic wrapper
-                raise SimulatorStepError(sim.id, self.clock.now, exc) from exc
+                raise SimulatorStepError(sim.id, step, exc) from exc
+            if published:
+                if not outputs.issuperset(published):
+                    raise SignalConflictError(
+                        f"simulator {sim.id!r} published undeclared "
+                        f"signals {sorted(set(published) - outputs)}")
+                staged.update(published)
         self._board.update(staged)
         for hook in self._hooks:
-            hook(self.clock.now)
+            hook(step)
         self.clock.now += 1
         return staged
 

@@ -11,9 +11,9 @@ says which signals and registers each device has.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
-from .cosim import SimulatorHandle, StepContext
+from .cosim import SimClock, SimulatorHandle
 from .grid import (BssState, LoadState, PvState, bss_euler, pv_output,
                    transformer_kw)
 from .modbus import (DEVICE_BSS, DEVICE_LOAD, DEVICE_METER, DEVICE_PV,
@@ -58,8 +58,9 @@ class GridSimulator:
 
     def __init__(self, pv: PvState, bss: BssState, load: LoadState,
                  load_profile: TimeSeriesProfile, pv_profile: TimeSeriesProfile,
-                 transformer_rated_kva: float = 630.0):
+                 transformer_rated_kva: float = 630.0, *, clock: SimClock):
         self.pv, self.bss, self.load = pv, bss, load
+        self.step_s = clock.step_s
         self.load_profile = load_profile
         self.pv_profile = pv_profile
         self.transformer_rated_kva = transformer_rated_kva
@@ -77,16 +78,15 @@ class GridSimulator:
                      SIG_BSS_SOC, SIG_LOAD_DEMAND, SIG_TRANSFORMER),
             behavior=self.step)
 
-    def step(self, ctx: StepContext) -> None:
-        pv, bss = self.pv, self.bss
-        step_s = ctx.clock.step_s
-        t_rel = ctx.step * step_s  # profile time = seconds since epoch
+    def step(self, step: int, signals: Mapping) -> dict:
+        pv, bss, step_s = self.pv, self.bss, self.step_s
+        t_rel = step * step_s  # profile time = seconds since epoch
         available = max(0.0, sample(self.pv_profile, t_rel))
         demand = min(max(0.0, sample(self.load_profile, t_rel)),
                      self.load.rated_kw)
         # a published None lifts the PV limit; an absent signal keeps both
-        self.pv_limit_kw = limit = ctx.get(SIG_PV_LIMIT, self.pv_limit_kw)
-        setpoint = ctx.get(SIG_BSS_SETPOINT)
+        self.pv_limit_kw = limit = signals.get(SIG_PV_LIMIT, self.pv_limit_kw)
+        setpoint = signals.get(SIG_BSS_SETPOINT)
         if setpoint is not None:
             self.bss_setpoint_kw = setpoint
         pv_kw = pv_output(available, pv.rated_kw, limit)
@@ -96,14 +96,12 @@ class GridSimulator:
         self.bss_soc_kwh = soc
         grid_kw = transformer_kw(demand, bss_kw, pv_kw)
         if abs(grid_kw) > self.transformer_rated_kva:
-            self.events.append((ctx.step, "transformer-over-rating"))
-        ctx.publish(SIG_PV_OUTPUT, pv_kw)
-        ctx.publish(SIG_PV_AVAILABLE, available)
-        ctx.publish(SIG_BSS_ACTUAL, bss_kw)
+            self.events.append((step, "transformer-over-rating"))
         # soc / capacity first: it is <= 1, where 100 * soc can round up
-        ctx.publish(SIG_BSS_SOC, 100.0 * (soc / bss.capacity_kwh))
-        ctx.publish(SIG_LOAD_DEMAND, demand)
-        ctx.publish(SIG_TRANSFORMER, grid_kw)
+        return {SIG_PV_OUTPUT: pv_kw, SIG_PV_AVAILABLE: available,
+                SIG_BSS_ACTUAL: bss_kw,
+                SIG_BSS_SOC: 100.0 * (soc / bss.capacity_kwh),
+                SIG_LOAD_DEMAND: demand, SIG_TRANSFORMER: grid_kw}
 
 
 class ModbusDevice:
@@ -125,13 +123,13 @@ class ModbusDevice:
             outputs=() if setpoint is None else (setpoint[0],),
             behavior=self.step)
 
-    def step(self, ctx: StepContext) -> None:
+    def step(self, step: int, signals: Mapping) -> dict | None:
         role, regmap, host = self.role, self.regmap, self.host
         if host.inbox:
             # only the requests served here read the measurement
             # registers, so they are refreshed only when one is waiting
             for addr, signal in enumerate(role.measures, REG_MEAS):
-                regmap.registers[addr] = fp_encode(ctx.get(signal, 0.0))
+                regmap.registers[addr] = fp_encode(signals.get(signal, 0.0))
             for d in host.receive():
                 try:
                     request = decode(d.payload)
@@ -142,5 +140,5 @@ class ModbusDevice:
         if role.setpoint is not None:
             signal, initial = role.setpoint
             raw = regmap.registers[REG_SETPOINT]
-            ctx.publish(signal,
-                        None if raw == NO_LIMIT == initial else fp_decode(raw))
+            return {signal:
+                    None if raw == NO_LIMIT == initial else fp_decode(raw)}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cosim import SimClock, SimulatorHandle, StepContext
+from .cosim import SimClock, SimulatorHandle
 from .grid import BssState
 from .modbus import (NO_LIMIT, REG_MEAS, REG_SETPOINT,
                      FrameError, decode, encode, fp_decode, fp_encode,
@@ -74,8 +74,8 @@ class EmsController:
         self._outstanding[adu.transaction_id] = (kind, step)
         self.host.send_ip(ip, encode(adu), src_port=src_port)
 
-    def step(self, ctx: StepContext) -> None:
-        self._collect(ctx)
+    def step(self, step: int, signals) -> None:
+        self._collect(step)
         if self._meter_kw is not None and not self._acted:
             self._acted = True
             command = control_step(self._meter_kw, self.prev_setpoint_kw,
@@ -84,35 +84,35 @@ class EmsController:
                 word = fp_encode(command)
                 self.prev_setpoint_kw = fp_decode(word)
                 adu = write_single_request(self._next_tx(), 1, REG_SETPOINT, word)
-                self._send(self.bss_ip, adu, PORT_BSS, "bss-write", ctx.step)
+                self._send(self.bss_ip, adu, PORT_BSS, "bss-write", step)
             if self.policy.manages_pv_limit and self._pv_limit_raw is not None \
                     and self._pv_limit_raw != NO_LIMIT:
                 adu = write_single_request(self._next_tx(), 1, REG_SETPOINT,
                                            NO_LIMIT)
-                self._send(self.pv_ip, adu, PORT_PV, "pv-clear", ctx.step)
+                self._send(self.pv_ip, adu, PORT_PV, "pv-clear", step)
                 self._pv_limit_raw = None
-        self._expire(ctx)
-        if ctx.step % self.period_steps == 0:
-            self._start_cycle(ctx)
+        self._expire(step)
+        if step % self.period_steps == 0:
+            self._start_cycle(step)
 
-    def _start_cycle(self, ctx: StepContext) -> None:
+    def _start_cycle(self, step: int) -> None:
         self._meter_kw = None
         self._acted = False
         self._send(self.meter_ip,
                    read_holding_request(self._next_tx(), 1, REG_MEAS),
-                   PORT_METER, "meter-read", ctx.step)
+                   PORT_METER, "meter-read", step)
         self._send(self.pv_ip,
                    read_holding_request(self._next_tx(), 1, REG_MEAS),
-                   PORT_PV, "pv-read", ctx.step)
+                   PORT_PV, "pv-read", step)
         if self.policy.manages_pv_limit:
             self._send(self.pv_ip,
                        read_holding_request(self._next_tx(), 1, REG_SETPOINT),
-                       PORT_PV, "pv-limit-read", ctx.step)
+                       PORT_PV, "pv-limit-read", step)
         self._send(self.bss_ip,
                    read_holding_request(self._next_tx(), 1, REG_MEAS, 2),
-                   PORT_BSS, "bss-read", ctx.step)
+                   PORT_BSS, "bss-read", step)
 
-    def _collect(self, ctx: StepContext) -> None:
+    def _collect(self, step: int) -> None:
         for d in self.host.receive():
             try:
                 adu = decode(d.payload)
@@ -123,7 +123,7 @@ class EmsController:
                 continue  # stale or unsolicited
             kind, _ = entry
             if adu.is_exception:
-                self.events.append((ctx.step, f"{kind}-exception"))
+                self.events.append((step, f"{kind}-exception"))
                 continue
             try:
                 if kind == "meter-read":
@@ -131,11 +131,11 @@ class EmsController:
                 elif kind == "pv-limit-read":
                     self._pv_limit_raw = parse_read_response(adu)[0]
             except FrameError:
-                self.events.append((ctx.step, f"{kind}-malformed"))
+                self.events.append((step, f"{kind}-malformed"))
 
-    def _expire(self, ctx: StepContext) -> None:
+    def _expire(self, step: int) -> None:
         timeout = self.policy.request_timeout_steps
         for tx in [t for t, (_, s) in self._outstanding.items()
-                   if ctx.step - s >= timeout]:
+                   if step - s >= timeout]:
             kind, _ = self._outstanding.pop(tx)
-            self.events.append((ctx.step, f"{kind}-timeout"))
+            self.events.append((step, f"{kind}-timeout"))

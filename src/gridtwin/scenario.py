@@ -202,6 +202,17 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
         issues.append("clock: start must precede end")
     sim_clock = (None if start is None or step is None
                  else SimClock(epoch_s=start, step_s=step))
+
+    def steps(path, convert):
+        """convert(sim_clock): a duration or a time as a step count; None
+        without a clock, or (and an issue) if the quotient overflows."""
+        try:
+            return None if sim_clock is None else convert(sim_clock)
+        except OverflowError:
+            issues.append(f"{path}: too many steps of {step:g} s to count")
+
+    if run_ok:  # the run's length in steps, as Scheduler.run counts it
+        steps("clock.step_s", lambda c: c.step_at(end))
     # the pcap stamps a frame with day epoch + t in unsigned 32-bit seconds
     capture_kw = fields(clock, "clock", date=(
         lambda d: _dt.date.fromisoformat(str(d)).isoformat(),
@@ -214,8 +225,9 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     net_kw = fields(net, "network",
                     subnet=(lambda n: str(ipaddress.IPv4Network(str(n))),))
     expiry = get(net, "arp_cache_expiry_s", "network", *_POSITIVE)
-    if expiry is not None and sim_clock is not None:
-        net_kw["cache_expiry_steps"] = sim_clock.steps_for(expiry)
+    if expiry is not None:  # None: the caches never expire
+        net_kw["cache_expiry_steps"] = steps("network.arp_cache_expiry_s",
+                                             lambda c: c.steps_for(expiry))
     network = Network(**net_kw)
     # no subnet to check the IPs against if the one written was refused
     refused = net.get("subnet") is not None and "subnet" not in net_kw
@@ -302,6 +314,7 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
         request_timeout_steps=(_whole, lambda n: n >= 1, "must be >= 1")))
     if step is not None and policy.period_s < step:
         issues.append("ems.period_s: must be >= clock.step_s")
+    steps("ems.period_s", lambda c: c.steps_for(policy.period_s))
 
     plan = None
     if attack is not None:
@@ -323,7 +336,10 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
                           f"exceeds BSS rating {bss.rated_kw}")
         if run_ok and not (start <= plan.start_s and plan.end_s <= end):
             issues.append("attack: window must lie within the run window")
-        if sim_clock is not None and plan.steps(sim_clock)[0] < 0:
+        steps("attack.repoison_period_s",
+              lambda c: c.steps_for(plan.repoison_period_s))
+        scan = steps("attack.recon_lead_s", lambda c: plan.steps(c)[0])
+        if scan is not None and scan < 0:
             issues.append("attack.recon_lead_s: scan would start before the run")
 
     output = section(raw, "output", "output")
@@ -376,7 +392,7 @@ def build(cfg: ScenarioConfig) -> Simulation:
     scheduler = Scheduler(clock)
     hosts = {hid: network.attach(hid, **kw)
              for hid, kw in v["endpoints"].items()}
-    grid = dev.GridSimulator(**v["grid"])
+    grid = dev.GridSimulator(**v["grid"], clock=clock)
     ems = EmsController(hosts["ems"], policy, meter_ip=hosts["meter"].ip,
                         pv_ip=hosts["pv"].ip, bss_ip=hosts["bss"].ip,
                         clock=clock)

@@ -8,8 +8,12 @@ as a refactor moves one of its targets, so the break shows up here
 first.
 """
 
+import hashlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +22,8 @@ from gridtwin.cosim import Scheduler
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +103,27 @@ def test_micro_replays_find_the_run_bytes_rebuilt(tracing, tmp_path):
                                           sim, summary.steps)
     assert errors == []
     assert micro["netem.build_ipv4_tcp_ns"] > 0  # frames were replayed
+
+
+@pytest.mark.parametrize("attack", [False, True], ids=["normal", "attack"])
+def test_traced_iteration_passes_its_own_gate(tmp_path, attack):
+    # one traced benchmark iteration on the tiny run, in its own process:
+    # its output checks pass, every target and every layer span is found
+    # (a run without an attacker has no attack.step), and its exports are
+    # the untraced run's bytes, so the wrapped behaviours pass the
+    # signals they return through
+    cfg = write_tiny_config(tmp_path, attack=attack)
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "iteration.py"), "--config", str(cfg),
+         "--workload", "attack" if attack else "normal",
+         "--workdir", str(tmp_path / "work"), "--trace", "1"],
+        capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(done.stdout)
+    assert (result["errors"], result.get("missing"), result.get("steps")) == (
+        [], [] if attack else ["attack.step"], 300)
+    sim = build(ScenarioConfig.load(cfg))
+    sim.run()
+    written = sim.export(tmp_path / "untraced")
+    assert result["digests"] == {
+        Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+        for p in written.values()}

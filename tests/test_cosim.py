@@ -14,9 +14,9 @@ def make_scheduler(step_s=1.0):
 def counter(name, out_signal):
     state = {"n": 0}
 
-    def step(ctx):
+    def step(step, signals):
         state["n"] += 1
-        ctx.publish(out_signal, state["n"])
+        return {out_signal: state["n"]}
     return SimulatorHandle(id=name, outputs=(out_signal,), behavior=step)
 
 
@@ -66,7 +66,7 @@ class TestStepAll:
     def test_failure_names_simulator(self):
         s = make_scheduler()
 
-        def boom(ctx):
+        def boom(step, signals):
             raise RuntimeError("kaput")
         s.register(SimulatorHandle(id="flaky", behavior=boom))
         with pytest.raises(SimulatorStepError, match="flaky"):
@@ -76,8 +76,9 @@ class TestStepAll:
         s = make_scheduler()
         seen = []
         s.register(counter("prod", "sig"))
-        s.register(SimulatorHandle(id="cons", inputs=("sig",),
-                                   behavior=lambda ctx: seen.append(ctx.get("sig"))))
+        s.register(SimulatorHandle(
+            id="cons", inputs=("sig",),
+            behavior=lambda step, signals: seen.append(signals.get("sig"))))
         for _ in range(3):
             s.step_all()
         assert seen == [None, 1, 2]
@@ -85,9 +86,9 @@ class TestStepAll:
     def test_each_step_returns_its_own_signals(self):
         s = make_scheduler()
 
-        def once(ctx):
-            if ctx.step == 0:
-                ctx.publish("sig", 7)
+        def once(step, signals):
+            if step == 0:
+                return {"sig": 7}
         s.register(SimulatorHandle(id="once", outputs=("sig",),
                                    behavior=once))
         first = s.step_all()
@@ -98,9 +99,33 @@ class TestStepAll:
     def test_undeclared_output_rejected(self):
         s = make_scheduler()
         s.register(SimulatorHandle(
-            id="sly", behavior=lambda ctx: ctx.publish("sneaky", 1)))
+            id="sly", behavior=lambda step, signals: {"sneaky": 1}))
         with pytest.raises(SignalConflictError):
             s.step_all()
+
+    @pytest.mark.parametrize("published", [None, {}])
+    def test_nothing_returned_publishes_nothing(self, published):
+        s = make_scheduler()
+        s.register(SimulatorHandle(id="idle", outputs=("sig",),
+                                   behavior=lambda step, signals: published))
+        assert s.step_all() == {}
+        assert dict(s.signals) == {}
+
+    def test_refused_step_publishes_nothing(self):
+        s = make_scheduler()
+        s.register(counter("a", "sig"))
+
+        def sly(step, signals):
+            return {"mine": step} if step == 0 else {"mine": 1, "sneaky": 2}
+        s.register(SimulatorHandle(id="sly", outputs=("mine",),
+                                   behavior=sly))
+        s.step_all()
+        with pytest.raises(SignalConflictError, match="sneaky"):
+            s.step_all()
+        # step 0's signals: neither sly's declared signal nor the one a
+        # published before sly ran in the refused step
+        assert dict(s.signals) == {"sig": 1, "mine": 0}
+        assert s.clock.now == 1
 
 
 class TestRun:
@@ -145,13 +170,13 @@ def build_chain(order):
     s = make_scheduler()
     log = []
 
-    def a_step(ctx):
-        ctx.publish("a.out", (ctx.get("b.out") or 0) + 1)
+    def a_step(step, signals):
+        return {"a.out": (signals.get("b.out") or 0) + 1}
 
-    def b_step(ctx):
-        val = (ctx.get("a.out") or 0) * 2
-        ctx.publish("b.out", val)
+    def b_step(step, signals):
+        val = (signals.get("a.out") or 0) * 2
         log.append(val)
+        return {"b.out": val}
 
     handles = {"a": SimulatorHandle(id="a", inputs=("b.out",), outputs=("a.out",),
                                     behavior=a_step),

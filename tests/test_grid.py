@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtwin.cosim import SimClock, StepContext
+from gridtwin.cosim import SimClock
 from gridtwin.devices import GridSimulator
 from gridtwin.grid import (BssState, GridInputError, LoadState, PvState,
                            bss_euler, pv_output, transformer_kw)
@@ -123,7 +123,7 @@ class TestBusBalance:
         # a 700 kW load alone is over the default 630 kVA transformer
         grid = GridSimulator(PvState(), BssState(), LoadState(rated_kw=1000.0),
                              TimeSeriesProfile(points=((0.0, 700.0),)),
-                             TimeSeriesProfile(points=((0.0, 0.0),)))
-        clock = SimClock(epoch_s=0.0, step_s=1.0)
-        grid.step(StepContext(clock, {}, {}, grid.handle().outputs))
+                             TimeSeriesProfile(points=((0.0, 0.0),)),
+                             clock=SimClock(epoch_s=0.0, step_s=1.0))
+        grid.step(0, {})
         assert grid.events == [(0, "transformer-over-rating")]

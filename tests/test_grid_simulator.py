@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gridtwin import devices as dev
 from gridtwin import grid as grid_mod
-from gridtwin.cosim import SimClock, StepContext
+from gridtwin.cosim import SimClock
 from gridtwin.grid import (BssState, LoadState, PvState, bss_euler,
                            pv_output, transformer_kw)
 from gridtwin.profiles import TimeSeriesProfile, sample
@@ -55,17 +55,14 @@ def reference_run(pv, bss, load, load_profile, pv_profile, rated_kva, step_s,
     return published, events, (limit, setpoint, soc)
 
 
-def drive(grid, step_s, boards):
+def drive(grid, boards):
     """Step a GridSimulator directly; each step's published signals."""
-    clock = SimClock(epoch_s=0.0, step_s=step_s)
-    handle = grid.handle()
-    published = []
-    for step, board in enumerate(boards):
-        clock.now = step
-        staged = {}
-        handle.behavior(StepContext(clock, board, staged, handle.outputs))
-        published.append(staged)
-    return published
+    behavior = grid.handle().behavior
+    return [behavior(step, board) for step, board in enumerate(boards)]
+
+
+def clock(step_s=1.0):
+    return SimClock(epoch_s=0.0, step_s=step_s)
 
 
 rating = st.floats(0.1, 60.0, allow_nan=False)
@@ -117,8 +114,8 @@ class TestStepMatchesStateReference:
                                             inputs):
         pv, bss, load = plant
         grid = dev.GridSimulator(pv, bss, load, load_profile, pv_profile,
-                                 rated_kva)
-        got = drive(grid, step_s, inputs)
+                                 rated_kva, clock=clock(step_s))
+        got = drive(grid, inputs)
         want, events, state = reference_run(
             pv, bss, load, load_profile, pv_profile, rated_kva, step_s,
             inputs)
@@ -132,7 +129,8 @@ class TestStepMatchesStateReference:
                                                   initial_soc_pct=25.0)
         load = LoadState(rated_kw=8.0)
         profile = TimeSeriesProfile(points=((0.0, 1.0),))
-        grid = dev.GridSimulator(pv, bss, load, profile, profile)
+        grid = dev.GridSimulator(pv, bss, load, profile, profile,
+                                 clock=clock())
         assert (grid.pv, grid.bss, grid.load) == (pv, bss, load)
         # no PV limit, an idle battery, and the initial charge in kWh
         assert (grid.pv_limit_kw, grid.bss_setpoint_kw,
@@ -147,8 +145,8 @@ class TestOverRating:
         pv = TimeSeriesProfile(points=tuple(enumerate(
             (0.0, 0.0, 0.0, 7.0, 5.0, 0.0, 10.0))))
         grid = dev.GridSimulator(PvState(), BssState(), LoadState(), load, pv,
-                                 transformer_rated_kva=5.0)
-        published = drive(grid, 1.0, [{}] * 7)
+                                 transformer_rated_kva=5.0, clock=clock())
+        published = drive(grid, [{}] * 7)
         transformer = [p[dev.SIG_TRANSFORMER] for p in published]
         assert transformer == [3.0, 6.0, 5.0, -6.0, -4.0, 9.0, -5.0]
         # 6 kW import, 6 kW export and 9 kW import exceed 5 kVA; 5 kW

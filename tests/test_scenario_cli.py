@@ -460,6 +460,47 @@ def test_bad_field_is_reported_not_raised(tmp_path, path, value):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "ds")]) == 1
 
 
+# each passed validate and then raised OverflowError building or
+# running, or raised it out of validate: a duration or the run divided
+# by clock.step_s is an infinite number of steps.  At 1e-300 s the run
+# is finite but past 2**53 steps, where the step times no longer tell
+# steps apart: it once validated, and run then hung working out the
+# number of steps.
+TINY_STEP = ("clock", "step_s"), 1.0e-310
+MILLI_STEP = ("clock", "step_s"), 0.001
+
+
+@pytest.mark.parametrize("edits, attack, paths", [
+    ((TINY_STEP,), False, ["clock.step_s", "ems.period_s"]),
+    (((("clock", "step_s"), 1.0e-300),), False, ["clock.step_s"]),
+    ((TINY_STEP,), True, ["clock.step_s", "ems.period_s",
+                          "attack.repoison_period_s", "attack.recon_lead_s"]),
+    ((MILLI_STEP, (("ems", "period_s"), 1.0e308)), False, ["ems.period_s"]),
+    ((MILLI_STEP, (("attack", "repoison_period_s"), 1.0e308)), True,
+     ["attack.repoison_period_s"]),
+    ((MILLI_STEP, (("network", "arp_cache_expiry_s"), 1.0e308)), False,
+     ["network.arp_cache_expiry_s"]),
+    ((MILLI_STEP, (("attack", "recon_lead_s"), 1.0e308)), True,
+     ["attack.recon_lead_s"]),
+], ids=["step", "step-1e-300", "step-attack", "ems-period", "repoison-period",
+        "cache-expiry", "recon-lead"])
+def test_step_count_overflow_is_reported_not_raised(tmp_path, capsys, edits,
+                                                    attack, paths):
+    def mutate(cfg):
+        for path, value in edits:
+            set_field(cfg, path, value)
+    cfg_path = edited_config(tmp_path, mutate, attack=attack)
+    step = dict(edits)[("clock", "step_s")]
+    assert validate(ScenarioConfig.load(cfg_path)) == [
+        f"{path}: too many steps of {step:g} s to count" for path in paths]
+    assert main(["validate", str(cfg_path)]) == 1
+    out = tmp_path / "ds"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {paths[0]}: ")
+    assert "Traceback" not in err and not out.exists()
+
+
 # each passed validate and then aborted the run on a register word
 # (0.01 kW units, at most 327.67 kW)
 @pytest.mark.parametrize("edits, load_csv, attack", [
