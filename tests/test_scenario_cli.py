@@ -463,8 +463,8 @@ def test_bad_field_is_reported_not_raised(tmp_path, path, value):
 # each passed validate and then raised OverflowError building or
 # running, or raised it out of validate: a duration or the run divided
 # by clock.step_s is an infinite number of steps.  At 1e-300 s the run
-# is finite but past 2**53 steps, where the step times no longer tell
-# steps apart: it once validated, and run then hung working out the
+# is finite but past 2**53 steps, where a float no longer holds every
+# step index: it once validated, and run then hung working out the
 # number of steps.
 TINY_STEP = ("clock", "step_s"), 1.0e-310
 MILLI_STEP = ("clock", "step_s"), 0.001
