@@ -9,6 +9,9 @@ A run holds no Python object per frame or per step: each frame is
 appended to one ``bytearray`` as its finished pcap record, and each step
 to one ``array('d')`` as a row of ``ROW`` doubles.  ``Capture.samples``
 is a read-only view that makes a ``ProcessSample`` for the row asked.
+Once the records reach ``SPOOL_BYTES`` they are written to an unlinked
+temporary file in one call, so the records a run holds in memory stay
+bounded however long it runs.
 
 Export formats:
   process.csv    t,pv_kw,bss_kw,load_kw,transformer_kw,soc_pct,attack_active
@@ -23,6 +26,8 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import struct
+import tempfile
+import weakref
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,6 +46,8 @@ FORMATS = ("process", "flows", "pcap", "graph", "summary")
 PCAP_HEADER = struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535,
                           PCAP_LINKTYPE_ETHERNET)
 _RECORD_HEADER = struct.Struct("<IIII")  # sec, usec, incl_len, orig_len
+# pcap record bytes held in memory before they are moved to the spool file
+SPOOL_BYTES = 256 * 1024
 
 
 class ExportError(ValueError):
@@ -54,6 +61,15 @@ def fmt_time(t_s: float) -> str:
     m, s = divmod(rem, 60)
     base = f"{h:02d}:{m:02d}:{s:02d}"
     return f"{base}.{ms:03d}" if ms else base
+
+
+def sum_in_order(values) -> float:
+    """Floats added left to right, as sum() added them before CPython
+    3.12 made it compensate: summary.json must not depend on the Python."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def day_epoch(date: str) -> float:
@@ -134,7 +150,11 @@ class Capture:
         self._day_epoch = day_epoch(date)
         self.rows = array("d")  # ROW doubles per recorded step
         self.samples = SampleView(self.rows)
-        self.pcap_records = bytearray()  # capture.pcap after its header
+        # the records not yet spooled; capture.pcap is its header, then
+        # the first _spooled bytes of _spool, then these
+        self.pcap_records = bytearray()
+        self._spool = None  # made at the first spill
+        self._spooled = 0
         self.frame_count = 0
         self.flows: dict[tuple[str, str, str, str], FlowRecord] = {}
         self._stamp = (-1, 0.0, 0, 0)  # step, t, pcap sec, pcap usec
@@ -150,14 +170,32 @@ class Capture:
             sec, usec = sec + 1, 0
         return step, t, sec, usec
 
+    def _spill(self) -> None:
+        """Append the records in memory to the spool file, in one write."""
+        if self._spool is None:
+            self._spool = tempfile.TemporaryFile()
+            weakref.finalize(self, self._spool.close)
+        # the first _spooled bytes are whole records; a write that raised
+        # may have left a torn part after them, which the next spill
+        # overwrites and no export copies
+        self._spool.seek(self._spooled)
+        self._spool.write(self.pcap_records)
+        self._spooled += len(self.pcap_records)
+        self.pcap_records.clear()
+
     def record_frame(self, frame: EthernetFrame, step: int) -> None:
+        records = self.pcap_records
+        # spill before recording, so a spill that raises leaves this frame
+        # out of the pcap, the flows and the frame count alike
+        if len(records) >= SPOOL_BYTES:
+            self._spill()
         if self._stamp[0] != step:
             self._stamp = self._stamp_of(step)
         _, t, sec, usec = self._stamp
         raw = frame.to_bytes()  # the only place a frame's bytes are made
         n = len(raw)
-        self.pcap_records += _RECORD_HEADER.pack(sec, usec, n, n)
-        self.pcap_records += raw
+        records += _RECORD_HEADER.pack(sec, usec, n, n)
+        records += raw
         self.frame_count += 1
         f = frame.packet
         if not isinstance(f, IpDelivery):
@@ -228,6 +266,13 @@ class Capture:
     def _export_pcap(self, path: Path) -> Path:
         with path.open("wb") as fh:
             fh.write(PCAP_HEADER)
+            left = self._spooled
+            if left:
+                self._spool.seek(0)  # flushes, so no read comes back short
+                while left:
+                    chunk = self._spool.read(min(left, SPOOL_BYTES))
+                    fh.write(chunk)
+                    left -= len(chunk)
             fh.write(self.pcap_records)
         return path
 
@@ -262,10 +307,8 @@ class Capture:
 
     def _integral(self, powers) -> float:
         """∫|transformer_kw| dt in kW·s over the given powers, one a step."""
-        total = 0.0
-        for p in powers:
-            total += abs(p) * self.clock.step_s
-        return total
+        step_s = self.clock.step_s
+        return sum_in_order(abs(p) * step_s for p in powers)
 
     def summarize(self) -> dict:
         rows, n = self.rows, len(self.samples)
@@ -277,7 +320,7 @@ class Capture:
             "imbalance_integral_kws": self._integral(power),
             "peak_import_kw": max(power, default=0.0),
             "peak_export_kw": min(power, default=0.0),
-            "pv_curtailed_kwh": sum(
+            "pv_curtailed_kwh": sum_in_order(
                 max(0.0, avail - pv) * self.clock.step_s
                 for pv, avail in zip(rows[PV::ROW], rows[PV_AVAILABLE::ROW])
             ) / 3600.0,
@@ -296,6 +339,6 @@ class Capture:
                 "imbalance_integral_kws": self._integral(window),
                 "labeled_steps": len(window),
                 "peak_import_kw": max(window, default=0.0),
-                "mean_bss_kw": sum(bss) / len(bss) if bss else 0.0,
+                "mean_bss_kw": sum_in_order(bss) / len(bss) if bss else 0.0,
             }
         return out

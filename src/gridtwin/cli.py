@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from .capture import sum_in_order
 from .cosim import SchedulerError
 from .scenario import ConfigError, ScenarioConfig, build, parse_time, validate
 
@@ -103,7 +104,7 @@ def _window_integral(samples, window) -> float:
         return 0.0
     t0, t1 = parse_time(window["start"]), parse_time(window["end"])
     dt = samples[1][0] - samples[0][0]
-    return sum(abs(p) * dt for t, p in samples if t0 <= t < t1)
+    return sum_in_order(abs(p) * dt for t, p in samples if t0 <= t < t1)
 
 
 def cmd_report(args) -> int:

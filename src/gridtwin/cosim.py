@@ -45,6 +45,14 @@ class SimulatorStepError(SchedulerError):
         self.step = step
 
 
+class HookError(SchedulerError):
+    """An end-of-step hook raised; names the hook and the step."""
+
+    def __init__(self, hook: Callable, step: int, cause: BaseException):
+        name = getattr(hook, "__qualname__", repr(hook))
+        super().__init__(f"hook {name!r} failed at step {step}: {cause}")
+
+
 @dataclass
 class SimClock:
     epoch_s: float          # scenario start, seconds since midnight
@@ -156,7 +164,10 @@ class Scheduler:
                 staged.update(published)
         self._board.update(staged)
         for hook in self._hooks:
-            hook(step)
+            try:
+                hook(step)
+            except Exception as exc:  # noqa: BLE001 - diagnostic wrapper
+                raise HookError(hook, step, exc) from exc
         self.clock.now += 1
         return staged
 

@@ -19,7 +19,6 @@ each frame then adds its variable words and packs one header.
 from __future__ import annotations
 
 import ipaddress
-import socket
 import struct
 import weakref
 from dataclasses import dataclass
@@ -69,7 +68,7 @@ def ip_str(raw: bytes) -> str:
     if len(raw) != 4:
         raise ipaddress.AddressValueError(
             f"packed IPv4 address must be 4 bytes, got {len(raw)}")
-    return socket.inet_ntoa(raw)
+    return "%d.%d.%d.%d" % tuple(raw)
 
 
 @dataclass(frozen=True)

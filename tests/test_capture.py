@@ -1,12 +1,17 @@
+import errno
 import json
 import re
 import struct
+import subprocess
+import sys
+import tempfile
 
 import pytest
 
 from gridtwin.attack import AttackPlan
+from gridtwin import capture
 from gridtwin.capture import Capture, ExportError, ProcessSample, fmt_time
-from gridtwin.cosim import SimClock
+from gridtwin.cosim import HookError, SimClock
 from gridtwin.netem import (ARP_REQUEST, BROADCAST_MAC, ETH_IPV4, ZERO_MAC,
                             ArpMessage, EthernetFrame, IpDelivery)
 from gridtwin.scenario import ScenarioConfig, build
@@ -132,6 +137,19 @@ class TestCapture:
                 cap.record_sample(step, 0, 0, 0, 0, 50.0, 0)
             assert [int(s.attack_active) for s in cap.samples] == labels
 
+    def test_summary_adds_left_to_right(self):
+        # sum() compensates since CPython 3.12: it would give 3600 + 1e-12,
+        # and the pinned summary.json digests would depend on the Python
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1,
+                      plan=AttackPlan(0.0, 11.0))
+        for step, kw in enumerate([3600.0] + [1e-13] * 10):
+            cap.record_sample(step, pv_kw=0.0, bss_kw=kw, load_kw=0.0,
+                              transformer_kw=0.0, soc_pct=50.0,
+                              pv_available_kw=kw)
+        summary = cap.summarize()
+        assert summary["pv_curtailed_kwh"] == 1.0
+        assert summary["attack_window"]["mean_bss_kw"] == 3600.0 / 11
+
     def test_samples_view_reads_the_recorded_values(self):
         cap = Capture(SimClock(epoch_s=100.0, step_s=0.5), deadband_kw=0.1,
                       plan=AttackPlan(110.0, 120.0))
@@ -223,7 +241,123 @@ class TestTinyRunConsistency:
         raw = written["pcap"].read_bytes()
         header, packets = read_pcap(raw)
         assert header == (2, 4, 0, 0, 65535, 1)
+        assert sim.capture._spool is None  # below SPOOL_BYTES: never spilled
         assert raw[24:] == sim.capture.pcap_records
         summary = json.loads(written["summary"].read_text())
         net = sim.network
         assert summary["frames"] == len(packets) == net.delivered + net.flooded
+
+
+MID_ATTACK = 9 * 3600 + 18 * 60  # 09:18:00, inside the tiny attack window
+
+
+def tiny_attack_exports(tmp_path, until=None):
+    """The tiny attack run's five exported files, at until and at the end."""
+    tmp_path.mkdir(exist_ok=True)
+    sim = build(ScenarioConfig.load(write_tiny_config(tmp_path, attack=True)))
+    out = []
+    for i, t in enumerate((until, None)):
+        sim.run(t)
+        written = sim.export(tmp_path / f"out-{i}")
+        out.append({k: p.read_bytes() for k, p in written.items()})
+    return sim, out
+
+
+class TestSpool:
+    def test_exports_do_not_depend_on_where_spills_fall(self, tmp_path,
+                                                        monkeypatch):
+        _, want = tiny_attack_exports(tmp_path / "default", MID_ATTACK)
+        for limit in (1, 10_000):
+            monkeypatch.setattr(capture, "SPOOL_BYTES", limit)
+            sim, got = tiny_attack_exports(tmp_path / str(limit), MID_ATTACK)
+            assert sim.capture._spooled > 0
+            # at most one record past the limit: 16 bytes + a full frame
+            assert len(sim.capture.pcap_records) < limit + 16 + 1514
+            assert got == want  # mid-run and at the end
+
+    def test_golden_attack_run_holds_a_bounded_tail(self, golden_runs):
+        cap = golden_runs["attack"]["sim"].capture
+        raw = (golden_runs["attack"]["outdir"] / "capture.pcap").read_bytes()
+        _, packets = read_pcap(raw)
+        longest = max(16 + len(frame) for _, _, frame in packets)
+        assert len(cap.pcap_records) < capture.SPOOL_BYTES + longest
+        assert 24 + cap._spooled + len(cap.pcap_records) == len(raw)
+
+    def test_spool_leaves_no_file_behind(self, tmp_path, monkeypatch):
+        spool_dir = tmp_path / "spool"
+        spool_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+        monkeypatch.setattr(capture, "SPOOL_BYTES", 10_000)
+        sim, _ = tiny_attack_exports(tmp_path)
+        assert sim.capture._spooled > 0
+        assert list(spool_dir.iterdir()) == []
+
+    def test_dropped_spilled_run_closes_its_spool(self, tmp_path):
+        cfg = write_tiny_config(tmp_path, attack=True)
+        script = (
+            "import gc, sys\n"
+            "from gridtwin import capture\n"
+            "from gridtwin.scenario import ScenarioConfig, build\n"
+            "capture.SPOOL_BYTES = 10_000\n"
+            "sim = build(ScenarioConfig.load(sys.argv[1]))\n"
+            "sim.run()\n"
+            "assert sim.capture._spooled > 0\n"
+            "del sim\n"
+            "gc.collect()\n"
+            "print('dropped')\n")
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-c", script, str(cfg)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "dropped\n"
+        assert "ResourceWarning" not in proc.stderr
+
+    def test_torn_spill_is_left_out_of_the_export(self, tmp_path,
+                                                  monkeypatch):
+        _, [_, want] = tiny_attack_exports(tmp_path / "clean")
+        make_file = tempfile.TemporaryFile
+
+        class DiskFullsOnSecondWrite:
+            """A spool whose second write stops halfway, as ENOSPC can."""
+
+            def __init__(self):
+                self.file, self.writes = make_file(), 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    self.file.write(data[:len(data) // 2])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.file.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.file, name)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", DiskFullsOnSecondWrite)
+        monkeypatch.setattr(capture, "SPOOL_BYTES", 10_000)
+        cfg = write_tiny_config(tmp_path, attack=True)
+
+        def torn_run():
+            sim = build(ScenarioConfig.load(cfg))
+            with pytest.raises(HookError, match="No space left"):
+                sim.run()
+            return sim
+
+        sim = torn_run()
+        written = sim.export(tmp_path / "out")
+        raw = written["pcap"].read_bytes()
+        _, packets = read_pcap(raw)
+        assert 10_000 < sim.capture._spooled < len(raw) < len(want["pcap"])
+        assert raw == want["pcap"][:len(raw)]
+        summary = json.loads(written["summary"].read_text())
+        assert summary["frames"] == len(packets)
+
+        sim = torn_run()
+        sim.run()  # it can go on: the next spill writes over the torn part
+        written = sim.export(tmp_path / "resumed")
+        _, packets = read_pcap(written["pcap"].read_bytes())
+        summary = json.loads(written["summary"].read_text())
+        assert summary["frames"] == len(packets) > len(want["pcap"]) // 100
+        stamps = [(sec, usec) for sec, usec, _ in packets]
+        assert stamps == sorted(stamps)

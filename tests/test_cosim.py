@@ -1,8 +1,8 @@
 import pytest
 
-from gridtwin.cosim import (DuplicateIdError, LifecycleError, Scheduler,
-                            SignalConflictError, SimClock, SimulatorHandle,
-                            SimulatorStepError)
+from gridtwin.cosim import (DuplicateIdError, HookError, LifecycleError,
+                            Scheduler, SignalConflictError, SimClock,
+                            SimulatorHandle, SimulatorStepError)
 
 EPOCH = 9 * 3600 + 15 * 60  # 09:15:00
 
@@ -70,6 +70,17 @@ class TestStepAll:
             raise RuntimeError("kaput")
         s.register(SimulatorHandle(id="flaky", behavior=boom))
         with pytest.raises(SimulatorStepError, match="flaky"):
+            s.step_all()
+
+    def test_failing_hook_names_hook_and_step(self):
+        s = make_scheduler()
+
+        def flush(step):
+            if step == 1:
+                raise OSError("disk full")
+        s.add_hook(flush)
+        s.step_all()
+        with pytest.raises(HookError, match=r"flush.* at step 1: disk full"):
             s.step_all()
 
     def test_causality_one_step_delay(self):

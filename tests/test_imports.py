@@ -5,6 +5,8 @@ An import kept on purpose carries ``# noqa: F401`` on its line.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,15 @@ def test_guard_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_a_run_loads_no_socket_module():
+    # socket pulls in select and selectors too; a simulated network needs
+    # none of them, and every run would carry their memory
+    src = str(PACKAGE.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import gridtwin.scenario; "
+         "print(sorted({'socket', 'select', 'selectors'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"

@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import re
+import tempfile
 import weakref
 from pathlib import Path
 
@@ -11,13 +12,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtwin import cosim, data_path
+from gridtwin import capture, cosim, data_path
 from gridtwin import devices as dev
-from gridtwin.cli import main
+from gridtwin.cli import _window_integral, main
 from gridtwin.grid import GridInputError, pv_output
 from gridtwin.scenario import (ConfigError, ScenarioConfig, Simulation, build,
                                parse_time, validate)
 from tests.conftest import load_golden, write_tiny_config
+from tests.test_capture import read_pcap
 
 
 # names that are not one file name; the default output directory is
@@ -224,6 +226,21 @@ class TestCli:
         cfg = write_tiny_config(tmp_path)
         assert main(["run", str(cfg), "--until", "nope"]) == 1
 
+    def test_failed_spill_aborts_the_run_and_keeps_its_outputs(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        monkeypatch.setattr(capture, "SPOOL_BYTES", 64)
+        out = tmp_path / "ds"
+        assert main(["run", str(write_tiny_config(tmp_path)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime abort: hook 'Network.transport' "
+                              "failed at step ")
+        assert "Traceback" not in err
+        summary = json.loads((out / "summary.json").read_text())
+        _, packets = read_pcap((out / "capture.pcap").read_bytes())
+        assert 0 < summary["frames"] == len(packets)
+
     def test_run_invalid_config(self, tmp_path):
         def mutate(cfg):
             del cfg["devices"]["meter"]
@@ -357,6 +374,13 @@ class TestCli:
         assert main(["report", str(a), str(c)]) == 0
         text = capsys.readouterr().out
         assert "attack window" in text and "only in B" in text
+
+    def test_report_window_integral_adds_left_to_right(self):
+        # sum() compensates since CPython 3.12: it would give 3600 + 1e-12
+        powers = [3600.0] + [1e-13] * 10
+        samples = [(float(t), p) for t, p in enumerate(powers)]
+        window = {"start": "00:00:00", "end": "00:00:11"}
+        assert _window_integral(samples, window) == 3600.0
 
     def test_report_missing_dataset(self, tmp_path):
         assert main(["report", str(tmp_path), str(tmp_path)]) == 1
