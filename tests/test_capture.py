@@ -5,11 +5,12 @@ import struct
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
-from gridtwin.attack import AttackPlan
 from gridtwin import capture
+from gridtwin.attack import AttackPlan
 from gridtwin.capture import Capture, ExportError, ProcessSample, fmt_time
 from gridtwin.cosim import HookError, SimClock
 from gridtwin.netem import (ARP_REQUEST, BROADCAST_MAC, ETH_IPV4, ZERO_MAC,
@@ -296,6 +297,7 @@ class TestSpool:
         cfg = write_tiny_config(tmp_path, attack=True)
         script = (
             "import gc, sys\n"
+            "sys.path.insert(0, sys.argv[2])\n"
             "from gridtwin import capture\n"
             "from gridtwin.scenario import ScenarioConfig, build\n"
             "capture.SPOOL_BYTES = 10_000\n"
@@ -307,7 +309,7 @@ class TestSpool:
             "print('dropped')\n")
         proc = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
-             "-c", script, str(cfg)],
+             "-c", script, str(cfg), str(Path(capture.__file__).parents[1])],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "dropped\n"

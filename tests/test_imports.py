@@ -61,10 +61,10 @@ def test_no_unused_module_level_import(path):
 def test_a_run_loads_no_socket_module():
     # socket pulls in select and selectors too; a simulated network needs
     # none of them, and every run would carry their memory
-    src = str(PACKAGE.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys; sys.path.insert(0, {src!r}); import gridtwin.scenario; "
-         "print(sorted({'socket', 'select', 'selectors'} & set(sys.modules)))"],
-        capture_output=True, text=True, timeout=60, check=True)
+    script = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+              "import gridtwin.scenario\n"
+              "print(sorted({'socket', 'select', 'selectors'}\n"
+              "             & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, check=True)
     assert proc.stdout == "[]\n"
