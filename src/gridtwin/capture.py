@@ -31,7 +31,8 @@ import weakref
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import starmap
+from functools import lru_cache
+from itertools import compress, starmap
 from pathlib import Path
 
 from .attack import AttackPlan
@@ -48,19 +49,28 @@ PCAP_HEADER = struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535,
 _RECORD_HEADER = struct.Struct("<IIII")  # sec, usec, incl_len, orig_len
 # pcap record bytes held in memory before they are moved to the spool file
 SPOOL_BYTES = 256 * 1024
+# process.csv rows formatted and written per write
+PROCESS_CHUNK = 512
+# %.6f writes what f"{x:.6f}" writes; %d writes attack_active's 1.0 as 1
+_PROCESS_ROW = "%s,%.6f,%.6f,%.6f,%.6f,%.6f,%d\n"
 
 
 class ExportError(ValueError):
     pass
 
 
+@lru_cache(maxsize=64)  # rows come in time order: a few minutes suffice
+def _hh_mm(minute: int) -> str:
+    return "%02d:%02d:" % divmod(minute, 60)
+
+
 def fmt_time(t_s: float) -> str:
     """Seconds since midnight as HH:MM:SS[.mmm], rounded to the millisecond."""
     whole, ms = divmod(round(t_s * 1000), 1000)
-    h, rem = divmod(whole, 3600)
-    m, s = divmod(rem, 60)
-    base = f"{h:02d}:{m:02d}:{s:02d}"
-    return f"{base}.{ms:03d}" if ms else base
+    m, s = divmod(whole, 60)
+    if ms:
+        return "%s%02d.%03d" % (_hh_mm(m), s, ms)
+    return "%s%02d" % (_hh_mm(m), s)
 
 
 def sum_in_order(values) -> float:
@@ -221,11 +231,11 @@ class Capture:
 
     def export(self, outdir: str | Path,
                formats: tuple[str, ...] = FORMATS) -> dict[str, Path]:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
         for f in formats:
             if f not in FORMATS:
                 raise ExportError(f"unsupported export format {f!r}")
+        outdir = Path(outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
         written: dict[str, Path] = {}
         if "process" in formats:
             written["process"] = self._export_process(outdir / "process.csv")
@@ -243,14 +253,17 @@ class Capture:
         return written
 
     def _export_process(self, path: Path) -> Path:
-        # row by row: the text of every row at once would outweigh the rows
+        # a chunk at a time: the text of every row at once would outweigh
+        # the rows
+        rows, size = self.rows, PROCESS_CHUNK * ROW
         with path.open("w") as fh:
             fh.write("t,pv_kw,bss_kw,load_kw,transformer_kw,soc_pct,"
                      "attack_active\n")
-            for t, pv, _, bss, load, tr, soc, active in zip(
-                    *[iter(self.rows)] * ROW):
-                fh.write(f"{fmt_time(t)},{pv:.6f},{bss:.6f},{load:.6f},"
-                         f"{tr:.6f},{soc:.6f},{'1' if active else '0'}\n")
+            for i in range(0, len(rows), size):
+                fh.write("".join([
+                    _PROCESS_ROW % (fmt_time(t), pv, bss, load, tr, soc, a)
+                    for t, pv, _, bss, load, tr, soc, a
+                    in zip(*[iter(rows[i:i + size])] * ROW)]))
         return path
 
     def _export_flows(self, path: Path) -> Path:
@@ -321,9 +334,9 @@ class Capture:
             "peak_import_kw": max(power, default=0.0),
             "peak_export_kw": min(power, default=0.0),
             "pv_curtailed_kwh": sum_in_order(
-                max(0.0, avail - pv) * self.clock.step_s
+                (avail - pv) * self.clock.step_s
                 for pv, avail in zip(rows[PV::ROW], rows[PV_AVAILABLE::ROW])
-            ) / 3600.0,
+                if avail > pv) / 3600.0,
             "within_deadband_fraction": (
                 sum(1 for p in power if abs(p) <= self.deadband_kw) / n
                 if n else 0.0),
@@ -331,8 +344,8 @@ class Capture:
         }
         if self.plan is not None:
             active = rows[ACTIVE::ROW]
-            window = [p for p, a in zip(power, active) if a]
-            bss = [b for b, a in zip(rows[BSS::ROW], active) if a]
+            window = list(compress(power, active))
+            bss = list(compress(rows[BSS::ROW], active))
             out["attack_window"] = {
                 "start": fmt_time(self.plan.start_s),
                 "end": fmt_time(self.plan.end_s),

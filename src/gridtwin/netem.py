@@ -376,6 +376,10 @@ class Network:
                 table[frame.src_mac] = sender
                 dst = (None if frame.dst_mac == BROADCAST_MAC
                        else table.get(frame.dst_mac))
+                # a sink that raises leaves the frame uncounted, as the
+                # capture left it unrecorded
+                if self.frame_sink:
+                    self.frame_sink(frame, step)
                 if dst is None:
                     self.flooded += 1
                     receivers = [h for h in self.hosts.values()
@@ -383,8 +387,6 @@ class Network:
                 else:
                     self.delivered += 1
                     receivers = () if dst is sender else (dst,)
-                if self.frame_sink:
-                    self.frame_sink(frame, step)
                 for host in receivers:
                     host._on_frame(frame, step)
         # a host has something to expire only while it awaits ARP replies

@@ -8,6 +8,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gridtwin import capture
 from gridtwin.attack import AttackPlan
@@ -63,7 +66,26 @@ def sample_frame(payload=b"hello"):
     return EthernetFrame("02:00:00:00:00:01", "02:00:00:00:00:02", pkt)
 
 
+def reference_fmt_time(t_s: float) -> str:
+    """The f-string formatter: hours, minutes and seconds each divided
+    out of the whole seconds."""
+    whole, ms = divmod(round(t_s * 1000), 1000)
+    h, rem = divmod(whole, 3600)
+    m, s = divmod(rem, 60)
+    base = f"{h:02d}:{m:02d}:{s:02d}"
+    return f"{base}.{ms:03d}" if ms else base
+
+
 class TestFmtTime:
+    @given(st.floats(0.0, 3 * 86400.0, exclude_max=True))
+    @example(62.99999999999999)
+    @example(0.9996)
+    @example(59.9995)
+    @example(3599.9995)
+    @example(86399.9996)  # 24:00:00
+    def test_matches_reference(self, t):
+        assert fmt_time(t) == reference_fmt_time(t)
+
     def test_whole_seconds(self):
         assert fmt_time(9 * 3600 + 15 * 60) == "09:15:00"
 
@@ -125,7 +147,8 @@ class TestCapture:
     def test_unknown_format_rejected(self, tmp_path):
         cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
         with pytest.raises(ExportError):
-            cap.export(tmp_path, formats=("xml",))
+            cap.export(tmp_path / "x", formats=("process", "xml"))
+        assert list(tmp_path.iterdir()) == []  # refused before any is made
 
     def test_attack_labels_follow_window(self):
         for start_s, end_s, labels in (
@@ -315,6 +338,16 @@ class TestSpool:
         assert proc.stdout == "dropped\n"
         assert "ResourceWarning" not in proc.stderr
 
+    def test_frame_the_spill_refused_is_counted_nowhere(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        monkeypatch.setattr(capture, "SPOOL_BYTES", 64)
+        sim = build(ScenarioConfig.load(write_tiny_config(tmp_path)))
+        with pytest.raises(HookError, match="No such file"):
+            sim.run()
+        net = sim.network
+        assert net.delivered + net.flooded == sim.capture.frame_count > 0
+
     def test_torn_spill_is_left_out_of_the_export(self, tmp_path,
                                                   monkeypatch):
         _, [_, want] = tiny_attack_exports(tmp_path / "clean")
@@ -363,3 +396,34 @@ class TestSpool:
         assert summary["frames"] == len(packets) > len(want["pcap"]) // 100
         stamps = [(sec, usec) for sec, usec, _ in packets]
         assert stamps == sorted(stamps)
+
+
+class TestProcessChunks:
+    def test_chunk_size_does_not_change_the_files(self, tmp_path,
+                                                  monkeypatch):
+        # 0.7 s steps from midnight: most times carry milliseconds, and
+        # some, such as 62.99999999999999 s, round into the next second
+        path = write_tiny_config(tmp_path, attack=True, clock={
+            "start": "00:00:00", "end": "00:05:00", "step_s": 0.7,
+            "date": "2021-06-15"})
+        cfg = yaml.safe_load(path.read_text())
+        cfg["attack"].update(start="00:02:00", end="00:04:00")
+        path.write_text(yaml.safe_dump(cfg))
+        sim = build(ScenarioConfig.load(path))
+        sim.run()
+        cap = sim.capture
+        formats = ("process", "summary")
+        want = {k: p.read_bytes() for k, p in
+                cap.export(tmp_path / "default", formats).items()}
+        text = want["process"].decode()
+        assert len(cap.samples) == 429  # 61 chunks of 7 and 2 rows over
+        assert "00:00:00.700," in text and "\n00:01:03," in text
+        assert text == "".join(
+            ["t,pv_kw,bss_kw,load_kw,transformer_kw,soc_pct,attack_active\n"]
+            + [f"{reference_fmt_time(s.t_s)},{s.pv_kw:.6f},{s.bss_kw:.6f},"
+               f"{s.load_kw:.6f},{s.transformer_kw:.6f},{s.soc_pct:.6f},"
+               f"{'1' if s.attack_active else '0'}\n" for s in cap.samples])
+        for chunk in (1, 7):
+            monkeypatch.setattr(capture, "PROCESS_CHUNK", chunk)
+            written = cap.export(tmp_path / str(chunk), formats)
+            assert {k: p.read_bytes() for k, p in written.items()} == want
