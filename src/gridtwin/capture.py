@@ -32,7 +32,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, starmap
+from itertools import chain, compress, starmap
 from pathlib import Path
 
 from .attack import AttackPlan
@@ -73,10 +73,10 @@ def fmt_time(t_s: float) -> str:
     return "%s%02d" % (_hh_mm(m), s)
 
 
-def sum_in_order(values) -> float:
-    """Floats added left to right, as sum() added them before CPython
-    3.12 made it compensate: summary.json must not depend on the Python."""
-    total = 0.0
+def sum_in_order(values, total: float = 0.0) -> float:
+    """Floats added left to right to total, as sum() added them before
+    CPython 3.12 made it compensate: summary.json must not depend on the
+    Python."""
     for v in values:
         total += v
     return total
@@ -318,40 +318,63 @@ class Capture:
             p for t, p in zip(rows[T::ROW], rows[TRANSFORMER::ROW])
             if (t0 is None or t >= t0) and (t1 is None or t < t1))
 
-    def _integral(self, powers) -> float:
-        """∫|transformer_kw| dt in kW·s over the given powers, one a step."""
+    def _integral(self, powers, total: float = 0.0) -> float:
+        """∫|transformer_kw| dt in kW·s over the given powers, one a step,
+        added to total."""
         step_s = self.clock.step_s
-        return sum_in_order(abs(p) * step_s for p in powers)
+        return sum_in_order((abs(p) * step_s for p in powers), total)
 
     def summarize(self) -> dict:
-        rows, n = self.rows, len(self.samples)
-        power = rows[TRANSFORMER::ROW]
+        """The run's statistics, from the rows a chunk of PROCESS_CHUNK at
+        a time: copies of whole columns would grow with the run.  Each sum
+        carries its total from chunk to chunk, so it still adds left to
+        right."""
+        rows, n, step_s = self.rows, len(self.samples), self.clock.step_s
+        size = PROCESS_CHUNK * ROW
+        integral = curtailed = window_integral = window_bss = 0.0
+        within = labeled = 0
+        # a peak carried into the next chunk's max() or min() as its first
+        # value gives what one call over the whole column gave
+        top = bottom = window_top = ()
+        for i in range(0, len(rows), size):
+            power = rows[i + TRANSFORMER:i + size:ROW]
+            integral = self._integral(power, integral)
+            top = (max(chain(top, power)),)
+            bottom = (min(chain(bottom, power)),)
+            curtailed = sum_in_order(
+                ((avail - pv) * step_s for pv, avail
+                 in zip(rows[i + PV:i + size:ROW],
+                        rows[i + PV_AVAILABLE:i + size:ROW])
+                 if avail > pv), curtailed)
+            within += sum(1 for p in power if abs(p) <= self.deadband_kw)
+            if self.plan is None:
+                continue  # no step is labeled
+            active = rows[i + ACTIVE:i + size:ROW]
+            if any(active):
+                window = list(compress(power, active))
+                labeled += len(window)
+                window_integral = self._integral(window, window_integral)
+                window_top = (max(chain(window_top, window)),)
+                window_bss = sum_in_order(
+                    compress(rows[i + BSS:i + size:ROW], active), window_bss)
         out = {
             "steps": n,
             "frames": self.frame_count,
             "flow_count": len(self.flows),
-            "imbalance_integral_kws": self._integral(power),
-            "peak_import_kw": max(power, default=0.0),
-            "peak_export_kw": min(power, default=0.0),
-            "pv_curtailed_kwh": sum_in_order(
-                (avail - pv) * self.clock.step_s
-                for pv, avail in zip(rows[PV::ROW], rows[PV_AVAILABLE::ROW])
-                if avail > pv) / 3600.0,
-            "within_deadband_fraction": (
-                sum(1 for p in power if abs(p) <= self.deadband_kw) / n
-                if n else 0.0),
+            "imbalance_integral_kws": integral,
+            "peak_import_kw": top[0] if top else 0.0,
+            "peak_export_kw": bottom[0] if bottom else 0.0,
+            "pv_curtailed_kwh": curtailed / 3600.0,
+            "within_deadband_fraction": within / n if n else 0.0,
             "attack_window": None,
         }
         if self.plan is not None:
-            active = rows[ACTIVE::ROW]
-            window = list(compress(power, active))
-            bss = list(compress(rows[BSS::ROW], active))
             out["attack_window"] = {
                 "start": fmt_time(self.plan.start_s),
                 "end": fmt_time(self.plan.end_s),
-                "imbalance_integral_kws": self._integral(window),
-                "labeled_steps": len(window),
-                "peak_import_kw": max(window, default=0.0),
-                "mean_bss_kw": sum_in_order(bss) / len(bss) if bss else 0.0,
+                "imbalance_integral_kws": window_integral,
+                "labeled_steps": labeled,
+                "peak_import_kw": window_top[0] if window_top else 0.0,
+                "mean_bss_kw": window_bss / labeled if labeled else 0.0,
             }
         return out

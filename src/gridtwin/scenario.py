@@ -293,7 +293,7 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     # rating and the scaled profile's peak, PV availability up to the peak
     # (not clamped to the rating), PV output up to both, the BSS up to its
     # rating and the meter up to the larger of load and PV plus the BSS
-    peak = {which: max((v for _, v in p.points), default=0.0)
+    peak = {which: max(p.values, default=0.0)
             for which, p in prof.items() if p is not None}
     load_kw = min(load.rated_kw, peak.get("load", 0.0))
     pv_kw = peak.get("pv", 0.0)

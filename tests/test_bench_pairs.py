@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py on synthetic pairs; perfbench is never run."""
+"""tools/bench_pairs.py on synthetic pairs and a scratch git repository;
+perfbench is never run."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -117,3 +119,43 @@ class TestClean:
         else:
             pairs[3][side][field] = bad
         assert not bench_pairs.clean(self.entry(pairs))
+
+
+def git(repo, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+def files(root):
+    return {p.relative_to(root).as_posix(): p.read_text()
+            for p in root.rglob("*") if p.is_file()}
+
+
+class TestCheckouts:
+    def test_both_sides_are_exported_side_by_side(self, tmp_path):
+        repo = tmp_path / "repo"
+        (repo / "pkg").mkdir(parents=True)
+        (repo / ".gitignore").write_text("__pycache__/\n*.log\n")
+        (repo / "pkg" / "mod.py").write_text("old\n")
+        (repo / "gone.py").write_text("gone\n")
+        git(repo, "init", "-q")
+        git(repo, "add", "-A")
+        git(repo, "commit", "-qm", "parent")
+        (repo / "pkg" / "mod.py").write_text("new\n")  # edited, not committed
+        (repo / "gone.py").unlink()
+        (repo / "added.py").write_text("added\n")  # untracked, not ignored
+        (repo / "run.log").write_text("ignored\n")
+        (repo / "pkg" / "__pycache__").mkdir()
+        (repo / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_text("")
+
+        sha, dirs = bench_pairs.checkouts("HEAD", tmp_path / "out", root=repo)
+        assert sha == git(repo, "rev-parse", "HEAD").strip()
+        assert dirs == {"parent": tmp_path / "out" / "parent",
+                        "change": tmp_path / "out" / "change"}
+        gitignore = "__pycache__/\n*.log\n"
+        assert files(dirs["parent"]) == {
+            ".gitignore": gitignore, "gone.py": "gone\n", "pkg/mod.py": "old\n"}
+        assert files(dirs["change"]) == {
+            ".gitignore": gitignore, "added.py": "added\n", "pkg/mod.py": "new\n"}

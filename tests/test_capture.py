@@ -5,6 +5,8 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,94 @@ def reference_fmt_time(t_s: float) -> str:
     m, s = divmod(rem, 60)
     base = f"{h:02d}:{m:02d}:{s:02d}"
     return f"{base}.{ms:03d}" if ms else base
+
+
+def reference_summarize(cap: Capture) -> dict:
+    """The summary from whole columns of the rows, each copied at once."""
+    rows, n, step_s = cap.rows, len(cap.samples), cap.clock.step_s
+    power = rows[capture.TRANSFORMER::capture.ROW]
+    out = {
+        "steps": n,
+        "frames": cap.frame_count,
+        "flow_count": len(cap.flows),
+        "imbalance_integral_kws": capture.sum_in_order(
+            abs(p) * step_s for p in power),
+        "peak_import_kw": max(power, default=0.0),
+        "peak_export_kw": min(power, default=0.0),
+        "pv_curtailed_kwh": capture.sum_in_order(
+            (avail - pv) * step_s
+            for pv, avail in zip(rows[capture.PV::capture.ROW],
+                                 rows[capture.PV_AVAILABLE::capture.ROW])
+            if avail > pv) / 3600.0,
+        "within_deadband_fraction": (
+            sum(1 for p in power if abs(p) <= cap.deadband_kw) / n
+            if n else 0.0),
+        "attack_window": None,
+    }
+    if cap.plan is not None:
+        active = rows[capture.ACTIVE::capture.ROW]
+        window = list(compress(power, active))
+        bss = list(compress(rows[capture.BSS::capture.ROW], active))
+        out["attack_window"] = {
+            "start": fmt_time(cap.plan.start_s),
+            "end": fmt_time(cap.plan.end_s),
+            "imbalance_integral_kws": capture.sum_in_order(
+                abs(p) * step_s for p in window),
+            "labeled_steps": len(window),
+            "peak_import_kw": max(window, default=0.0),
+            "mean_bss_kw": (capture.sum_in_order(bss) / len(bss)
+                            if bss else 0.0),
+        }
+    return out
+
+
+# equal values of either sign, and small terms that a compensated sum
+# would keep and a left-to-right one drops
+KW = st.sampled_from([0.0, -0.0, 0.05, -0.05, 1.5, -2.25, 7.0, 1e-13, 3600.0])
+
+
+class TestSummarize:
+    @given(rows=st.lists(st.tuples(KW, KW, KW, KW, KW), max_size=40),
+           window=st.none() | st.tuples(st.integers(0, 40),
+                                        st.integers(1, 20)),
+           chunk=st.sampled_from([1, 2, 3, 7, 512]))
+    # equal peaks in two chunks: the first one's sign is kept
+    @example(rows=[(0.0,) * 4 + (-0.0,), (0.0,) * 5], window=None, chunk=1)
+    # one chunk's sum, 3e-13, would not be lost against 3600 as each
+    # 1e-13 is
+    @example(rows=[(0.0, 0.0, kw, 0.0, 0.0) for kw in [3600.0] + [1e-13] * 5],
+             window=(0, 20), chunk=3)
+    def test_matches_whole_columns(self, rows, window, chunk):
+        plan = None if window is None else AttackPlan(
+            float(window[0]), float(window[0] + window[1]))
+        cap = Capture(SimClock(epoch_s=0.0, step_s=0.5), deadband_kw=0.05,
+                      plan=plan)
+        for step, (pv, avail, bss, load, transformer) in enumerate(rows):
+            cap.record_sample(step, pv, bss, load, transformer, 50.0, avail)
+        saved = capture.PROCESS_CHUNK
+        capture.PROCESS_CHUNK = chunk
+        try:
+            summary = cap.summarize()
+        finally:
+            capture.PROCESS_CHUNK = saved
+        # repr tells -0.0 from 0.0, which summary.json writes apart
+        assert repr(summary) == repr(reference_summarize(cap))
+
+    def test_holds_a_chunk_not_a_column(self):
+        # 60,000 steps, all in the attack window: one column is 480 KB
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1,
+                      plan=AttackPlan(0.0, 60_000.0))
+        for step in range(60_000):
+            cap.record_sample(step, 1.0, float(step % 7), 2.0, step % 5 - 2.0,
+                              50.0, 3.0)
+        tracemalloc.start()
+        try:
+            summary = cap.summarize()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary["attack_window"]["labeled_steps"] == 60_000
+        assert peak < 200_000
 
 
 class TestFmtTime:

@@ -2,11 +2,14 @@ import io
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+import yaml
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridtwin.profiles import (ProfileError, ScalingRule, TimeSeriesProfile,
                                load_profile, sample, scale)
+from gridtwin.scenario import ScenarioConfig, validate
+from tests.conftest import write_tiny_config
 
 
 def serialize(profile):
@@ -14,6 +17,80 @@ def serialize(profile):
     for t, v in profile.points:
         lines.append(f"{t!r},{v!r}")
     return "\n".join(lines) + "\n"
+
+
+def reference_load_profile(source, interpolation="hold"):
+    """Reference: the line-by-line loader, one knot at a time."""
+    if isinstance(source, bytes):
+        text = source.decode("utf-8")
+    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
+        data = source.read()
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    else:
+        text = source
+    lines = text.splitlines()
+    if not lines:
+        raise ProfileError("no data rows")
+    start = 1 if lines and lines[0].strip().lower().replace(" ", "") == "t_s,value_kw" else 0
+    points = []
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ProfileError(f"line {lineno}: expected 't,value', got {line!r}")
+        try:
+            t, v = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ProfileError(f"line {lineno}: not numeric: {line!r}") from None
+        if points and t <= points[-1][0]:
+            raise ProfileError(
+                f"line {lineno}: timestamp {t} not after {points[-1][0]}")
+        points.append((t, v))
+    if not points:
+        raise ProfileError("no data rows")
+    return TimeSeriesProfile(points=tuple(points), interpolation=interpolation)
+
+
+# a field as a profile file may hold it: a number in several spellings,
+# nan and the infinities, one that overflows, or something that is none
+FIELDS = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.integers(-1000, 1000).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "+Infinity", "1e308",
+                     "1e999", "-0.0", " 2.5 ", "1_0", "", "x", "0x1", "1,5"]))
+ODD_LINES = st.one_of(
+    st.sampled_from(["", " ", "\t", "  \t "]),
+    st.lists(FIELDS, min_size=1, max_size=3).map(",".join))
+
+
+@st.composite
+def profile_texts(draw):
+    """Profile CSV text: increasing knots, with equal, decreasing, odd,
+    blank and whitespace-only lines inserted, with or without a header,
+    and LF, CRLF or CR line ends."""
+    times = sorted(draw(st.lists(st.integers(-50, 500), max_size=12)))
+    # mostly plain numbers, so that many texts are well-formed
+    value = st.one_of(*[st.floats(-1e6, 1e6).map(repr)] * 4, FIELDS)
+    spell = draw(st.sampled_from((str, lambda t: repr(t / 2))))
+    lines = [f"{spell(t)},{draw(value)}" for t in times]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        lines.insert(i, draw(st.one_of(
+            ODD_LINES, st.sampled_from(lines or [""]))))  # repeats a knot
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(
+            ["t_s,value_kw", "T_S, Value_KW", " t_s,value_kw\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end, end * 2]))
+
+
+def outcome(load, text, interpolation):
+    """The profile's repr (exact to the bit) or the ProfileError's text."""
+    try:
+        return repr(load(text, interpolation))
+    except ProfileError as exc:
+        return f"ProfileError: {exc}"
 
 
 def scan_sample(points, interpolation, t):
@@ -53,6 +130,36 @@ class TestLoadProfile:
     def test_garbage_reports_line(self):
         with pytest.raises(ProfileError, match="line 2"):
             load_profile("0,1.0\nbogus")
+
+    @given(text=profile_texts(),
+           interpolation=st.sampled_from(("hold", "linear", "cubic")))
+    @example(text="t_s,value_kw\n0,1\n1,2\n", interpolation="hold")
+    @example(text="0,1\n\n1,2", interpolation="hold")         # blank line
+    @example(text="0,1\r\n1,2\r\n", interpolation="linear")   # CRLF
+    @example(text="0,1\n1,inf", interpolation="linear")
+    @example(text="0,1\ninf,2", interpolation="linear")
+    @example(text="0,nan\n1,2\n0.5,3", interpolation="hold")  # order first
+    @example(text="inf,1\n5,2", interpolation="hold")
+    @example(text="1,2\nnan,3", interpolation="hold")
+    @example(text="0,nan\n1,2", interpolation="cubic")
+    @example(text="0,1\n0,2", interpolation="hold")
+    @example(text="0,1\n1,2,3", interpolation="hold")
+    @example(text="0,1\nx,2", interpolation="hold")
+    @example(text="t_s,value_kw\n", interpolation="hold")
+    @example(text=" \n\t", interpolation="hold")
+    def test_matches_reference(self, text, interpolation):
+        assert outcome(load_profile, text, interpolation) \
+            == outcome(reference_load_profile, text, interpolation)
+        assert outcome(load_profile, text.encode(), interpolation) \
+            == outcome(load_profile, text, interpolation)
+
+    def test_holds_its_knots_in_two_columns(self):
+        p = load_profile("t_s,value_kw\n0,5.0\n60,6.0\n120,5.5\n")
+        assert p.times == (0.0, 60.0, 120.0)
+        assert p.values.typecode == "d" and list(p.values) == [5.0, 6.0, 5.5]
+        assert p.points[1] == (60.0, 6.0) and p.points[-2:] == \
+            ((60.0, 6.0), (120.0, 5.5))
+        assert replace(p, interpolation="linear").values is p.values
 
     def test_serialize_round_trip(self):
         p = load_profile("0,4.25\n17.5,8.125\n60,0.0", interpolation="linear")
@@ -116,6 +223,24 @@ class TestScale:
         # oracle: scan every point independently
         assert [v for _, v in scaled.points] == \
             [min(v, 36.0) for _, v in p.points] == [10.0, 36.0]
+
+    def test_overflowed_knot_is_refused(self):
+        with pytest.raises(ProfileError, match="non-finite profile point"):
+            scale(load_profile("0,1e308\n1,2"), ScalingRule(10))
+        # a clamp still bounds the product, as it bounds any other value
+        clamped = scale(load_profile("0,1e308\n1,2"), ScalingRule(10, 36.0))
+        assert clamped.points == ((0.0, 36.0), (1.0, 20.0))
+
+    @pytest.mark.parametrize("which", ["load", "pv"])
+    def test_validate_reports_an_overflowed_knot(self, tmp_path, which):
+        path = write_tiny_config(tmp_path)
+        (tmp_path / f"{which}.csv").write_text("0,1e308\n1,2\n")
+        cfg = yaml.safe_load(path.read_text())
+        cfg["profiles"][which]["factor"] = 10
+        path.write_text(yaml.safe_dump(cfg))
+        issues = validate(ScenarioConfig.load(path))
+        assert f"profiles.{which}: non-finite profile point (0.0, inf)" \
+            in issues
 
     def test_zero_factor_rejected(self):
         with pytest.raises(ProfileError):

@@ -5,9 +5,13 @@
         [--seed S] attack=10 normal=6 dense-profile=6
 
 Runs ``python3 perfbench/run.py --workload W --seed S --trace 0`` from
-two checkouts: the parent, exported from git at REV into
-a temporary directory (``TMPDIR`` sets where), and the change, the
-checkout this script lives in, as its working tree stands.  Pair i uses
+two copies, made side by side in one temporary directory (``TMPDIR``
+sets where): ``parent``, the files committed at REV, and ``change``, the
+working tree of the checkout this script lives in as it stands (its
+tracked files and its untracked files that git does not ignore).
+Neither copy starts with a ``__pycache__`` or anything else git
+ignores, and both sit at paths of one length, so where a side runs does
+not bias its memory or time.  Pair i uses
 seed S + i and runs the parent first when i is even, the change first
 when it is odd.  Each run is a fresh perfbench invocation at
 perfbench's own run length; perfbench itself times set-up, run and
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -48,17 +53,40 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def git(*args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+def git(*args: str, root: Path = ROOT) -> bytes:
+    return subprocess.run(["git", *args], cwd=root, check=True,
                           capture_output=True).stdout
 
 
-def export_parent(rev: str, into: Path) -> str:
+def export_parent(rev: str, into: Path, root: Path = ROOT) -> str:
     """The committed files of rev under into; its full commit id."""
-    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
-    with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
+    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}",
+              root=root).decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", sha, root=root))) as tar:
         tar.extractall(into, filter="data")
     return sha
+
+
+def export_change(into: Path, root: Path = ROOT) -> None:
+    """The working tree's tracked files, as they stand, and its untracked
+    files that git does not ignore, under into."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard",
+                root=root).split(b"\0")
+    for name in filter(None, names):
+        src = root / os.fsdecode(name)
+        if src.is_file():  # a tracked file deleted since is left out
+            dst = into / os.fsdecode(name)
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dst)
+
+
+def checkouts(rev: str, into: Path, root: Path = ROOT) -> tuple[str, dict]:
+    """The parent at rev and the change, exported side by side under into;
+    the parent's full commit id and each side's directory."""
+    dirs = {"parent": into / "parent", "change": into / "change"}
+    sha = export_parent(rev, dirs["parent"], root)
+    export_change(dirs["change"], root)
+    return sha, dirs
 
 
 def perfbench(checkout: Path, workload: str, seed: int) -> dict:
@@ -191,11 +219,10 @@ def main(argv=None) -> int:
         ap.error("each run is WORKLOAD=PAIRS, e.g. attack=10")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        parent_sha = export_parent(args.parent, tmp)
-        checkouts = {"parent": tmp, "change": ROOT}
-        dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+        parent_sha, dirs = checkouts(args.parent, tmp)
+        dirty = bool(git("status", "--porcelain"))  # untracked too: copied
         result = {
             "command": "python3 perfbench/run.py --workload W --seed S "
                        "--trace 0",
@@ -211,7 +238,7 @@ def main(argv=None) -> int:
                     else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = perfbench(checkouts[side], workload, seed)
+                    pair[side] = perfbench(dirs[side], workload, seed)
                 pairs.append(pair)
                 print(f"# {workload} pair {i + 1}/{n} seed {seed}: run_s "
                       f"{value(pair['parent'], 'run_s')} -> "
