@@ -89,17 +89,64 @@ def _word(kw: float) -> int | None:
 
 
 class _Keys(dict):
-    """A scenario mapping, its sub-mappings wrapped too, that records
-    which keys are asked for with get: a key never asked for is unknown."""
+    """A scenario mapping that records which keys are asked for with get:
+    a key never asked for is unknown.  get wraps a sub-mapping the first
+    time it reads it, so a mapping nobody reads is never walked."""
 
     def __init__(self, node: dict, path: str = ""):
-        super().__init__((k, _Keys(v, f"{path}{k}.") if isinstance(v, dict)
-                          else v) for k, v in node.items())
+        super().__init__(node)
         self.path, self.read = path, set()
 
     def get(self, key, default=None):
         self.read.add(key)
-        return super().get(key, default)
+        value = super().get(key, default)
+        if type(value) is dict:  # not a _Keys, which is wrapped already
+            value = self[key] = _Keys(value, f"{self.path}{key}.")
+        return value
+
+
+# PyYAML's libyaml binding, when it ships one.  Its composer recurses in C
+# with no depth limit: with an 8 MiB stack (CPython 3.11.7, PyYAML 6.0.3)
+# it loads "a: " + "[" * n + "]" * n at n = 24,000 and dies of SIGSEGV at
+# n = 25,000, and flow maps alike.  Every level of nesting takes a byte, so
+# a file of at most _LIBYAML_BYTES nests under 4,096 levels, a sixth of
+# that.  Its scanner takes tabs that the pure-Python one refuses
+# ("step_s: 1.0\t"), so a file holding a tab goes to the pure loader too.
+LIBYAML = getattr(yaml, "CSafeLoader", None)
+_LIBYAML_BYTES = 4096
+# The pure loader recurses in Python, one or two frames a level, and stops
+# near 490 levels.  Data from libyaml holding more lists and mappings than
+# this is parsed again by the pure loader, so nothing downstream ever sees
+# data nested deeper than the pure loader builds.
+_LIBYAML_CONTAINERS = 256
+
+
+def _containers(data, limit: int) -> int:
+    """How many distinct lists, tuples and mappings data holds, counted
+    without recursion and up to limit + 1."""
+    seen, todo = set(), [data]
+    while todo and len(seen) <= limit:
+        node = todo.pop()
+        if isinstance(node, (dict, list, tuple)) and id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node.values() if isinstance(node, dict) else node)
+    return len(seen)
+
+
+def _parse(text: bytes):
+    """The YAML document in text.  libyaml parses a small file without
+    tabs; the pure-Python loader parses the rest, and parses again
+    whatever libyaml refuses, so every error is the pure loader's."""
+    if LIBYAML is not None and len(text) <= _LIBYAML_BYTES \
+            and b"\t" not in text:
+        try:
+            data = yaml.load(text, Loader=LIBYAML)
+        except yaml.YAMLError:
+            pass
+        else:
+            if _containers(data, _LIBYAML_CONTAINERS) <= _LIBYAML_CONTAINERS:
+                return data
+    return yaml.safe_load(text)
 
 
 @dataclass
@@ -111,11 +158,14 @@ class ScenarioConfig:
     def load(cls, path: str | Path) -> "ScenarioConfig":
         path = Path(path)
         try:
-            data = yaml.safe_load(path.read_bytes())
+            data = _parse(path.read_bytes())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        except RecursionError as exc:  # the pure loader recurses
+            raise ConfigError(
+                f"cannot parse {path}: nested too deeply") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         return cls(raw=data, base_dir=path.parent)
@@ -271,10 +321,13 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
         file = cfg.base_dir / str(entry.get("file") or f"{which}.csv")
         kw = fields(entry, path, interpolation=(str,))
         rule = fields(entry, path, factor=_FINITE, clamp_max_kw=_NON_NEGATIVE)
-        if attempt(f"{path}.file", file.is_file, bool,
-                   f"{file} does not exist"):
+        found = attempt(f"{path}.file", file.is_file)
+        if found:
             prof[which] = attempt(path, lambda: scale(
                 load_profile(file.read_bytes(), **kw), ScalingRule(**rule)))
+        elif found is not None:  # None: is_file raised, and attempt said why
+            issues.append(f"{path}.file: {file} " + (
+                "is not a file" if file.exists() else "does not exist"))
 
     pv = PvState(**fields(nodes["pv"], "devices.pv", rated_kw=_POSITIVE))
     bss = BssState(**fields(

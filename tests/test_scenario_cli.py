@@ -120,6 +120,12 @@ class TestValidate:
         cfg = ScenarioConfig.load(edited_config(tmp_path, mutate))
         assert any("does not exist" in i for i in validate(cfg))
 
+    def test_profile_file_that_is_a_directory(self, tmp_path):
+        def mutate(cfg):
+            cfg["profiles"]["pv"]["file"] = "."
+        cfg = ScenarioConfig.load(edited_config(tmp_path, mutate))
+        assert validate(cfg) == [f"profiles.pv.file: {tmp_path} is not a file"]
+
     def test_bad_soc(self, tmp_path):
         def mutate(cfg):
             cfg["devices"]["bss"]["initial_soc_pct"] = 120

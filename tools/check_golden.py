@@ -7,9 +7,11 @@ Runs both golden scenarios from this checkout's ``src/``, exports each
 into a temporary directory (``TMPDIR`` sets where) and compares the
 SHA-256 of every artifact with the pins in
 ``tests/test_golden_digests.py``, read from its ``DIGESTS`` assignment,
-so the pins stay in one place.  Prints one line per artifact and exits 1
-on any mismatch.  Needs the standard library and PyYAML, so it runs on
-any interpreter the package supports, pytest or not.
+so the pins stay in one place.  Prints the YAML loader that parsed the
+configs (libyaml, or the pure-Python fallback), then one line per
+artifact, and exits 1 on any mismatch.  Needs the standard library and
+PyYAML, so it runs on any interpreter the package supports, pytest or
+not.
 """
 
 from __future__ import annotations
@@ -38,11 +40,14 @@ def pinned_digests() -> dict[str, dict[str, str]]:
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from gridtwin import data_path
-    from gridtwin.scenario import ScenarioConfig, build
+    from gridtwin.scenario import LIBYAML, ScenarioConfig, build
 
     pins = pinned_digests()
     print(f"Python {platform.python_version()} "
           f"({platform.python_implementation()})")
+    # the golden configs are small and hold no tab, so libyaml reads
+    # them where PyYAML ships it
+    print("YAML loader: " + ("libyaml" if LIBYAML else "pure-Python"))
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, want in sorted(pins.items()):
