@@ -18,6 +18,7 @@ import datetime as _dt
 import ipaddress
 import math
 import re
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .ems import ControlPolicy, EmsController
 from .grid import BssState, LoadState, PvState
 from .modbus import FP_MAX, NO_LIMIT, fp_encode
 from .netem import Network
-from .profiles import ScalingRule, load_profile, scale
+from .profiles import load_profile, scale
 
 
 class ConfigError(ValueError):
@@ -41,13 +42,27 @@ class ConfigError(ValueError):
 _TIME_RE = re.compile(r"^(\d{1,2}):(\d{2})(?::(\d{2}))?$")
 
 
+def _text(value) -> str:
+    """str(value), refusing a list or mapping by its type first: YAML
+    aliases share objects, so the str() of one can grow exponentially."""
+    if isinstance(value, (dict, list, set)):
+        kind = "mapping" if isinstance(value, dict) else type(value).__name__
+        raise TypeError(f"must be a single value, not a {kind}")
+    return str(value)
+
+
+# renders a refused list or mapping in a bounded number of characters
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel, _SHOWN.maxlist, _SHOWN.maxdict, _SHOWN.maxset = 2, 4, 4, 4
+
+
 def parse_time(text: str) -> float:
     """'HH:MM[:SS]' -> seconds since midnight."""
     if isinstance(text, int) and not isinstance(text, bool):
         raise ConfigError(
             f"bad time-of-day {text!r}: quote the time, YAML reads an "
             f"unquoted HH:MM:SS as a base-60 number")
-    m = _TIME_RE.match(str(text).strip())
+    m = _TIME_RE.match(_text(text).strip())
     if not m:
         raise ConfigError(f"bad time-of-day {text!r} (expected HH:MM[:SS])")
     h, mnt, s = int(m.group(1)), int(m.group(2)), int(m.group(3) or 0)
@@ -84,7 +99,7 @@ def _word(kw: float) -> int | None:
     """The 0.01 kW register word that shows kw; None if no word holds it."""
     try:
         return fp_encode(kw)
-    except ValueError:
+    except (OverflowError, ValueError):  # 1e308 * 100.0 is inf
         return None
 
 
@@ -141,7 +156,7 @@ def _parse(text: bytes):
             and b"\t" not in text:
         try:
             data = yaml.load(text, Loader=LIBYAML)
-        except yaml.YAMLError:
+        except Exception:  # a tag's constructor may raise anything
             pass
         else:
             if _containers(data, _LIBYAML_CONTAINERS) <= _LIBYAML_CONTAINERS:
@@ -161,11 +176,11 @@ class ScenarioConfig:
             data = _parse(path.read_bytes())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
         except RecursionError as exc:  # the pure loader recurses
             raise ConfigError(
                 f"cannot parse {path}: nested too deeply") from exc
+        except Exception as exc:  # a YAMLError, or a tag constructor's error
+            raise ConfigError(f"cannot parse {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         return cls(raw=data, base_dir=path.parent)
@@ -173,7 +188,7 @@ class ScenarioConfig:
     @property
     def name(self) -> str:
         name = self.raw.get("name")
-        return "scenario" if name is None else str(name)
+        return "scenario" if name is None else _text(name)
 
     def _clock(self, key: str, default):
         """A clock key, or its default if it is unset or null; the three
@@ -234,7 +249,7 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
             sections.append(sub)
             return sub
         if sub is not None:
-            issues.append(f"{path}: must be a mapping, not {sub!r}")
+            issues.append(f"{path}: must be a mapping, not {_SHOWN.repr(sub)}")
         return {}
 
     raw = cfg.raw
@@ -265,7 +280,7 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
         steps("clock.step_s", lambda c: c.step_at(end))
     # the pcap stamps a frame with day epoch + t in unsigned 32-bit seconds
     capture_kw = fields(clock, "clock", date=(
-        lambda d: _dt.date.fromisoformat(str(d)).isoformat(),
+        lambda d: _dt.date.fromisoformat(_text(d)).isoformat(),
         lambda d: not run_ok or (0 <= day_epoch(d) + start
                                  and day_epoch(d) + end < 2**32),
         "must put the run between 1970-01-01 00:00:00 and 2106-02-07 "
@@ -273,7 +288,7 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
 
     net = section(raw, "network", "network")
     net_kw = fields(net, "network",
-                    subnet=(lambda n: str(ipaddress.IPv4Network(str(n))),))
+                    subnet=(lambda n: str(ipaddress.IPv4Network(_text(n))),))
     expiry = get(net, "arp_cache_expiry_s", "network", *_POSITIVE)
     if expiry is not None:  # None: the caches never expire
         net_kw["cache_expiry_steps"] = steps("network.arp_cache_expiry_s",
@@ -298,10 +313,10 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
         if not node:
             issues.append(f"{path}: missing section")
             continue
-        mac = attempt(f"{path}.mac", lambda: str(node.get("mac")).lower(),
+        mac = attempt(f"{path}.mac", lambda: _text(node.get("mac")).lower(),
                       _MAC_RE.match, "invalid MAC")
         ip = attempt(f"{path}.ip",
-                     lambda: str(ipaddress.IPv4Address(str(node.get("ip")))),
+                     lambda: str(ipaddress.IPv4Address(_text(node.get("ip")))),
                      lambda ip: refused or (ipaddress.IPv4Address(ip)
                                             in network.subnet),
                      f"outside subnet {network.subnet}")
@@ -318,14 +333,15 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     for which in ("load", "pv"):
         path = f"profiles.{which}"
         entry = section(profiles, which, path)
-        file = cfg.base_dir / str(entry.get("file") or f"{which}.csv")
-        kw = fields(entry, path, interpolation=(str,))
+        kw = fields(entry, path, interpolation=(_text,))
         rule = fields(entry, path, factor=_FINITE, clamp_max_kw=_NON_NEGATIVE)
-        found = attempt(f"{path}.file", file.is_file)
+        file = attempt(f"{path}.file", lambda: cfg.base_dir / _text(
+            entry.get("file") or f"{which}.csv"))
+        found = file and attempt(f"{path}.file", file.is_file)
         if found:
             prof[which] = attempt(path, lambda: scale(
-                load_profile(file.read_bytes(), **kw), ScalingRule(**rule)))
-        elif found is not None:  # None: is_file raised, and attempt said why
+                load_profile(file.read_bytes(), **kw), **rule))
+        elif found is not None:  # None: attempt said why
             issues.append(f"{path}.file: {file} " + (
                 "is not a file" if file.exists() else "does not exist"))
 

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,8 +124,8 @@ class TestBusBalance:
     def test_over_rating_flag(self):
         # a 700 kW load alone is over the default 630 kVA transformer
         grid = GridSimulator(PvState(), BssState(), LoadState(rated_kw=1000.0),
-                             TimeSeriesProfile(points=((0.0, 700.0),)),
-                             TimeSeriesProfile(points=((0.0, 0.0),)),
+                             TimeSeriesProfile((0.0,), array("d", [700.0])),
+                             TimeSeriesProfile((0.0,), array("d", [0.0])),
                              clock=SimClock(epoch_s=0.0, step_s=1.0))
         grid.step(0, {})
         assert grid.events == [(0, "transformer-over-rating")]

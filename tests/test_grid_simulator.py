@@ -7,6 +7,8 @@ signal for signal and state for state, and a tiny run is checked to
 build no state dataclass while it steps.
 """
 
+from array import array
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,7 +79,7 @@ def profiles(draw):
                           min_size=1, max_size=8, unique=True))
     values = draw(st.lists(st.floats(-5.0, 60.0, allow_nan=False),
                            min_size=len(times), max_size=len(times)))
-    return TimeSeriesProfile(points=tuple(zip(sorted(times), values)),
+    return TimeSeriesProfile(tuple(sorted(times)), array("d", values),
                              interpolation=draw(st.sampled_from(
                                  ("hold", "linear"))))
 
@@ -128,7 +130,7 @@ class TestStepMatchesStateReference:
         pv, bss = PvState(rated_kw=2.0), BssState(capacity_kwh=8.0,
                                                   initial_soc_pct=25.0)
         load = LoadState(rated_kw=8.0)
-        profile = TimeSeriesProfile(points=((0.0, 1.0),))
+        profile = TimeSeriesProfile((0.0,), array("d", [1.0]))
         grid = dev.GridSimulator(pv, bss, load, profile, profile,
                                  clock=clock())
         assert (grid.pv, grid.bss, grid.load) == (pv, bss, load)
@@ -140,10 +142,11 @@ class TestStepMatchesStateReference:
 class TestOverRating:
     def test_event_on_exactly_the_steps_beyond_the_rating(self):
         # one knot per second: transformer = load - pv with the battery idle
-        load = TimeSeriesProfile(points=tuple(enumerate(
-            (3.0, 6.0, 5.0, 1.0, 1.0, 9.0, 5.0))))
-        pv = TimeSeriesProfile(points=tuple(enumerate(
-            (0.0, 0.0, 0.0, 7.0, 5.0, 0.0, 10.0))))
+        seconds = tuple(map(float, range(7)))
+        load = TimeSeriesProfile(seconds, array(
+            "d", (3.0, 6.0, 5.0, 1.0, 1.0, 9.0, 5.0)))
+        pv = TimeSeriesProfile(seconds, array(
+            "d", (0.0, 0.0, 0.0, 7.0, 5.0, 0.0, 10.0)))
         grid = dev.GridSimulator(PvState(), BssState(), LoadState(), load, pv,
                                  transformer_rated_kva=5.0, clock=clock())
         published = drive(grid, [{}] * 7)

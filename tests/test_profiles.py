@@ -1,4 +1,6 @@
 import io
+import math
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -6,8 +8,8 @@ import yaml
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gridtwin.profiles import (ProfileError, ScalingRule, TimeSeriesProfile,
-                               load_profile, sample, scale)
+from gridtwin.profiles import (ProfileError, TimeSeriesProfile, load_profile,
+                               sample, scale)
 from gridtwin.scenario import ScenarioConfig, validate
 from tests.conftest import write_tiny_config
 
@@ -49,7 +51,8 @@ def reference_load_profile(source, interpolation="hold"):
         points.append((t, v))
     if not points:
         raise ProfileError("no data rows")
-    return TimeSeriesProfile(points=tuple(points), interpolation=interpolation)
+    return TimeSeriesProfile(tuple(t for t, _ in points),
+                             array("d", (v for _, v in points)), interpolation)
 
 
 # a field as a profile file may hold it: a number in several spellings,
@@ -167,8 +170,8 @@ class TestLoadProfile:
 
 
 class TestSample:
-    linear = TimeSeriesProfile(((0.0, 4.0), (100.0, 8.0)), "linear")
-    hold = TimeSeriesProfile(((0.0, 4.0), (100.0, 8.0)), "hold")
+    linear = TimeSeriesProfile((0.0, 100.0), array("d", [4.0, 8.0]), "linear")
+    hold = TimeSeriesProfile((0.0, 100.0), array("d", [4.0, 8.0]), "hold")
 
     def test_linear_midpoint(self):
         assert sample(self.linear, 50.0) == pytest.approx(6.0)
@@ -197,38 +200,115 @@ class TestSample:
                   *((a + b) / 2 for a, b in zip(knots, knots[1:])),
                   data.draw(st.floats(-2e6, 2e6))]
         for interpolation in ("hold", "linear"):
-            p = TimeSeriesProfile(points, interpolation)
+            p = TimeSeriesProfile(tuple(knots), array("d", values[:len(knots)]),
+                                  interpolation)
             for t in probes:
                 assert sample(p, t) == scan_sample(points, interpolation, t)
 
     def test_times_follow_replace(self):
-        p = replace(self.linear, points=((5.0, 1.0), (6.0, 2.0)))
-        assert p.times == (5.0, 6.0)
-        assert scale(p, ScalingRule(2.0)).times == (5.0, 6.0)
-        assert p == TimeSeriesProfile(((5.0, 1.0), (6.0, 2.0)), "linear")
+        p = replace(self.linear, times=(5.0, 6.0), values=array("d", [1, 2]))
+        assert p.points == ((5.0, 1.0), (6.0, 2.0))
+        assert scale(p, 2.0).times == (5.0, 6.0)
+        assert p == TimeSeriesProfile((5.0, 6.0), array("d", [1, 2]), "linear")
+
+
+# (times, values, error text) of knots every profile refuses
+BAD = {
+    "mismatched-lengths": ((0.0, 1.0, 2.0), [1.0, 2.0], "3 times but 2 values"),
+    "no-knots": ((), [], "empty profile"),
+    "nan-value": ((0.0, 1.0), [1.0, math.nan],
+                  "non-finite profile point (1.0, nan)"),
+    "inf-value": ((0.0, 1.0), [-math.inf, 2.0],
+                  "non-finite profile point (0.0, -inf)"),
+    "nan-time": ((0.0, math.nan), [1.0, 2.0],
+                 "non-finite profile point (nan, 2.0)"),
+    "inf-time": ((0.0, math.inf), [1.0, 2.0],
+                 "non-finite profile point (inf, 2.0)"),
+    "equal-times": ((1.0, 1.0), [1.0, 2.0],
+                    "timestamps must be strictly increasing (1.0 then 1.0)"),
+    "decreasing-times": ((1.0, 0.0), [1.0, 2.0],
+                         "timestamps must be strictly increasing (1.0 then 0.0)"),
+}
+GOOD = TimeSeriesProfile((0.0, 1.0), array("d", [1.0, 2.0]))
+
+
+def unchecked(times, values):
+    """A profile made without its constructor, so without its checks."""
+    p = object.__new__(TimeSeriesProfile)
+    for name, value in (("times", times), ("values", values),
+                        ("interpolation", "hold")):
+        object.__setattr__(p, name, value)
+    return p
+
+
+class TestEveryWayIsChecked:
+    """The constructor is the one check of the knots: each way of making
+    a profile goes through it and refuses bad knots with the same text."""
+
+    MAKERS = {
+        "constructor": lambda t, v: TimeSeriesProfile(t, v),
+        "replace": lambda t, v: replace(GOOD, times=t, values=v),
+        "scale": lambda t, v: scale(unchecked(t, v)),
+    }
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS)
+    @pytest.mark.parametrize("times, values, error", BAD.values(), ids=BAD)
+    def test_refused(self, make, times, values, error):
+        with pytest.raises(ProfileError) as exc:
+            make(times, array("d", values))
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("column, bad, error", [
+        ("times", (0.0, 1.0, 2.0), "3 times but 2 values"),
+        ("times", (), "0 times but 2 values"),
+        ("times", (math.inf, 1.0), "non-finite profile point (inf, 1.0)"),
+        ("times", (0.0, math.nan), "non-finite profile point (nan, 2.0)"),
+        ("times", (0.0, 0.0),
+         "timestamps must be strictly increasing (0.0 then 0.0)"),
+        ("times", (1.0, 0.0),
+         "timestamps must be strictly increasing (1.0 then 0.0)"),
+        ("values", array("d", [1.0]), "2 times but 1 values"),
+        ("values", array("d"), "2 times but 0 values"),
+        ("values", array("d", [1.0, math.nan]),
+         "non-finite profile point (1.0, nan)"),
+        ("values", array("d", [math.inf, 2.0]),
+         "non-finite profile point (0.0, inf)"),
+    ])
+    def test_replacing_one_column(self, column, bad, error):
+        with pytest.raises(ProfileError) as exc:
+            replace(GOOD, **{column: bad})
+        assert str(exc.value) == error
+
+    def test_a_good_profile_is_kept(self):
+        for make in self.MAKERS.values():
+            assert make(GOOD.times, GOOD.values) == GOOD
+
+    def test_finite_values_whose_sum_overflows_are_kept(self):
+        values = array("d", [1e308, 1e308, -1e308])
+        assert TimeSeriesProfile((0.0, 1.0, 2.0), values).values == values
 
 
 class TestScale:
     def test_factor(self):
-        p = TimeSeriesProfile(((0.0, 10.0), (1.0, 20.0)))
-        assert [v for _, v in scale(p, ScalingRule(0.5)).points] == [5.0, 10.0]
+        p = TimeSeriesProfile((0.0, 1.0), array("d", [10.0, 20.0]))
+        assert list(scale(p, 0.5).values) == [5.0, 10.0]
 
     def test_identity(self):
-        p = TimeSeriesProfile(((0.0, 10.0),))
-        assert scale(p, ScalingRule(1.0)) == p
+        p = TimeSeriesProfile((0.0,), array("d", [10.0]))
+        assert scale(p) == scale(p, 1.0) == p
 
     def test_clamp(self):
-        p = TimeSeriesProfile(((0.0, 10.0), (1.0, 50.0)))
-        scaled = scale(p, ScalingRule(1.0, clamp_max_kw=36.0))
+        p = TimeSeriesProfile((0.0, 1.0), array("d", [10.0, 50.0]))
+        scaled = scale(p, clamp_max_kw=36.0)
         # oracle: scan every point independently
         assert [v for _, v in scaled.points] == \
             [min(v, 36.0) for _, v in p.points] == [10.0, 36.0]
 
     def test_overflowed_knot_is_refused(self):
         with pytest.raises(ProfileError, match="non-finite profile point"):
-            scale(load_profile("0,1e308\n1,2"), ScalingRule(10))
+            scale(load_profile("0,1e308\n1,2"), 10)
         # a clamp still bounds the product, as it bounds any other value
-        clamped = scale(load_profile("0,1e308\n1,2"), ScalingRule(10, 36.0))
+        clamped = scale(load_profile("0,1e308\n1,2"), 10, 36.0)
         assert clamped.points == ((0.0, 36.0), (1.0, 20.0))
 
     @pytest.mark.parametrize("which", ["load", "pv"])
@@ -243,13 +323,17 @@ class TestScale:
             in issues
 
     def test_zero_factor_rejected(self):
-        with pytest.raises(ProfileError):
-            ScalingRule(0.0)
+        p = TimeSeriesProfile((0.0,), array("d", [10.0]))
+        for factor in (0.0, -1.0):
+            with pytest.raises(ProfileError, match=(
+                    rf"^scaling factor must be > 0, got {factor}$")):
+                scale(p, factor)
 
     @given(values=st.lists(st.floats(0.01, 100), min_size=1, max_size=20),
            factor=st.floats(0.1, 10))
     def test_scale_inverts(self, values, factor):
-        p = TimeSeriesProfile(tuple((float(i), v) for i, v in enumerate(values)))
-        back = scale(scale(p, ScalingRule(factor)), ScalingRule(1.0 / factor))
+        p = TimeSeriesProfile(tuple(map(float, range(len(values)))),
+                              array("d", values))
+        back = scale(scale(p, factor), 1.0 / factor)
         for (_, a), (_, b) in zip(p.points, back.points):
             assert a == pytest.approx(b, abs=1e-9)

@@ -1,0 +1,211 @@
+"""Hostile scenario files: every one gets issues, never a traceback.
+
+Hostile values replace leaves or subtrees of the tiny attack config:
+None, booleans, infinities, NaN, numbers too big for a float or a
+register, bad times, dates and addresses, empty and nested lists and
+maps, and lists that share their items as YAML aliases do.  A sweep puts
+each value at each key path in turn; a property replaces one to three
+paths at once, with values drawn from the list or built at random.
+``validate`` must return a list of strings, each under ISSUE_MAX
+characters, and ``build`` must succeed when the list is empty.
+
+The defects such a search found are also CLI tests, run in a
+subprocess: each must exit 1 with bounded output and no traceback.
+"""
+
+import copy
+import datetime
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridtwin import scenario
+from gridtwin.scenario import ConfigError, ScenarioConfig, build, validate
+from tests.conftest import write_tiny_config
+
+SRC = Path(scenario.__file__).parents[1]
+ISSUE_MAX = 1000
+OUTPUT_MAX = 4000
+
+
+def shared(levels: int, width: int = 6) -> list:
+    """A list nested levels deep whose items at each level are one shared
+    object, as YAML aliases build it: width ** levels leaves, written in
+    a few hundred bytes, that str() would spell out one by one."""
+    node = ["x" * 20] * width
+    for _ in range(levels - 1):
+        node = [node] * width
+    return node
+
+
+HOSTILE_VALUES = [
+    None, True, False, 0, -1, 0.0, math.inf, -math.inf, math.nan, 1e308,
+    -1e308, 1e-300, 10**30, 2**63, -2**63, 10**400, "", "x",
+    "24:00:00", "9:60", "12:00:00.5", 43200, "-1:00",
+    "2021-02-30", "1969-12-31", "2106-02-08", "0001-01-01",
+    datetime.date(9999, 12, 31), "256.1.1.1", "10.0.0.1", "::1",
+    "192.168.10.0/24", "192.168.10.1/24", "10.0.0.0/8",
+    "192.168.10.0/33", "02:4d:73:00:00", "02:4D:73:00:00:10",
+    [], {}, [[]], {"a": {}}, [{"a": [1]}], {"step_s": 1.0},
+    ["process", ["pcap"]],
+    shared(5), {f"k{i}": shared(4) for i in range(6)}]
+HOSTILE = st.one_of(
+    st.sampled_from(HOSTILE_VALUES),
+    st.recursive(st.none() | st.booleans() | st.floats() | st.text(max_size=4),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                 max_leaves=6))
+
+
+def key_paths(node: dict, prefix: tuple = ()):
+    """Every key path of a nested mapping: subtrees and leaves."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+with tempfile.TemporaryDirectory() as _tmp:
+    TINY = yaml.safe_load(write_tiny_config(Path(_tmp), attack=True)
+                          .read_text())
+PATHS = list(key_paths(TINY))
+
+
+@pytest.fixture(scope="module")
+def base_dir(tmp_path_factory):
+    """A directory holding the tiny config's profile files."""
+    return write_tiny_config(tmp_path_factory.mktemp("hostile"),
+                             attack=True).parent
+
+
+def replaced(raw: dict, path: tuple, value) -> None:
+    """Put value at path in raw, unless an earlier replacement took away
+    the mapping that held it."""
+    for key in path[:-1]:
+        raw = raw.get(key) if isinstance(raw, dict) else None
+    if isinstance(raw, dict):
+        raw[path[-1]] = value
+
+
+def assert_answered(raw: dict, base_dir: Path) -> None:
+    cfg = ScenarioConfig(raw, base_dir)
+    issues = validate(cfg)
+    assert isinstance(issues, list)
+    assert all(isinstance(issue, str) for issue in issues)
+    assert all(len(issue) < ISSUE_MAX for issue in issues), \
+        max(issues, key=len)[:300]
+    if not issues:
+        build(cfg)
+
+
+@pytest.mark.parametrize("path", PATHS, ids=".".join)
+def test_each_hostile_value_at_each_path(base_dir, path):
+    for value in HOSTILE_VALUES:
+        raw = copy.deepcopy(TINY)
+        replaced(raw, path, value)
+        assert_answered(raw, base_dir)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hostile_values_at_one_to_three_paths(base_dir, data):
+    raw = copy.deepcopy(TINY)
+    for path in data.draw(st.lists(st.sampled_from(PATHS), min_size=1,
+                                   max_size=3, unique=True)):
+        replaced(raw, path, data.draw(HOSTILE))
+    assert_answered(raw, base_dir)
+
+
+def cli_validate(path: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "gridtwin.cli", "validate", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+
+
+def assert_refused(path: Path) -> str:
+    """Run validate on path: exit 1, no traceback, bounded output."""
+    proc = cli_validate(path)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out[-500:]
+    assert "Traceback" not in out
+    assert len(out) < OUTPUT_MAX, out[:500]
+    return out
+
+
+TAGGED = {
+    "float": (b"clock: {step_s: !!float x}\n",
+              "could not convert string to float: 'x'"),
+    "int": (b"clock: {step_s: !!int x}\n",
+            "invalid literal for int() with base 10: 'x'"),
+    "timestamp": (b"clock: {date: !!timestamp x}\n",
+                  "'NoneType' object has no attribute 'groupdict'"),
+}
+
+
+@pytest.mark.parametrize("text, why", TAGGED.values(), ids=TAGGED)
+def test_tag_a_constructor_refuses_is_a_parse_error(tmp_path, text, why):
+    path = tmp_path / "tagged.yaml"
+    path.write_bytes(text)
+    assert assert_refused(path) == f"error: cannot parse {path}: {why}\n"
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
+@pytest.mark.parametrize("text, why", TAGGED.values(), ids=TAGGED)
+def test_tag_error_text_is_the_same_under_both_loaders(
+        tmp_path, monkeypatch, libyaml, text, why):
+    if not libyaml:
+        monkeypatch.setattr(scenario, "LIBYAML", None)
+    path = tmp_path / "tagged.yaml"
+    path.write_bytes(text)
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.load(path)
+    assert str(err.value) == f"cannot parse {path}: {why}"
+
+
+def test_rating_no_register_word_holds_is_an_issue(tmp_path):
+    path = write_tiny_config(tmp_path, attack=True)
+    raw = yaml.safe_load(path.read_text())
+    raw["devices"]["bss"]["rated_kw"] = 1e308  # 1e308 * 100.0 is inf
+    path.write_text(yaml.safe_dump(raw))
+    out = assert_refused(path)
+    assert "error: devices: above the 327.67 kW a Modbus register holds: " \
+           "bss.rated_kw 1e+308, meter up to 1e+308\n" in out
+
+
+def aliased(levels: int) -> str:
+    """A flow list levels deep, each level six aliases of the one below:
+    6 ** levels leaves in a few hundred bytes."""
+    text = "[" + ", ".join(["xxxxxxxxxxxxxxxxxxxx"] * 6) + "]"
+    for level in range(1, levels):
+        text = f"[&a{level} {text}" + f", *a{level}" * 5 + "]"
+    return text
+
+
+@pytest.mark.parametrize("levels", [4, 5])
+@pytest.mark.parametrize("key", [
+    "clock", "clock.start", "clock.date", "network.subnet", "devices.pv.ip",
+    "profiles.load.interpolation", "profiles.load.file", "name"])
+def test_aliased_value_is_not_expanded(tmp_path, key, levels):
+    path = write_tiny_config(tmp_path, attack=True)
+    raw = yaml.safe_load(path.read_text())
+    *parents, last = key.split(".")
+    node = raw
+    for parent in parents:
+        node = node[parent]
+    node[last] = "ALIASED"
+    text = yaml.safe_dump(raw).replace("ALIASED", aliased(levels))
+    path.write_text(text)
+    assert len(text) < 2000
+    out = assert_refused(path)
+    want = ("must be a mapping, not [[[...], [...], [...], [...], ...], "
+            if key == "clock" else "must be a single value, not a list")
+    assert f"error: {key}: {want}" in out
