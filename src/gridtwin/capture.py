@@ -13,6 +13,11 @@ Once the records reach ``SPOOL_BYTES`` they are written to an unlinked
 temporary file in one call, so the records a run holds in memory stay
 bounded however long it runs.
 
+An IPv4 frame's record is one lookup of its link (MACs, IPs, ports),
+which holds ``netem.tcp_link`` and the flow record, one record-header
+pack, one ``netem.frame_header`` pack and the payload.  An ARP frame's
+record is its ``to_bytes()``.
+
 Export formats:
   process.csv    t,pv_kw,bss_kw,load_kw,transformer_kw,soc_pct,attack_active
   flows.csv      src_mac,dst_mac,src_ip,dst_ip,frames,bytes,first_ts,last_ts
@@ -37,7 +42,8 @@ from pathlib import Path
 
 from .attack import AttackPlan
 from .cosim import SimClock
-from .netem import EthernetFrame, IpDelivery
+from .netem import (MIN_FRAME_LEN, EthernetFrame, IpDelivery, frame_header,
+                    tcp_link)
 # still importable from here: perfbench/tracing.py wraps it by this name
 from .netem import parse_ipv4_tcp  # noqa: F401
 
@@ -134,7 +140,7 @@ class SampleView(Sequence):
         return starmap(_sample, zip(*[iter(self._rows)] * ROW))
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     src_mac: str
     dst_mac: str
@@ -167,6 +173,8 @@ class Capture:
         self._spooled = 0
         self.frame_count = 0
         self.flows: dict[tuple[str, str, str, str], FlowRecord] = {}
+        # (MACs, IPs, ports) -> (netem.tcp_link of it, its flow's record)
+        self._links: dict[tuple, tuple[tuple, FlowRecord]] = {}
         self._stamp = (-1, 0.0, 0, 0)  # step, t, pcap sec, pcap usec
 
     # -- recording --------------------------------------------------------
@@ -202,19 +210,32 @@ class Capture:
         if self._stamp[0] != step:
             self._stamp = self._stamp_of(step)
         _, t, sec, usec = self._stamp
-        raw = frame.to_bytes()  # the only place a frame's bytes are made
-        n = len(raw)
+        src_mac, dst_mac, p = frame
+        if not isinstance(p, IpDelivery):
+            # ARP shows up in the pcap, flows track IP conversations
+            raw = frame.to_bytes()
+            records += _RECORD_HEADER.pack(sec, usec, len(raw), len(raw))
+            records += raw
+            self.frame_count += 1
+            return
+        src_ip, dst_ip, src_port, dst_port, seq, ack, payload, ip_id = p
+        key = (src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port)
+        link, rec = self._links.get(key) or (tcp_link(*key), None)
+        header = frame_header(link, seq, ack, payload, ip_id)
+        n = len(header) + len(payload)
+        if n < MIN_FRAME_LEN:
+            payload = payload + bytes(MIN_FRAME_LEN - n)
+            n = MIN_FRAME_LEN
+        # nothing is appended or counted until the record is made
         records += _RECORD_HEADER.pack(sec, usec, n, n)
-        records += raw
+        records += header
+        records += payload
         self.frame_count += 1
-        f = frame.packet
-        if not isinstance(f, IpDelivery):
-            return  # ARP shows up in the pcap, flows track IP conversations
-        key = (frame.src_mac, frame.dst_mac, f.src_ip, f.dst_ip)
-        rec = self.flows.get(key)
-        if rec is None:
-            rec = FlowRecord(*key, first_ts=t)
-            self.flows[key] = rec
+        if rec is None:  # links that differ only in ports share a flow
+            rec = self.flows.get(key[:4])
+            if rec is None:
+                rec = self.flows[key[:4]] = FlowRecord(*key[:4], first_ts=t)
+            self._links[key] = (link, rec)
         rec.frames += 1
         rec.bytes += n
         rec.last_ts = t

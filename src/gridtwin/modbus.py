@@ -75,26 +75,29 @@ def fp_decode(word: int) -> float:
     return word / 100.0
 
 
+# MBAP header (transaction id, protocol id, length, unit id), then the
+# function code
+_HEADER = struct.Struct(">HHHBB")
+
+
 def encode(adu: ModbusAdu) -> bytes:
-    body = bytes([adu.function]) + adu.data
-    return struct.pack(">HHHB", adu.transaction_id & 0xFFFF, 0,
-                       1 + len(body), adu.unit_id & 0xFF) + body
+    tx, unit, function, data = adu
+    return _HEADER.pack(tx & 0xFFFF, 0, 2 + len(data), unit & 0xFF,
+                        function) + data
 
 
 def decode(raw: bytes) -> ModbusAdu:
     if len(raw) < 8:
         raise FrameError(f"truncated ADU ({len(raw)} bytes)")
-    tx, proto, length, unit = struct.unpack(">HHHB", raw[:7])
+    tx, proto, length, unit, function = _HEADER.unpack_from(raw)
     if proto != 0:
         raise FrameError(f"protocol id {proto:#06x}, expected 0")
     if length != len(raw) - 6:
         raise FrameError(f"length field {length} != {len(raw) - 6} actual")
-    function = raw[7]
     data = raw[8:]
-    adu = ModbusAdu(tx, unit, function, data)
-    if adu.is_exception and len(data) != 1:
+    if function & 0x80 and len(data) != 1:
         raise FrameError("exception response must carry exactly one code byte")
-    return adu
+    return ModbusAdu(tx, unit, function, data)
 
 
 # -- request/response builders -------------------------------------------
@@ -106,12 +109,6 @@ def read_holding_request(tx: int, unit: int, addr: int, qty: int = 1) -> ModbusA
 def write_single_request(tx: int, unit: int, addr: int, value: int) -> ModbusAdu:
     return ModbusAdu(tx, unit, FC_WRITE_SINGLE,
                      struct.pack(">HH", addr, value & 0xFFFF))
-
-
-def write_multiple_request(tx: int, unit: int, addr: int, values: list[int]) -> ModbusAdu:
-    data = struct.pack(">HHB", addr, len(values), 2 * len(values))
-    data += b"".join(struct.pack(">H", v & 0xFFFF) for v in values)
-    return ModbusAdu(tx, unit, FC_WRITE_MULTIPLE, data)
 
 
 def parse_read_response(adu: ModbusAdu) -> list[int]:
@@ -142,7 +139,8 @@ class RegisterMap:
 
 
 def _exception(req: ModbusAdu, code: int) -> ModbusAdu:
-    return req._replace(function=req.function | 0x80, data=bytes([code]))
+    return ModbusAdu(req.transaction_id, req.unit_id, req.function | 0x80,
+                     bytes([code]))
 
 
 def serve(request: ModbusAdu, regmap: RegisterMap) -> ModbusAdu:
@@ -154,11 +152,11 @@ def serve(request: ModbusAdu, regmap: RegisterMap) -> ModbusAdu:
         addr, qty = struct.unpack(">HH", data)
         if not 1 <= qty <= 125:
             return _exception(request, EXC_ILLEGAL_VALUE)
-        if any(a not in regmap.registers for a in range(addr, addr + qty)):
+        words = list(map(regmap.registers.get, range(addr, addr + qty)))
+        if None in words:
             return _exception(request, EXC_ILLEGAL_ADDRESS)
-        words = b"".join(struct.pack(">H", regmap.registers[a])
-                         for a in range(addr, addr + qty))
-        return request._replace(data=bytes([len(words)]) + words)
+        return ModbusAdu(request.transaction_id, request.unit_id, fc,
+                         struct.pack(f">B{qty}H", 2 * qty, *words))
     if fc == FC_WRITE_SINGLE:
         if len(data) != 4:
             return _exception(request, EXC_ILLEGAL_VALUE)
@@ -178,5 +176,6 @@ def serve(request: ModbusAdu, regmap: RegisterMap) -> ModbusAdu:
             return _exception(request, EXC_ILLEGAL_ADDRESS)
         values = [v for (v,) in struct.iter_unpack(">H", data[5:])]
         regmap.registers.update(zip(addrs, values))
-        return request._replace(data=struct.pack(">HH", addr, qty))
+        return ModbusAdu(request.transaction_id, request.unit_id, fc,
+                         struct.pack(">HH", addr, qty))
     return _exception(request, EXC_ILLEGAL_FUNCTION)

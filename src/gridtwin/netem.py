@@ -12,8 +12,10 @@ A frame carries its packet as a record (an ``ArpMessage`` or an
 ``IpDelivery``) that every receiving host shares.  Its bytes, real
 Ethernet/IPv4/TCP with valid checksums, are made once, when the capture
 records the frame, so captures decode in standard protocol analyzers.
-A flow's header constants and checksum partial sums are computed once;
-each frame then adds its variable words and packs one header.
+A link's constants (``tcp_link``) are computed once; ``frame_header``
+adds a packet's variable words to them and packs its Ethernet, IPv4 and
+TCP headers in one call, for the capture, ``to_bytes`` and
+``build_ipv4_tcp`` alike.
 """
 
 from __future__ import annotations
@@ -91,29 +93,34 @@ class ArpMessage:
 # big-endian number are congruent to the sum of their 16-bit words, so
 # a sum can be kept modulo 0xFFFF and end-around-carry folded at the
 # end as (s - 1) % 0xFFFF + 1: 0xFFFF, not 0, for a nonzero sum (and no
-# sum here is zero).  Within a flow only the lengths, ip_id, seq, ack
-# and payload vary, so a flow's constant words are summed once.
+# sum here is zero).  On a link (MACs, IPs and ports) only the lengths,
+# ip_id, seq, ack and payload vary, so its constant words are summed once.
 
-_IPV4_TCP_HEADER = struct.Struct(">HHHHHH8sHHIIHHHH")
+# the Ethernet, IPv4 and TCP headers of a frame; the IPv4 addresses end
+# the IPv4 header and the ports start the TCP one, so they are one field
+_FRAME_HEADER = struct.Struct(">14sHHHHHH12sIIHHHH")
 
 
 @lru_cache(maxsize=1024)
-def _tcp_flow(src_ip: str, dst_ip: str, src_port: int,
-              dst_port: int) -> tuple[bytes, int, int]:
-    """A flow's packed address pair and its constant IPv4 and TCP
-    (pseudo-header included) words, each summed modulo 0xFFFF."""
+def tcp_link(src_mac: str, dst_mac: str, src_ip: str, dst_ip: str,
+             src_port: int, dst_port: int) -> tuple[bytes, bytes, int, int]:
+    """A link's Ethernet header, its packed addresses and ports, and its
+    constant IPv4 and TCP (pseudo-header included) words, each summed
+    modulo 0xFFFF."""
     addrs = ip_bytes(src_ip) + ip_bytes(dst_ip)
     a = int.from_bytes(addrs, "big")  # the four address words
     # version/IHL, DF, TTL/proto
     ip_sum = (0x4500 + 0x4000 + 0x4006 + a) % 0xFFFF
     # proto, ports, data offset/flags, window
     tcp_sum = (a + 6 + src_port + dst_port + 0x5018 + 8192) % 0xFFFF
-    return addrs, ip_sum, tcp_sum
+    return (_eth_header(dst_mac, src_mac, ETH_IPV4),
+            addrs + struct.pack(">HH", src_port, dst_port), ip_sum, tcp_sum)
 
 
-def build_ipv4_tcp(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
-                   seq: int, ack: int, payload: bytes, ip_id: int = 0) -> bytes:
-    addrs, ip_sum, tcp_sum = _tcp_flow(src_ip, dst_ip, src_port, dst_port)
+def frame_header(link: tuple[bytes, bytes, int, int], seq: int, ack: int,
+                 payload: bytes, ip_id: int) -> bytes:
+    """The Ethernet, IPv4 and TCP headers of one packet on a link."""
+    eth, addrs, ip_sum, tcp_sum = link
     n = len(payload)
     ip_id &= 0xFFFF
     seq &= 0xFFFFFFFF
@@ -122,11 +129,17 @@ def build_ipv4_tcp(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
     # an odd payload is summed as if padded with one zero byte
     tcp_sum += 20 + n + seq + ack \
         + (int.from_bytes(payload, "big") << (n & 1) * 8)
-    return _IPV4_TCP_HEADER.pack(
-        0x4500, 40 + n, ip_id, 0x4000, 0x4006,
-        ~((ip_sum - 1) % 0xFFFF + 1) & 0xFFFF, addrs,
-        src_port, dst_port, seq, ack, 0x5018, 8192,
-        ~((tcp_sum - 1) % 0xFFFF + 1) & 0xFFFF, 0) + payload
+    return _FRAME_HEADER.pack(
+        eth, 0x4500, 40 + n, ip_id, 0x4000, 0x4006,
+        ~((ip_sum - 1) % 0xFFFF + 1) & 0xFFFF, addrs, seq, ack, 0x5018,
+        8192, ~((tcp_sum - 1) % 0xFFFF + 1) & 0xFFFF, 0)
+
+
+def build_ipv4_tcp(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
+                   seq: int, ack: int, payload: bytes, ip_id: int = 0) -> bytes:
+    # a frame's headers without the Ethernet one
+    link = tcp_link(ZERO_MAC, ZERO_MAC, src_ip, dst_ip, src_port, dst_port)
+    return frame_header(link, seq, ack, payload, ip_id)[14:] + payload
 
 
 class IpDelivery(NamedTuple):
@@ -146,19 +159,18 @@ def _eth_header(dst_mac: str, src_mac: str, ethertype: int) -> bytes:
     return mac_bytes(dst_mac) + mac_bytes(src_mac) + struct.pack(">H", ethertype)
 
 
-@dataclass(frozen=True)
-class EthernetFrame:
+class EthernetFrame(NamedTuple):
     src_mac: str
     dst_mac: str
     packet: ArpMessage | IpDelivery
 
     def to_bytes(self) -> bytes:
-        p = self.packet
+        src_mac, dst_mac, p = self
         if isinstance(p, IpDelivery):
-            ethertype, body = ETH_IPV4, build_ipv4_tcp(*p)
+            raw = frame_header(tcp_link(src_mac, dst_mac, *p[:4]),
+                               *p[4:]) + p.payload
         else:
-            ethertype, body = ETH_ARP, p.to_bytes()
-        raw = _eth_header(self.dst_mac, self.src_mac, ethertype) + body
+            raw = _eth_header(dst_mac, src_mac, ETH_ARP) + p.to_bytes()
         if len(raw) < MIN_FRAME_LEN:
             raw += bytes(MIN_FRAME_LEN - len(raw))
         return raw
@@ -250,7 +262,7 @@ class Host:
     def forward_ip(self, d: IpDelivery, payload: bytes, dst_mac: str) -> None:
         """Re-emit an intercepted packet (MITM): original IPs/ports/seq are
         preserved, source MAC becomes ours, payload may be rewritten."""
-        pkt = d._replace(payload=payload, ip_id=self.net.next_ip_id())
+        pkt = IpDelivery(*d[:6], payload, self.net.next_ip_id())
         self.outbox.append(EthernetFrame(self.mac, dst_mac, pkt))
 
     def send_arp(self, msg: ArpMessage, dst_mac: str) -> None:
@@ -370,25 +382,25 @@ class Network:
             if host.outbox:
                 batch.append((host, host.outbox))
                 host.outbox = []
-        table = self.mac_table
+        table, sink = self.mac_table, self.frame_sink
         for sender, frames in batch:
             for frame in frames:
-                table[frame.src_mac] = sender
-                dst = (None if frame.dst_mac == BROADCAST_MAC
-                       else table.get(frame.dst_mac))
+                src_mac, dst_mac, _ = frame
+                table[src_mac] = sender
+                dst = None if dst_mac == BROADCAST_MAC else table.get(dst_mac)
                 # a sink that raises leaves the frame uncounted, as the
                 # capture left it unrecorded
-                if self.frame_sink:
-                    self.frame_sink(frame, step)
+                if sink:
+                    sink(frame, step)
                 if dst is None:
                     self.flooded += 1
-                    receivers = [h for h in self.hosts.values()
-                                 if h is not sender]
+                    for host in self.hosts.values():
+                        if host is not sender:
+                            host._on_frame(frame, step)
                 else:
                     self.delivered += 1
-                    receivers = () if dst is sender else (dst,)
-                for host in receivers:
-                    host._on_frame(frame, step)
+                    if dst is not sender:
+                        dst._on_frame(frame, step)
         # a host has something to expire only while it awaits ARP replies
         # or with cache expiry on
         expiring = self.cache_expiry_steps is not None

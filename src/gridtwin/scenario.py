@@ -54,6 +54,14 @@ def _text(value) -> str:
 # renders a refused list or mapping in a bounded number of characters
 _SHOWN = reprlib.Repr()
 _SHOWN.maxlevel, _SHOWN.maxlist, _SHOWN.maxdict, _SHOWN.maxset = 2, 4, 4, 4
+# the most characters an issue or a parse error shows, since a refused
+# value may be echoed whole in it; PyYAML's own messages, with their
+# one-line snippets, stay well under it
+_TEXT_MAX = 600
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= _TEXT_MAX else text[:_TEXT_MAX - 3] + "..."
 
 
 def parse_time(text: str) -> float:
@@ -148,6 +156,21 @@ def _containers(data, limit: int) -> int:
     return len(seen)
 
 
+class _Loader(yaml.SafeLoader):
+    """The pure-Python safe loader, naming the line and column of a value
+    that a tag's constructor refuses."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (yaml.YAMLError, RecursionError):
+            raise
+        except Exception as exc:
+            mark = node.start_mark
+            raise yaml.YAMLError(f"line {mark.line + 1}, column "
+                                 f"{mark.column + 1}: {exc}") from exc
+
+
 def _parse(text: bytes):
     """The YAML document in text.  libyaml parses a small file without
     tabs; the pure-Python loader parses the rest, and parses again
@@ -161,7 +184,7 @@ def _parse(text: bytes):
         else:
             if _containers(data, _LIBYAML_CONTAINERS) <= _LIBYAML_CONTAINERS:
                 return data
-    return yaml.safe_load(text)
+    return yaml.load(text, Loader=_Loader)
 
 
 @dataclass
@@ -179,8 +202,9 @@ class ScenarioConfig:
         except RecursionError as exc:  # the pure loader recurses
             raise ConfigError(
                 f"cannot parse {path}: nested too deeply") from exc
-        except Exception as exc:  # a YAMLError, or a tag constructor's error
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        except Exception as exc:  # a YAMLError
+            raise ConfigError(f"cannot parse {path}: {_cut(str(exc))}") \
+                from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         return cls(raw=data, base_dir=path.parent)
@@ -420,7 +444,8 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
 
     return {"clock": sim_clock, "network": network,
             "endpoints": endpoints, "grid": grid, "policy": policy,
-            "plan": plan, "capture": capture_kw, "formats": formats}, issues
+            "plan": plan, "capture": capture_kw,
+            "formats": formats}, [_cut(issue) for issue in issues]
 
 
 def validate(cfg: ScenarioConfig) -> list[str]:
@@ -482,17 +507,13 @@ def build(cfg: ScenarioConfig) -> Simulation:
 
     scheduler.add_hook(network.transport)
 
-    signals = scheduler.signals  # not the scheduler: no reference cycle
+    # the signals' get, not the scheduler: no reference cycle
+    get, record = scheduler.signals.get, capture.record_sample
 
     def sample_hook(step: int) -> None:
-        capture.record_sample(
-            step,
-            pv_kw=signals.get(dev.SIG_PV_OUTPUT, 0.0),
-            bss_kw=signals.get(dev.SIG_BSS_ACTUAL, 0.0),
-            load_kw=signals.get(dev.SIG_LOAD_DEMAND, 0.0),
-            transformer_kw=signals.get(dev.SIG_TRANSFORMER, 0.0),
-            soc_pct=signals.get(dev.SIG_BSS_SOC, 0.0),
-            pv_available_kw=signals.get(dev.SIG_PV_AVAILABLE, 0.0))
+        record(step, get(dev.SIG_PV_OUTPUT, 0.0), get(dev.SIG_BSS_ACTUAL, 0.0),
+               get(dev.SIG_LOAD_DEMAND, 0.0), get(dev.SIG_TRANSFORMER, 0.0),
+               get(dev.SIG_BSS_SOC, 0.0), get(dev.SIG_PV_AVAILABLE, 0.0))
 
     scheduler.add_hook(sample_hook)
 

@@ -1,6 +1,7 @@
 import errno
 import json
 import re
+import socket
 import struct
 import subprocess
 import sys
@@ -11,15 +12,15 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridtwin import capture
 from gridtwin.attack import AttackPlan
 from gridtwin.capture import Capture, ExportError, ProcessSample, fmt_time
 from gridtwin.cosim import HookError, SimClock
-from gridtwin.netem import (ARP_REQUEST, BROADCAST_MAC, ETH_IPV4, ZERO_MAC,
-                            ArpMessage, EthernetFrame, IpDelivery)
+from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, BROADCAST_MAC, ETH_IPV4,
+                            ZERO_MAC, ArpMessage, EthernetFrame, IpDelivery)
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
 
@@ -517,3 +518,157 @@ class TestProcessChunks:
             monkeypatch.setattr(capture, "PROCESS_CHUNK", chunk)
             written = cap.export(tmp_path / str(chunk), formats)
             assert {k: p.read_bytes() for k, p in written.items()} == want
+
+
+def ones_complement_sum(data: bytes) -> int:
+    """RFC 1071 sum of 16-bit words, an odd byte padded with zero; a
+    header with a valid checksum sums to 0xFFFF."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = sum(struct.unpack(f">{len(data) // 2}H", data))
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+def mac_str(raw: bytes) -> str:
+    return ":".join(f"{b:02x}" for b in raw)
+
+
+def decode_ipv4_tcp_frame(raw: bytes):
+    """A captured Ethernet/IPv4/TCP frame as (MACs, IPs, ports, seq, ack,
+    payload, ip_id), checking both checksums and the padding."""
+    (dst, src, ethertype, vihl, total, ip_id, frag, ttl_proto, _, sip, dip,
+     sport, dport, seq, ack, off_flags, _, _, urgent) = struct.unpack_from(
+        ">6s6sHHHHHHH4s4sHHIIHHHH", raw)
+    assert (ethertype, vihl, frag, ttl_proto) == (ETH_IPV4, 0x4500, 0x4000,
+                                                  0x4006)
+    assert (off_flags, urgent) == (0x5018, 0)
+    assert ones_complement_sum(raw[14:34]) == 0xFFFF
+    tcp = raw[34:14 + total]
+    pseudo = raw[26:34] + struct.pack(">HH", 6, len(tcp))
+    assert ones_complement_sum(pseudo + tcp) == 0xFFFF
+    assert raw[14 + total:] == bytes(len(raw) - 14 - total)
+    assert len(raw) == max(60, 14 + total)
+    return (mac_str(src), mac_str(dst), socket.inet_ntoa(sip),
+            socket.inet_ntoa(dip), sport, dport, seq, ack, tcp[20:], ip_id)
+
+
+def recount_flows(packets) -> str:
+    """flows.csv as counted from the pcap's IPv4 records alone."""
+    flows = {}
+    for sec, usec, raw in packets:
+        if raw[12:14] != b"\x08\x00":
+            continue
+        src, dst, sip, dip = decode_ipv4_tcp_frame(raw)[:4]
+        t = sec - DAY_EPOCH + usec / 1e6
+        rec = flows.setdefault((src, dst, sip, dip), [0, 0, t, t])
+        rec[0] += 1
+        rec[1] += len(raw)
+        rec[3] = t
+    lines = ["src_mac,dst_mac,src_ip,dst_ip,frames,bytes,first_ts,last_ts"]
+    lines += [",".join((*key, str(n), str(size), fmt_time(first),
+                        fmt_time(last)))
+              for key, (n, size, first, last) in sorted(flows.items())]
+    return "\n".join(lines) + "\n"
+
+
+MACS = ["02:00:00:00:00:01", "02:00:00:00:00:02", BROADCAST_MAC]
+IPS = ["192.168.10.1", "192.168.10.2"]
+# few addresses and ports, so that links repeat and a flow (MACs and IPs)
+# is reached over several port pairs
+IP_PACKETS = st.builds(
+    IpDelivery, st.sampled_from(IPS), st.sampled_from(IPS),
+    st.sampled_from([502, 50000]), st.sampled_from([502, 50001]),
+    st.integers(0, 2**34), st.integers(0, 2**34),
+    st.binary(min_size=1, max_size=300), st.integers(0, 0xFFFF))
+ARP_PACKETS = st.builds(ArpMessage, st.sampled_from([ARP_REQUEST, ARP_REPLY]),
+                        st.sampled_from(MACS), st.sampled_from(IPS),
+                        st.sampled_from(MACS + [ZERO_MAC]),
+                        st.sampled_from(IPS))
+# frames whose bytes cannot be made: a port or a total length that does
+# not fit its 16-bit field, or a MAC that is not hex
+BAD_PACKETS = st.one_of(
+    st.builds(IpDelivery, st.sampled_from(IPS), st.sampled_from(IPS),
+              st.sampled_from([502, 70000]), st.just(70000), st.just(0),
+              st.just(0), st.just(b"x"), st.just(0)),
+    st.builds(IpDelivery, st.sampled_from(IPS), st.sampled_from(IPS),
+              st.sampled_from([502, 50000]), st.sampled_from([502, 50001]),
+              st.just(0), st.just(0), st.just(bytes(65_496)), st.just(0)))
+FRAMES = st.lists(st.tuples(
+    st.one_of(IP_PACKETS, ARP_PACKETS, BAD_PACKETS), st.sampled_from(MACS),
+    st.sampled_from(MACS + ["zz:00:00:00:00:01"]),
+    st.integers(0, 2)), max_size=40)
+
+
+class TestRecordFrame:
+    """Capture.record_frame builds an IPv4 frame's record from its link's
+    cached constants; the record must be what EthernetFrame.to_bytes
+    makes, and the flows what the pcap counts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(frames=FRAMES)
+    # a padded odd payload, seq and ack past 2**32, one flow over two port
+    # pairs, and a frame whose total length does not fit, on a known link
+    @example(frames=[
+        (IpDelivery(IPS[0], IPS[1], 502, 50001, 2**32 + 5, 2**34, b"abc",
+                    0xFFFF), MACS[0], MACS[1], 0),
+        (IpDelivery(IPS[0], IPS[1], 50000, 502, 7, 8, b"abcdefgh", 1),
+         MACS[0], MACS[1], 1),
+        (IpDelivery(IPS[0], IPS[1], 502, 50001, 0, 0, bytes(65_496), 2),
+         MACS[0], MACS[1], 0)])
+    def test_records_and_flows_match_the_frames(self, tmp_path_factory,
+                                                frames):
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
+        step, recorded = 0, []
+        for packet, src, dst, advance in frames:
+            step += advance
+            frame = EthernetFrame(src, dst, packet)
+            try:
+                want = frame.to_bytes()
+            except (struct.error, ValueError):
+                before = (bytes(cap.pcap_records), cap.frame_count,
+                          repr(cap.flows))
+                with pytest.raises((struct.error, ValueError)):
+                    cap.record_frame(frame, step)
+                assert (bytes(cap.pcap_records), cap.frame_count,
+                        repr(cap.flows)) == before
+                continue
+            cap.record_frame(frame, step)
+            recorded.append((step, frame, want))
+        out = tmp_path_factory.mktemp("records")
+        written = cap.export(out, ("pcap", "flows"))
+        _, packets = read_pcap(written["pcap"].read_bytes())
+        assert cap.frame_count == len(packets) == len(recorded)
+        for (sec, usec, raw), (step, frame, want) in zip(packets, recorded):
+            assert raw == want
+            assert (sec, usec) == (DAY_EPOCH + step, 0)
+            if isinstance(frame.packet, IpDelivery):
+                p = frame.packet
+                assert decode_ipv4_tcp_frame(raw) == (
+                    frame.src_mac, frame.dst_mac, *p[:4], p.seq % 2**32,
+                    p.ack % 2**32, p.payload, p.ip_id)
+        assert written["flows"].read_text() == recount_flows(packets)
+
+    def test_two_port_pairs_feed_one_flow(self):
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
+        for step, ports in enumerate([(50000, 502), (50001, 502),
+                                      (50000, 502)]):
+            cap.record_frame(EthernetFrame(
+                "02:00:00:00:00:01", "02:00:00:00:00:02",
+                IpDelivery("192.168.10.1", "192.168.10.2", *ports, 0, 0,
+                           b"abc", 1)), step)
+        [rec] = cap.flows.values()
+        assert (rec.frames, rec.bytes, rec.first_ts, rec.last_ts) == \
+            (3, 180, 0.0, 2.0)
+
+    def test_a_link_whose_first_frame_failed_starts_its_flow_later(self):
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
+        frame = sample_frame(bytes(65_496))  # total length above 65,535
+        with pytest.raises(struct.error):
+            cap.record_frame(frame, 0)
+        assert (cap.pcap_records, cap.frame_count, cap.flows) == \
+            (bytearray(), 0, {})
+        cap.record_frame(sample_frame(), 5)
+        [rec] = cap.flows.values()
+        assert (rec.frames, rec.first_ts, rec.last_ts) == (1, 5.0, 5.0)

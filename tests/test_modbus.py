@@ -76,6 +76,24 @@ def pv_map():
     return mb.RegisterMap(mb.DEVICE_PV, {10: 0, 11: 0, 20: mb.NO_LIMIT})
 
 
+def write_multiple_request(tx, unit, addr, values):
+    """An FC 16 request: nothing in the program sends one, but devices
+    serve it."""
+    data = struct.pack(">HHB", addr, len(values), 2 * len(values))
+    data += b"".join(struct.pack(">H", v & 0xFFFF) for v in values)
+    return mb.ModbusAdu(tx, unit, mb.FC_WRITE_MULTIPLE, data)
+
+
+def reference_read_response(request, registers):
+    """The FC 3 response's bytes, one register at a time."""
+    addr, qty = struct.unpack(">HH", request.data)
+    data = bytes([2 * qty])
+    for a in range(addr, addr + qty):
+        data += registers[a].to_bytes(2, "big")
+    return (struct.pack(">HHHBB", request.transaction_id, 0, 2 + len(data),
+                        request.unit_id, 0x03) + data)
+
+
 class TestServe:
     def test_pv_limit_write(self):
         m = pv_map()
@@ -110,7 +128,7 @@ class TestServe:
 
     def test_write_multiple(self):
         m = mb.RegisterMap(mb.DEVICE_BSS, {10: 0, 11: 0})
-        resp = mb.serve(mb.write_multiple_request(4, 1, 10, [100, 200]), m)
+        resp = mb.serve(write_multiple_request(4, 1, 10, [100, 200]), m)
         assert not resp.is_exception
         assert m.registers[10] == 100 and m.registers[11] == 200
 
@@ -125,7 +143,7 @@ class TestServe:
         request = {
             "read": mb.read_holding_request(tx, unit, addr, qty),
             "write-single": mb.write_single_request(tx, unit, addr, 0x1234),
-            "write-multiple": mb.write_multiple_request(
+            "write-multiple": write_multiple_request(
                 tx, unit, addr, list(range(qty))),
             "unknown": mb.ModbusAdu(tx, unit, unknown_fc, b"\x00\x00"),
         }[kind]
@@ -139,3 +157,39 @@ class TestServe:
     def test_poll_applies_scaling(self):
         m = mb.RegisterMap(mb.DEVICE_METER, {10: mb.fp_encode(-1.23)})
         assert poll(m, [10]) == [-1.23]
+
+
+# a full map: every address an FC 3 request can name holds a word
+FULL = {a: (a * 40503 + 7) & 0xFFFF for a in range(0x10000)}
+
+
+class TestServeRead:
+    """FC 3 answers byte for byte as a register-at-a-time server would."""
+
+    @pytest.mark.parametrize("qty", range(1, 126))
+    def test_every_quantity_matches_the_reference(self, qty):
+        regmap = mb.RegisterMap(mb.DEVICE_METER, dict(FULL))
+        for addr in (0, 1000, 0x10000 - qty):
+            request = mb.read_holding_request(0xBEEF, 0x11, addr, qty)
+            response = mb.encode(mb.serve(request, regmap))
+            assert response == reference_read_response(request, FULL)
+
+    # from 1: the map always holds register 0, the device type
+    @given(addr=st.integers(1, 0xFFFF - 124), qty=st.integers(1, 125),
+           gap=st.integers(0, 124), tx=st.integers(0, 0xFFFF),
+           unit=st.integers(0, 255))
+    def test_one_missing_register_is_exception_2(self, addr, qty, gap, tx,
+                                                 unit):
+        registers = {a: 1 for a in range(addr, addr + qty)}
+        del registers[addr + gap % qty]
+        regmap = mb.RegisterMap(mb.DEVICE_METER, registers)
+        request = mb.read_holding_request(tx, unit, addr, qty)
+        assert mb.serve(request, regmap) == mb.ModbusAdu(
+            tx, unit, 0x83, bytes([mb.EXC_ILLEGAL_ADDRESS]))
+
+    @pytest.mark.parametrize("qty", [0, 126, 0xFFFF])
+    def test_quantity_out_of_range_is_exception_3(self, qty):
+        regmap = mb.RegisterMap(mb.DEVICE_METER, dict(FULL))
+        request = mb.read_holding_request(5, 1, 0, qty)
+        assert mb.serve(request, regmap) == mb.ModbusAdu(
+            5, 1, 0x83, bytes([mb.EXC_ILLEGAL_VALUE]))

@@ -143,11 +143,15 @@ def assert_refused(path: Path) -> str:
 
 TAGGED = {
     "float": (b"clock: {step_s: !!float x}\n",
-              "could not convert string to float: 'x'"),
+              "line 1, column 17: could not convert string to float: 'x'"),
     "int": (b"clock: {step_s: !!int x}\n",
-            "invalid literal for int() with base 10: 'x'"),
+            "line 1, column 17: invalid literal for int() with base 10: 'x'"),
     "timestamp": (b"clock: {date: !!timestamp x}\n",
+                  "line 1, column 15: "
                   "'NoneType' object has no attribute 'groupdict'"),
+    "month": (b"name: tiny\nclock:\n  start: '09:00:00'\n"
+              b"  date: !!timestamp 2021-13-01\n",
+              "line 4, column 9: month must be in 1..12"),
 }
 
 
@@ -169,6 +173,26 @@ def test_tag_error_text_is_the_same_under_both_loaders(
     with pytest.raises(ConfigError) as err:
         ScenarioConfig.load(path)
     assert str(err.value) == f"cannot parse {path}: {why}"
+
+
+LONG = {
+    "subnet": ("network: {subnet: %s}\n",
+               "error: network.subnet: Expected 4 octets in 'yyy"),
+    "tagged": ("clock: {step_s: !!float %s}\n",
+               "error: cannot parse {path}: line 1, column 17: "
+               "could not convert string to float: 'yyy"),
+}
+
+
+@pytest.mark.parametrize("text, start", LONG.values(), ids=LONG)
+def test_long_refused_value_is_cut(tmp_path, text, start):
+    path = tmp_path / "long.yaml"
+    path.write_text(text % ("y" * 10_000))
+    out = assert_refused(path)
+    line = next(line for line in out.splitlines()
+                if line.startswith(start.format(path=path)))
+    assert line.endswith("yyy...")
+    assert len(line) < 700
 
 
 def test_rating_no_register_word_holds_is_an_issue(tmp_path):
