@@ -11,7 +11,8 @@ to one ``array('d')`` as a row of ``ROW`` doubles.  ``Capture.samples``
 is a read-only view that makes a ``ProcessSample`` for the row asked.
 Once the records reach ``SPOOL_BYTES`` they are written to an unlinked
 temporary file in one call, so the records a run holds in memory stay
-bounded however long it runs.
+bounded however long it runs.  ``summarize`` reads the rows in one
+pass that keeps only running totals, so it holds no column either.
 
 An IPv4 frame's record is one lookup of its link (MACs, IPs, ports),
 which holds ``netem.tcp_link`` and the flow record, one record-header
@@ -37,7 +38,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, starmap
+from itertools import starmap
 from pathlib import Path
 
 from .attack import AttackPlan
@@ -81,8 +82,8 @@ def fmt_time(t_s: float) -> str:
 
 def sum_in_order(values, total: float = 0.0) -> float:
     """Floats added left to right to total, as sum() added them before
-    CPython 3.12 made it compensate: summary.json must not depend on the
-    Python."""
+    CPython 3.12 made it compensate: report's numbers, like summary.json's,
+    must not depend on the Python."""
     for v in values:
         total += v
     return total
@@ -331,71 +332,50 @@ class Capture:
 
     # -- summary ----------------------------------------------------------
 
-    def integral_abs_transformer(self, t0: float | None = None,
-                                 t1: float | None = None) -> float:
-        """∫|transformer_kw| dt in kW·s over [t0, t1)."""
-        rows = self.rows
-        return self._integral(
-            p for t, p in zip(rows[T::ROW], rows[TRANSFORMER::ROW])
-            if (t0 is None or t >= t0) and (t1 is None or t < t1))
-
-    def _integral(self, powers, total: float = 0.0) -> float:
-        """∫|transformer_kw| dt in kW·s over the given powers, one a step,
-        added to total."""
-        step_s = self.clock.step_s
-        return sum_in_order((abs(p) * step_s for p in powers), total)
-
     def summarize(self) -> dict:
-        """The run's statistics, from the rows a chunk of PROCESS_CHUNK at
-        a time: copies of whole columns would grow with the run.  Each sum
-        carries its total from chunk to chunk, so it still adds left to
-        right."""
+        """The run's statistics, from one pass over the rows that holds
+        only running totals.  Each sum adds left to right, as
+        ``sum_in_order`` does, and each peak keeps the first of equal
+        values, as max() and min() do."""
         rows, n, step_s = self.rows, len(self.samples), self.clock.step_s
-        size = PROCESS_CHUNK * ROW
-        integral = curtailed = window_integral = window_bss = 0.0
+        deadband = self.deadband_kw
+        top = bottom = rows[TRANSFORMER] if rows else 0.0
+        integral = curtailed = window_integral = window_top = window_bss = 0.0
         within = labeled = 0
-        # a peak carried into the next chunk's max() or min() as its first
-        # value gives what one call over the whole column gave
-        top = bottom = window_top = ()
-        for i in range(0, len(rows), size):
-            power = rows[i + TRANSFORMER:i + size:ROW]
-            integral = self._integral(power, integral)
-            top = (max(chain(top, power)),)
-            bottom = (min(chain(bottom, power)),)
-            curtailed = sum_in_order(
-                ((avail - pv) * step_s for pv, avail
-                 in zip(rows[i + PV:i + size:ROW],
-                        rows[i + PV_AVAILABLE:i + size:ROW])
-                 if avail > pv), curtailed)
-            within += sum(1 for p in power if abs(p) <= self.deadband_kw)
-            if self.plan is None:
-                continue  # no step is labeled
-            active = rows[i + ACTIVE:i + size:ROW]
-            if any(active):
-                window = list(compress(power, active))
-                labeled += len(window)
-                window_integral = self._integral(window, window_integral)
-                window_top = (max(chain(window_top, window)),)
-                window_bss = sum_in_order(
-                    compress(rows[i + BSS:i + size:ROW], active), window_bss)
-        out = {
+        for _, pv, avail, bss, _, p, _, active in zip(*[iter(rows)] * ROW):
+            size = abs(p)
+            kws = size * step_s
+            integral += kws
+            if p > top:
+                top = p
+            if p < bottom:
+                bottom = p
+            if avail > pv:
+                curtailed += (avail - pv) * step_s
+            if size <= deadband:
+                within += 1
+            if active:
+                if not labeled or p > window_top:
+                    window_top = p
+                labeled += 1
+                window_integral += kws
+                window_bss += bss
+        window = None if self.plan is None else {
+            "start": fmt_time(self.plan.start_s),
+            "end": fmt_time(self.plan.end_s),
+            "imbalance_integral_kws": window_integral,
+            "labeled_steps": labeled,
+            "peak_import_kw": window_top,
+            "mean_bss_kw": window_bss / labeled if labeled else 0.0,
+        }
+        return {
             "steps": n,
             "frames": self.frame_count,
             "flow_count": len(self.flows),
             "imbalance_integral_kws": integral,
-            "peak_import_kw": top[0] if top else 0.0,
-            "peak_export_kw": bottom[0] if bottom else 0.0,
+            "peak_import_kw": top,
+            "peak_export_kw": bottom,
             "pv_curtailed_kwh": curtailed / 3600.0,
             "within_deadband_fraction": within / n if n else 0.0,
-            "attack_window": None,
+            "attack_window": window,
         }
-        if self.plan is not None:
-            out["attack_window"] = {
-                "start": fmt_time(self.plan.start_s),
-                "end": fmt_time(self.plan.end_s),
-                "imbalance_integral_kws": window_integral,
-                "labeled_steps": labeled,
-                "peak_import_kw": window_top[0] if window_top else 0.0,
-                "mean_bss_kw": window_bss / labeled if labeled else 0.0,
-            }
-        return out

@@ -80,8 +80,8 @@ def _read_dataset(path: Path) -> dict:
     window = data.get("attack_window") if isinstance(data, dict) else None
     if not isinstance(data, dict) or not all(
             isinstance(data.get(k), (int, float)) for k in _SUMMARY_KEYS) \
-            or not (window is None or isinstance(window, dict)
-                    and {"start", "end"} <= window.keys()):
+            or not (window is None or isinstance(window, dict) and all(
+                isinstance(window.get(k), str) for k in ("start", "end"))):
         raise ConfigError(f"{summary_file}: not a gridtwin run summary")
     if window is not None:  # a bad time is refused here, where it is caught
         parse_time(window["start"]), parse_time(window["end"])

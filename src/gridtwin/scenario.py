@@ -285,7 +285,12 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     clock = section(raw, "clock", "clock")
     start = attempt("clock.start", lambda: cfg.start_s)
     end = attempt("clock.end", lambda: cfg.end_s)
-    step = attempt("clock.step_s", lambda: cfg.step_s, *_POSITIVE[1:])
+    # fmt_time writes times to the millisecond: finer steps would repeat
+    # them.  A day then holds at most 8.64e7 steps, well under 2**53.
+    step = attempt("clock.step_s", lambda: cfg.step_s,
+                   lambda x: 0.001 <= x < math.inf,
+                   "must be >= 0.001: the dataset writes times to the "
+                   "millisecond")
     run_ok = start is not None and end is not None
     if run_ok and start >= end:
         issues.append("clock: start must precede end")
@@ -300,8 +305,6 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
         except OverflowError:
             issues.append(f"{path}: too many steps of {step:g} s to count")
 
-    if run_ok:  # the run's length in steps, as Scheduler.run counts it
-        steps("clock.step_s", lambda c: c.step_at(end))
     # the pcap stamps a frame with day epoch + t in unsigned 32-bit seconds
     capture_kw = fields(clock, "clock", date=(
         lambda d: _dt.date.fromisoformat(_text(d)).isoformat(),
@@ -467,8 +470,10 @@ class Simulation:
 
     def run(self, until_s: float | None = None,
             realtime: bool = False) -> RunSummary:
+        # never past clock.end: validate checked no step beyond it
+        end_s = self.config.end_s
         return self.scheduler.run(
-            self.config.end_s if until_s is None else until_s,
+            end_s if until_s is None else min(until_s, end_s),
             realtime=realtime)
 
     def export(self, outdir: str | Path) -> dict:

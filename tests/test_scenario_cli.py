@@ -228,6 +228,20 @@ class TestCli:
         rows = (out / "process.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 60
 
+    def test_run_until_past_the_end_stops_at_the_end(self, tmp_path,
+                                                     capsys):
+        cfg = write_tiny_config(tmp_path)
+        full, late = tmp_path / "full", tmp_path / "late"
+        assert main(["run", str(cfg), "--out", str(full)]) == 0
+        assert main(["run", str(cfg), "--out", str(late),
+                     "--until", "09:25:00"]) == 0
+        assert capsys.readouterr().out.count(": 300 steps in ") == 2
+        rows = (late / "process.csv").read_text().splitlines()
+        assert len(rows) == 1 + 300 and rows[-1].startswith("09:19:59,")
+        for name in ("process.csv", "flows.csv", "capture.pcap",
+                     "flowgraph.txt", "summary.json"):
+            assert (late / name).read_bytes() == (full / name).read_bytes()
+
     def test_run_bad_until(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         assert main(["run", str(cfg), "--until", "nope"]) == 1
@@ -495,40 +509,61 @@ def test_bad_field_is_reported_not_raised(tmp_path, path, value):
 # by clock.step_s is an infinite number of steps.  At 1e-300 s the run
 # is finite but past 2**53 steps, where a float no longer holds every
 # step index: it once validated, and run then hung working out the
-# number of steps.
+# number of steps.  A step under a millisecond is now refused as such
+# (the dataset's times would repeat), so only a duration can still
+# overflow.
 TINY_STEP = ("clock", "step_s"), 1.0e-310
 MILLI_STEP = ("clock", "step_s"), 0.001
+STEP_FLOOR = ("clock.step_s: must be >= 0.001: the dataset writes times to "
+              "the millisecond")
 
 
-@pytest.mark.parametrize("edits, attack, paths", [
-    ((TINY_STEP,), False, ["clock.step_s", "ems.period_s"]),
-    (((("clock", "step_s"), 1.0e-300),), False, ["clock.step_s"]),
-    ((TINY_STEP,), True, ["clock.step_s", "ems.period_s",
-                          "attack.repoison_period_s", "attack.recon_lead_s"]),
-    ((MILLI_STEP, (("ems", "period_s"), 1.0e308)), False, ["ems.period_s"]),
+def too_many(path: str) -> str:
+    return f"{path}: too many steps of 0.001 s to count"
+
+
+@pytest.mark.parametrize("edits, attack, issues", [
+    ((TINY_STEP,), False, [STEP_FLOOR]),
+    (((("clock", "step_s"), 1.0e-300),), False, [STEP_FLOOR]),
+    ((TINY_STEP,), True, [STEP_FLOOR]),
+    (((("clock", "step_s"), 0.0005),), False, [STEP_FLOOR]),
+    ((MILLI_STEP, (("ems", "period_s"), 1.0e308)), False,
+     [too_many("ems.period_s")]),
     ((MILLI_STEP, (("attack", "repoison_period_s"), 1.0e308)), True,
-     ["attack.repoison_period_s"]),
+     [too_many("attack.repoison_period_s")]),
     ((MILLI_STEP, (("network", "arp_cache_expiry_s"), 1.0e308)), False,
-     ["network.arp_cache_expiry_s"]),
+     [too_many("network.arp_cache_expiry_s")]),
     ((MILLI_STEP, (("attack", "recon_lead_s"), 1.0e308)), True,
-     ["attack.recon_lead_s"]),
-], ids=["step", "step-1e-300", "step-attack", "ems-period", "repoison-period",
-        "cache-expiry", "recon-lead"])
+     [too_many("attack.recon_lead_s")]),
+], ids=["step", "step-1e-300", "step-attack", "step-half-ms", "ems-period",
+        "repoison-period", "cache-expiry", "recon-lead"])
 def test_step_count_overflow_is_reported_not_raised(tmp_path, capsys, edits,
-                                                    attack, paths):
+                                                    attack, issues):
     def mutate(cfg):
         for path, value in edits:
             set_field(cfg, path, value)
     cfg_path = edited_config(tmp_path, mutate, attack=attack)
-    step = dict(edits)[("clock", "step_s")]
-    assert validate(ScenarioConfig.load(cfg_path)) == [
-        f"{path}: too many steps of {step:g} s to count" for path in paths]
+    assert validate(ScenarioConfig.load(cfg_path)) == issues
     assert main(["validate", str(cfg_path)]) == 1
     out = tmp_path / "ds"
     assert main(["run", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {paths[0]}: ")
-    assert "Traceback" not in err and not out.exists()
+    assert err == f"config error: {'; '.join(issues)}\n"
+    assert not out.exists()
+
+
+def test_millisecond_step_builds_with_distinct_times(tmp_path):
+    def mutate(cfg):
+        set_field(cfg, ("clock", "step_s"), 0.001)
+        set_field(cfg, ("clock", "end"), "09:15:01")
+    cfg_path = edited_config(tmp_path, mutate)
+    out = tmp_path / "ds"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    times = [row.split(",")[0] for row in
+             (out / "process.csv").read_text().splitlines()[1:]]
+    assert len(times) == len(set(times)) == 1000
+    assert times[:2] == ["09:15:00", "09:15:00.001"]
+    assert times[-1] == "09:15:00.999"
 
 
 # each passed validate and then aborted the run on a register word

@@ -1,6 +1,7 @@
 """Hostile scenario files: every one gets issues, never a traceback.
 
-Hostile values replace leaves or subtrees of the tiny attack config:
+Hostile values replace leaves or subtrees of the tiny attack config,
+with the keys it leaves unset written at their defaults:
 None, booleans, infinities, NaN, numbers too big for a float or a
 register, bad times, dates and addresses, empty and nested lists and
 maps, and lists that share their items as YAML aliases do.  A sweep puts
@@ -15,6 +16,7 @@ subprocess: each must exit 1 with bounded output and no traceback.
 
 import copy
 import datetime
+import json
 import math
 import os
 import subprocess
@@ -73,9 +75,33 @@ def key_paths(node: dict, prefix: tuple = ()):
             yield from key_paths(value, prefix + (key,))
 
 
+def replaced(raw: dict, path: tuple, value) -> None:
+    """Put value at path in raw, unless an earlier replacement took away
+    the mapping that held it."""
+    for key in path[:-1]:
+        raw = raw.get(key) if isinstance(raw, dict) else None
+    if isinstance(raw, dict):
+        raw[path[-1]] = value
+
+
+# the keys the tiny config leaves unset, each at its default, so that the
+# sweep and the property put hostile values there too
+DEFAULTS = {
+    ("network", "arp_cache_expiry_s"): None,
+    ("devices", "bss", "efficiency"): 1.0,
+    ("devices", "meter", "transformer_rated_kva"): 630.0,
+    ("profiles", "load", "factor"): 1.0,
+    ("profiles", "load", "clamp_max_kw"): None,
+    ("profiles", "pv", "factor"): 1.0,
+    ("profiles", "pv", "clamp_max_kw"): None,
+    ("ems", "manages_pv_limit"): False,
+    ("ems", "request_timeout_steps"): 5,
+}
 with tempfile.TemporaryDirectory() as _tmp:
     TINY = yaml.safe_load(write_tiny_config(Path(_tmp), attack=True)
                           .read_text())
+for _path, _value in DEFAULTS.items():
+    replaced(TINY, _path, _value)
 PATHS = list(key_paths(TINY))
 
 
@@ -84,15 +110,6 @@ def base_dir(tmp_path_factory):
     """A directory holding the tiny config's profile files."""
     return write_tiny_config(tmp_path_factory.mktemp("hostile"),
                              attack=True).parent
-
-
-def replaced(raw: dict, path: tuple, value) -> None:
-    """Put value at path in raw, unless an earlier replacement took away
-    the mapping that held it."""
-    for key in path[:-1]:
-        raw = raw.get(key) if isinstance(raw, dict) else None
-    if isinstance(raw, dict):
-        raw[path[-1]] = value
 
 
 def assert_answered(raw: dict, base_dir: Path) -> None:
@@ -124,16 +141,12 @@ def test_hostile_values_at_one_to_three_paths(base_dir, data):
     assert_answered(raw, base_dir)
 
 
-def cli_validate(path: Path) -> subprocess.CompletedProcess:
+def assert_refused(*args) -> str:
+    """Run the CLI with args: exit 1, no traceback, bounded output."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run(
-        [sys.executable, "-m", "gridtwin.cli", "validate", str(path)],
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridtwin.cli", *map(str, args)],
         capture_output=True, text=True, env=env, timeout=60)
-
-
-def assert_refused(path: Path) -> str:
-    """Run validate on path: exit 1, no traceback, bounded output."""
-    proc = cli_validate(path)
     out = proc.stdout + proc.stderr
     assert proc.returncode == 1, out[-500:]
     assert "Traceback" not in out
@@ -159,7 +172,8 @@ TAGGED = {
 def test_tag_a_constructor_refuses_is_a_parse_error(tmp_path, text, why):
     path = tmp_path / "tagged.yaml"
     path.write_bytes(text)
-    assert assert_refused(path) == f"error: cannot parse {path}: {why}\n"
+    assert assert_refused("validate", path) == \
+        f"error: cannot parse {path}: {why}\n"
 
 
 @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
@@ -188,7 +202,7 @@ LONG = {
 def test_long_refused_value_is_cut(tmp_path, text, start):
     path = tmp_path / "long.yaml"
     path.write_text(text % ("y" * 10_000))
-    out = assert_refused(path)
+    out = assert_refused("validate", path)
     line = next(line for line in out.splitlines()
                 if line.startswith(start.format(path=path)))
     assert line.endswith("yyy...")
@@ -200,9 +214,25 @@ def test_rating_no_register_word_holds_is_an_issue(tmp_path):
     raw = yaml.safe_load(path.read_text())
     raw["devices"]["bss"]["rated_kw"] = 1e308  # 1e308 * 100.0 is inf
     path.write_text(yaml.safe_dump(raw))
-    out = assert_refused(path)
+    out = assert_refused("validate", path)
     assert "error: devices: above the 327.67 kW a Modbus register holds: " \
            "bss.rated_kw 1e+308, meter up to 1e+308\n" in out
+
+
+@pytest.mark.parametrize("start, end", [
+    (["11:30:00"], "14:15:00"), ("11:30:00", {"h": 14}), (41400, "14:15:00"),
+], ids=["list", "mapping", "number"])
+def test_report_refuses_a_window_time_that_is_not_text(tmp_path, start, end):
+    summary = {"steps": 1, "frames": 0, "flow_count": 0,
+               "imbalance_integral_kws": 0.0, "peak_import_kw": 0.0,
+               "pv_curtailed_kwh": 0.0,
+               "attack_window": {"start": start, "end": end}}
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    (tmp_path / "process.csv").write_text(
+        "t,pv_kw,bss_kw,load_kw,transformer_kw,soc_pct,attack_active\n")
+    out = assert_refused("report", tmp_path, tmp_path)
+    assert out == (f"error: {tmp_path / 'summary.json'}: "
+                   f"not a gridtwin run summary\n")
 
 
 def aliased(levels: int) -> str:
@@ -229,7 +259,7 @@ def test_aliased_value_is_not_expanded(tmp_path, key, levels):
     text = yaml.safe_dump(raw).replace("ALIASED", aliased(levels))
     path.write_text(text)
     assert len(text) < 2000
-    out = assert_refused(path)
+    out = assert_refused("validate", path)
     want = ("must be a mapping, not [[[...], [...], [...], [...], ...], "
             if key == "clock" else "must be a single value, not a list")
     assert f"error: {key}: {want}" in out
