@@ -8,7 +8,8 @@ flows instead of merging them), and a plain-text data-flow graph.
 A run holds no Python object per frame or per step: each frame is
 appended to one ``bytearray`` as its finished pcap record, and each step
 to one ``array('d')`` as a row of ``ROW`` doubles.  ``Capture.samples``
-is a read-only view that makes a ``ProcessSample`` for the row asked.
+is a new list of ``ProcessSample`` made from the rows at each read, so a
+reader that indexes it binds it once.
 Once the records reach ``SPOOL_BYTES`` they are written to an unlinked
 temporary file in one call, so the records a run holds in memory stay
 bounded however long it runs.  ``summarize`` reads the rows in one
@@ -35,11 +36,10 @@ import struct
 import tempfile
 import weakref
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import starmap
 from pathlib import Path
+from typing import NamedTuple
 
 from .attack import AttackPlan
 from .cosim import SimClock
@@ -95,8 +95,8 @@ def day_epoch(date: str) -> float:
     return day.timestamp()
 
 
-@dataclass(frozen=True)
-class ProcessSample:
+class ProcessSample(NamedTuple):
+    """A recorded row; attack_active is 0.0 or 1.0."""
     t_s: float
     pv_kw: float
     pv_available_kw: float
@@ -104,41 +104,12 @@ class ProcessSample:
     load_kw: float
     transformer_kw: float
     soc_pct: float
-    attack_active: bool
+    attack_active: float
 
 
-# a sample row: ProcessSample's fields in order, attack_active as 0.0/1.0
+# a sample row: ProcessSample's fields in order
 ROW = 8
 T, PV, PV_AVAILABLE, BSS, LOAD, TRANSFORMER, SOC, ACTIVE = range(ROW)
-
-
-def _sample(t_s, pv_kw, pv_available_kw, bss_kw, load_kw, transformer_kw,
-            soc_pct, attack_active) -> ProcessSample:
-    return ProcessSample(t_s, pv_kw, pv_available_kw, bss_kw, load_kw,
-                         transformer_kw, soc_pct, attack_active != 0.0)
-
-
-class SampleView(Sequence):
-    """The recorded steps as ProcessSamples, each made when it is read."""
-
-    def __init__(self, rows: array):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows) // ROW
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("sample index out of range")
-        return _sample(*self._rows[i * ROW:(i + 1) * ROW])
-
-    def __iter__(self):
-        return starmap(_sample, zip(*[iter(self._rows)] * ROW))
 
 
 @dataclass(slots=True)
@@ -166,7 +137,6 @@ class Capture:
         self.roles_by_ip = roles_by_ip or {}  # ip -> (role, true mac)
         self._day_epoch = day_epoch(date)
         self.rows = array("d")  # ROW doubles per recorded step
-        self.samples = SampleView(self.rows)
         # the records not yet spooled; capture.pcap is its header, then
         # the first _spooled bytes of _spool, then these
         self.pcap_records = bytearray()
@@ -177,6 +147,11 @@ class Capture:
         # (MACs, IPs, ports) -> (netem.tcp_link of it, its flow's record)
         self._links: dict[tuple, tuple[tuple, FlowRecord]] = {}
         self._stamp = (-1, 0.0, 0, 0)  # step, t, pcap sec, pcap usec
+
+    @property
+    def samples(self) -> list[ProcessSample]:
+        """The recorded steps, made from the rows at each read."""
+        return list(map(ProcessSample._make, zip(*[iter(self.rows)] * ROW)))
 
     # -- recording --------------------------------------------------------
 
@@ -337,7 +312,7 @@ class Capture:
         only running totals.  Each sum adds left to right, as
         ``sum_in_order`` does, and each peak keeps the first of equal
         values, as max() and min() do."""
-        rows, n, step_s = self.rows, len(self.samples), self.clock.step_s
+        rows, n, step_s = self.rows, len(self.rows) // ROW, self.clock.step_s
         deadband = self.deadband_kw
         top = bottom = rows[TRANSFORMER] if rows else 0.0
         integral = curtailed = window_integral = window_top = window_bss = 0.0

@@ -103,7 +103,9 @@ def _window_integral(samples, window) -> float:
     if not window or len(samples) < 2:
         return 0.0
     t0, t1 = parse_time(window["start"]), parse_time(window["end"])
-    dt = samples[1][0] - samples[0][0]
+    # the mean spacing: two times rounded to the millisecond give the step
+    # no better than to 1 ms
+    dt = (samples[-1][0] - samples[0][0]) / (len(samples) - 1)
     return sum_in_order(abs(p) * dt for t, p in samples if t0 <= t < t1)
 
 

@@ -65,14 +65,6 @@ def ip_bytes(ip: str) -> bytes:
     return ipaddress.IPv4Address(ip).packed
 
 
-@lru_cache(maxsize=1024)
-def ip_str(raw: bytes) -> str:
-    if len(raw) != 4:
-        raise ipaddress.AddressValueError(
-            f"packed IPv4 address must be 4 bytes, got {len(raw)}")
-    return "%d.%d.%d.%d" % tuple(raw)
-
-
 @dataclass(frozen=True)
 class ArpMessage:
     op: int  # ARP_REQUEST | ARP_REPLY
@@ -186,7 +178,8 @@ def parse_ipv4_tcp(raw: bytes) -> dict:
         raise InputError(f"not TCP (proto {raw[9]})")
     if total > len(raw) or ihl < 20:
         raise InputError("bad IPv4 length fields")
-    src_ip, dst_ip = ip_str(raw[12:16]), ip_str(raw[16:20])
+    src_ip = "%d.%d.%d.%d" % tuple(raw[12:16])
+    dst_ip = "%d.%d.%d.%d" % tuple(raw[16:20])
     tcp = raw[ihl:total]
     if len(tcp) < 20:
         raise InputError("truncated TCP header")

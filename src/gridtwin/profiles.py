@@ -1,8 +1,9 @@
 """Time-series demand/generation profiles.
 
 Profiles stand in for the scaled-down reference-grid measurements that
-the lab replays to its DC supplies and load bank.  CSV format: UTF-8,
-header ``t_s,value_kw``, one row per knot, ``.`` decimal separator.
+the lab replays to its DC supplies and load bank.  CSV format: UTF-8
+(a byte-order mark skipped), header ``t_s,value_kw``, one row per knot,
+``.`` decimal separator.
 
 A profile is its knots in two flat columns, the times as a tuple of
 floats (for bisection) and the values as an ``array('d')``: 40 bytes a
@@ -12,7 +13,6 @@ is made (loaded, scaled or replaced); ``points`` is derived from them.
 
 from __future__ import annotations
 
-import io
 import math
 from array import array
 from bisect import bisect_right
@@ -87,14 +87,9 @@ def _columns(text: str):
 
 
 def load_profile(source, interpolation: str = "hold") -> TimeSeriesProfile:
-    """Parse a profile CSV from a byte stream, bytes or text."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        text = source
+    """Parse a profile CSV from bytes (UTF-8, a byte-order mark skipped)
+    or text."""
+    text = source.decode("utf-8-sig") if isinstance(source, bytes) else source
     columns = _columns(text)
     if columns is not None:
         try:

@@ -90,7 +90,7 @@ class TestAcceptance:
 
     def test_2_attack_window_effects(self, golden_runs):
         sim = sim_of(golden_runs, "attack")
-        cap = sim.capture
+        samples = sim.capture.samples
         epoch = sim.config.start_s
         start = int(ATTACK_START_S - epoch)
         end = int(ATTACK_END_S - epoch)
@@ -99,7 +99,7 @@ class TestAcceptance:
         bss_bad = charged = 0
         pv_bad = balance_bad = 0
         for i in range(landing, end):
-            s = cap.samples[i]
+            s = samples[i]
             soc_kwh = s.soc_pct * capacity / 100.0
             if soc_kwh < capacity - EPS:
                 charged += 1
@@ -117,22 +117,22 @@ class TestAcceptance:
 
     def test_3_persistence_flaw(self, golden_runs):
         sim = sim_of(golden_runs, "attack")
-        cap = sim.capture
+        samples = sim.capture.samples
         epoch = sim.config.start_s
         end = int(ATTACK_END_S - epoch)
         knots, n = knot_indices(sim)
         # recovery: criterion-1 behavior from 2 control periods after the stop
         recovered_from = end + 2 * PERIOD_S
         bad = [i for i in range(recovered_from, n)
-               if abs(cap.samples[i].transformer_kw) > DEADBAND_KW + EPS
+               if abs(samples[i].transformer_kw) > DEADBAND_KW + EPS
                and not any(k <= i < k + 2 * PERIOD_S for k in knots)]
         # the PV limit is never reset: curtailment continues to bind
         curtailed = limit_bad = 0
         for i in range(end, n):
-            avail = cap.samples[i].pv_available_kw
+            avail = samples[i].pv_available_kw
             if avail > 3.5 + EPS:
                 curtailed += 1
-                if abs(cap.samples[i].pv_kw - 3.5) > EPS:
+                if abs(samples[i].pv_kw - 3.5) > EPS:
                     limit_bad += 1
         ok = not bad and curtailed > 0 and limit_bad == 0
         verdict(3, "post-attack recovery with un-reset PV limit", ok,

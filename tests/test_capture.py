@@ -271,8 +271,8 @@ class TestCapture:
                   "soc_pct": 50.0 + step / 11, "pv_available_kw": step * 0.3}
             cap.record_sample(step, **kw)
             t = 100.0 + step * 0.5
-            recorded.append(ProcessSample(t_s=t, attack_active=110 <= t < 120,
-                                          **kw))
+            recorded.append(ProcessSample(
+                t_s=t, attack_active=float(110 <= t < 120), **kw))
         view = cap.samples
         assert len(view) == 60
         assert view[0] == recorded[0] and view[-1] == recorded[-1]
@@ -284,6 +284,17 @@ class TestCapture:
         for past_the_end in (60, -61):
             with pytest.raises(IndexError):
                 view[past_the_end]
+
+
+    def test_samples_is_a_list_made_from_the_rows_at_each_read(self):
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
+        for step in range(3):
+            cap.record_sample(step, 1.0, 2.0, 3.0, 4.0, 50.0, 5.0)
+        assert "samples" not in vars(cap)
+        first, second = cap.samples, cap.samples
+        assert type(first) is list and first == second
+        assert first is not second
+        assert first[2] == (2.0, 1.0, 5.0, 2.0, 3.0, 4.0, 50.0, 0.0)
 
 
 NODE_RE = re.compile(r"^node ([0-9a-f:]{17}) (\d+\.\d+\.\d+\.\d+) \S+$")

@@ -1,7 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no
+module-level function or class of it goes unused.
 
 A leftover import keeps a deleted feature's dependency looking alive.
-An import kept on purpose carries ``# noqa: F401`` on its line.
+An import kept on purpose carries ``# noqa: F401`` on its line.  A def
+counts as used when some source of the repository loads its name.
 """
 
 import ast
@@ -11,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gridtwin"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gridtwin"
+# the sources whose loads count as uses of a def in the package
+USERS = ("src", "tests", "perfbench", "tools")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,6 +61,51 @@ def test_guard_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def loaded_names(source: str) -> set[str]:
+    """The names a module reads: Name and Attribute loads and the names
+    it imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def unused_defs(source: str, loaded: set[str]) -> list[str]:
+    """The module-level functions and classes of source not in loaded."""
+    return [f"line {node.lineno}: {node.name}"
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name not in loaded]
+
+
+def test_guard_finds_an_unused_def():
+    source = ("import gridtwin.netem as n\n"
+              "from gridtwin.capture import Capture\n"
+              "class Used: pass\n"
+              "def helper(): return Used\n"
+              "def ip_str(raw): return n.mac_bytes\n")
+    loaded = loaded_names(source) | loaded_names("helper()")
+    assert {"netem", "Capture", "mac_bytes"} <= loaded
+    assert unused_defs(source, loaded) == ["line 5: ip_str"]
+
+
+def test_every_top_level_def_is_used():
+    loaded = set()
+    for top in USERS:
+        for path in (ROOT / top).rglob("*.py"):
+            loaded |= loaded_names(path.read_text())
+    unused = {path.name: unused_defs(path.read_text(), loaded)
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: defs for name, defs in unused.items() if defs} == {}
 
 
 def test_a_run_loads_no_socket_module():

@@ -1,4 +1,3 @@
-import io
 import math
 from array import array
 from dataclasses import replace
@@ -23,13 +22,7 @@ def serialize(profile):
 
 def reference_load_profile(source, interpolation="hold"):
     """Reference: the line-by-line loader, one knot at a time."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        text = source
+    text = source.decode("utf-8-sig") if isinstance(source, bytes) else source
     lines = text.splitlines()
     if not lines:
         raise ProfileError("no data rows")
@@ -115,8 +108,16 @@ class TestLoadProfile:
         assert p.points == ((0.0, 5.0), (60.0, 6.0))
 
     def test_header_is_accepted(self):
-        p = load_profile(io.BytesIO(b"t_s,value_kw\n0,5.0\n60,6.0"))
+        p = load_profile(b"t_s,value_kw\n0,5.0\n60,6.0")
         assert len(p.points) == 2
+
+    @pytest.mark.parametrize("load", [load_profile, reference_load_profile])
+    @pytest.mark.parametrize("text", ["t_s,value_kw\n0,5.0\n60,6.0",
+                                      "0,5.0\n60,6.0"], ids=["header", "bare"])
+    def test_byte_order_mark_is_skipped(self, load, text):
+        # spreadsheets' "CSV UTF-8" exports start with one
+        marked = load(b"\xef\xbb\xbf" + text.encode())
+        assert marked == load(text.encode()) == load(text)
 
     def test_decreasing_timestamps_rejected(self):
         with pytest.raises(ProfileError, match="not after"):

@@ -552,6 +552,25 @@ def test_step_count_overflow_is_reported_not_raised(tmp_path, capsys, edits,
     assert not out.exists()
 
 
+def test_report_takes_the_step_from_all_the_rows(tmp_path, capsys):
+    # process.csv rounds times to the millisecond: the first two rows are
+    # 0.002 s apart at a 0.0015 s step, which read 413.3 for 309.9
+    def mutate(cfg):
+        set_field(cfg, ("clock", "step_s"), 0.0015)
+        set_field(cfg, ("clock", "end"), "09:16:00")
+        cfg["attack"].update(start="09:15:20", end="09:15:40",
+                             recon_lead_s=5)
+    cfg_path = edited_config(tmp_path, mutate, attack=True)
+    out = tmp_path / "ds"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    want = summary["attack_window"]["imbalance_integral_kws"]
+    assert f"{want:.1f}" == "309.9"
+    capsys.readouterr()
+    assert main(["report", str(out), str(out)]) == 0
+    assert "integral A = 309.9, B = 309.9 kW*s" in capsys.readouterr().out
+
+
 def test_millisecond_step_builds_with_distinct_times(tmp_path):
     def mutate(cfg):
         set_field(cfg, ("clock", "step_s"), 0.001)

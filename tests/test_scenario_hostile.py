@@ -1,7 +1,8 @@
 """Hostile scenario files: every one gets issues, never a traceback.
 
 Hostile values replace leaves or subtrees of the tiny attack config,
-with the keys it leaves unset written at their defaults:
+with the keys it leaves unset written at their defaults, or of the
+golden attack config as its file holds it:
 None, booleans, infinities, NaN, numbers too big for a float or a
 register, bad times, dates and addresses, empty and nested lists and
 maps, and lists that share their items as YAML aliases do.  A sweep puts
@@ -11,7 +12,8 @@ paths at once, with values drawn from the list or built at random.
 characters, and ``build`` must succeed when the list is empty.
 
 The defects such a search found are also CLI tests, run in a
-subprocess: each must exit 1 with bounded output and no traceback.
+subprocess: each must exit 1 with bounded output and no traceback.  A
+few drawn cases go through the CLI too: each must exit 0 or 1.
 """
 
 import copy
@@ -29,7 +31,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtwin import scenario
+from gridtwin import data_path, scenario
 from gridtwin.scenario import ConfigError, ScenarioConfig, build, validate
 from tests.conftest import write_tiny_config
 
@@ -103,6 +105,9 @@ with tempfile.TemporaryDirectory() as _tmp:
 for _path, _value in DEFAULTS.items():
     replaced(TINY, _path, _value)
 PATHS = list(key_paths(TINY))
+GOLDEN_FILE = Path(data_path("configs", "attack.yaml"))
+GOLDEN = yaml.safe_load(GOLDEN_FILE.read_text())
+GOLDEN_PATHS = list(key_paths(GOLDEN))
 
 
 @pytest.fixture(scope="module")
@@ -131,24 +136,57 @@ def test_each_hostile_value_at_each_path(base_dir, path):
         assert_answered(raw, base_dir)
 
 
+def draw_hostile(data, base: dict, paths: list) -> dict:
+    """A copy of base with hostile values at one to three of its paths."""
+    raw = copy.deepcopy(base)
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1,
+                                   max_size=3, unique=True)):
+        replaced(raw, path, data.draw(HOSTILE))
+    return raw
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_hostile_values_at_one_to_three_paths(base_dir, data):
-    raw = copy.deepcopy(TINY)
-    for path in data.draw(st.lists(st.sampled_from(PATHS), min_size=1,
-                                   max_size=3, unique=True)):
-        replaced(raw, path, data.draw(HOSTILE))
-    assert_answered(raw, base_dir)
+    assert_answered(draw_hostile(data, TINY, PATHS), base_dir)
 
 
-def assert_refused(*args) -> str:
-    """Run the CLI with args: exit 1, no traceback, bounded output."""
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hostile_values_at_one_to_three_paths_of_the_golden_config(data):
+    assert_answered(draw_hostile(data, GOLDEN, GOLDEN_PATHS),
+                    GOLDEN_FILE.parent)
+
+
+def absolute_files(raw: dict, base_dir: Path) -> dict:
+    """A copy of raw whose profile files are named by absolute paths."""
+    raw = copy.deepcopy(raw)
+    for profile in raw["profiles"].values():
+        profile["file"] = str((base_dir / profile["file"]).resolve())
+    return raw
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data(), golden=st.booleans())
+def test_hostile_values_through_the_cli(base_dir, data, golden):
+    base = (absolute_files(GOLDEN, GOLDEN_FILE.parent) if golden
+            else absolute_files(TINY, base_dir))
+    raw = draw_hostile(data, base, GOLDEN_PATHS if golden else PATHS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hostile.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert_refused("validate", path, codes=(0, 1))
+
+
+def assert_refused(*args, codes=(1,)) -> str:
+    """Run the CLI with args: exit 1 (or a code in codes), no traceback,
+    bounded output."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "gridtwin.cli", *map(str, args)],
         capture_output=True, text=True, env=env, timeout=60)
     out = proc.stdout + proc.stderr
-    assert proc.returncode == 1, out[-500:]
+    assert proc.returncode in codes, out[-500:]
     assert "Traceback" not in out
     assert len(out) < OUTPUT_MAX, out[:500]
     return out
