@@ -75,7 +75,8 @@ class EmsController:
         self.host.send_ip(ip, encode(adu), src_port=src_port)
 
     def step(self, step: int, signals) -> None:
-        self._collect(step)
+        if self.host.inbox:
+            self._collect(step)
         if self._meter_kw is not None and not self._acted:
             self._acted = True
             command = control_step(self._meter_kw, self.prev_setpoint_kw,
@@ -91,7 +92,8 @@ class EmsController:
                                            NO_LIMIT)
                 self._send(self.pv_ip, adu, PORT_PV, "pv-clear", step)
                 self._pv_limit_raw = None
-        self._expire(step)
+        if self._outstanding:
+            self._expire(step)
         if step % self.period_steps == 0:
             self._start_cycle(step)
 

@@ -97,13 +97,15 @@ def decode(raw: bytes) -> ModbusAdu:
     data = raw[8:]
     if function & 0x80 and len(data) != 1:
         raise FrameError("exception response must carry exactly one code byte")
-    return ModbusAdu(tx, unit, function, data)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(ModbusAdu, (tx, unit, function, data))
 
 
 # -- request/response builders -------------------------------------------
 
 def read_holding_request(tx: int, unit: int, addr: int, qty: int = 1) -> ModbusAdu:
-    return ModbusAdu(tx, unit, FC_READ_HOLDING, struct.pack(">HH", addr, qty))
+    return tuple.__new__(ModbusAdu, (tx, unit, FC_READ_HOLDING,
+                                     struct.pack(">HH", addr, qty)))
 
 
 def write_single_request(tx: int, unit: int, addr: int, value: int) -> ModbusAdu:
@@ -155,8 +157,9 @@ def serve(request: ModbusAdu, regmap: RegisterMap) -> ModbusAdu:
         words = list(map(regmap.registers.get, range(addr, addr + qty)))
         if None in words:
             return _exception(request, EXC_ILLEGAL_ADDRESS)
-        return ModbusAdu(request.transaction_id, request.unit_id, fc,
-                         struct.pack(f">B{qty}H", 2 * qty, *words))
+        return tuple.__new__(ModbusAdu, (
+            request.transaction_id, request.unit_id, fc,
+            struct.pack(f">B{qty}H", 2 * qty, *words)))
     if fc == FC_WRITE_SINGLE:
         if len(data) != 4:
             return _exception(request, EXC_ILLEGAL_VALUE)

@@ -8,22 +8,28 @@ delivered at the end of that step (one-step latency), in an order
 independent of simulator registration: the queue is drained sorted by
 sending host id, then per-host send sequence.
 
+A host holds three of its network's tables for its send path: the
+addresses the subnet check accepted, the TCP sequence table and one
+ip-id stream for the whole network, 1 to 65535, then 0, 1, ...  None
+refers back to the network, and a host holds the network itself by a
+weak proxy, so a dropped network is freed without a cycle collection.
+
 A frame carries its packet as a record (an ``ArpMessage`` or an
-``IpDelivery``) that every receiving host shares.  Its bytes, real
-Ethernet/IPv4/TCP with valid checksums, are made once, when the capture
-records the frame, so captures decode in standard protocol analyzers.
-A link's constants (``tcp_link``) are computed once; ``frame_header``
-adds a packet's variable words to them and packs its Ethernet, IPv4 and
-TCP headers in one call, for the capture, ``to_bytes`` and
-``build_ipv4_tcp`` alike.
+``IpDelivery``, both tuples) that every receiving host shares.  Its
+bytes, real Ethernet/IPv4/TCP with valid checksums, are made once, when
+the capture records the frame, so captures decode in standard protocol
+analyzers.  A link's constants (``tcp_link``) are computed once;
+``frame_header`` adds a packet's variable words to them and packs its
+Ethernet, IPv4 and TCP headers in one call, for the capture,
+``to_bytes`` and ``build_ipv4_tcp`` alike.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import itertools
 import struct
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -65,8 +71,7 @@ def ip_bytes(ip: str) -> bytes:
     return ipaddress.IPv4Address(ip).packed
 
 
-@dataclass(frozen=True)
-class ArpMessage:
+class ArpMessage(NamedTuple):
     op: int  # ARP_REQUEST | ARP_REPLY
     sender_mac: str
     sender_ip: str
@@ -200,6 +205,8 @@ class Host:
         # weak: the Network owns its hosts, and one dropped is freed
         # without waiting for a cycle collection
         self.net = weakref.proxy(net)
+        self._in_subnet, self._seqs, self._ip_ids = \
+            net._in_subnet, net._seqs, net._ip_ids  # the send path's tables
         self.id = id
         self.mac = mac
         self.ip = ip
@@ -242,21 +249,30 @@ class Host:
         """Send an application payload over IPv4/TCP; resolves via ARP."""
         if not payload:
             raise InputError("zero-length payload")
-        dst_mac = self.resolve(dst_ip)  # refuses before any flow state moves
-        seq, ack = self.net.next_seq(self.ip, src_port, dst_ip, dst_port,
-                                     len(payload))
-        pkt = IpDelivery(self.ip, dst_ip, src_port, dst_port, seq, ack,
-                         payload, self.net.next_ip_id())
+        entry = self.arp_cache.get(dst_ip) if dst_ip in self._in_subnet else None
+        # resolve refuses before any flow state moves
+        dst_mac = self.resolve(dst_ip) if entry is None else entry[0]
+        src_ip, seqs = self.ip, self._seqs
+        key = (src_ip, src_port, dst_ip, dst_port)
+        seq = seqs.get(key, 1000)
+        seqs[key] = seq + len(payload)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        pkt = tuple.__new__(IpDelivery, (
+            src_ip, dst_ip, src_port, dst_port, seq,
+            seqs.get((dst_ip, dst_port, src_ip, src_port), 1000), payload,
+            next(self._ip_ids)))
         if dst_mac is None:
             self._pending.append((pkt, self.net.step))
         else:
-            self.outbox.append(EthernetFrame(self.mac, dst_mac, pkt))
+            self.outbox.append(tuple.__new__(EthernetFrame,
+                                             (self.mac, dst_mac, pkt)))
 
     def forward_ip(self, d: IpDelivery, payload: bytes, dst_mac: str) -> None:
         """Re-emit an intercepted packet (MITM): original IPs/ports/seq are
         preserved, source MAC becomes ours, payload may be rewritten."""
-        pkt = IpDelivery(*d[:6], payload, self.net.next_ip_id())
-        self.outbox.append(EthernetFrame(self.mac, dst_mac, pkt))
+        pkt = tuple.__new__(IpDelivery, (*d[:6], payload, next(self._ip_ids)))
+        self.outbox.append(tuple.__new__(EthernetFrame,
+                                         (self.mac, dst_mac, pkt)))
 
     def send_arp(self, msg: ArpMessage, dst_mac: str) -> None:
         """Emit an arbitrary ARP message (used by the attacker)."""
@@ -274,21 +290,22 @@ class Host:
 
     def _on_frame(self, frame: EthernetFrame, step: int) -> None:
         msg = frame.packet
-        if isinstance(msg, ArpMessage):
-            if self.promiscuous:
-                self.tap.append(msg)
-            if msg.op == ARP_REPLY:
-                # any reply overwrites the cache: the spoofing vulnerability
-                self._learn(msg.sender_ip, msg.sender_mac, step)
-            elif msg.op == ARP_REQUEST and msg.target_ip == self.ip:
-                self._learn(msg.sender_ip, msg.sender_mac, step)
-                reply = ArpMessage(ARP_REPLY, self.mac, self.ip,
-                                   msg.sender_mac, msg.sender_ip)
-                self.send_arp(reply, msg.sender_mac)
-        elif msg.dst_ip != self.ip and not self.promiscuous:
-            self.net.drop("foreign-ip")
-        else:
-            self.inbox.append(msg)
+        if isinstance(msg, IpDelivery):  # about nine frames in ten
+            if msg.dst_ip == self.ip or self.promiscuous:
+                self.inbox.append(msg)
+            else:
+                self.net.drop("foreign-ip")
+            return
+        if self.promiscuous:
+            self.tap.append(msg)
+        if msg.op == ARP_REPLY:
+            # any reply overwrites the cache: the spoofing vulnerability
+            self._learn(msg.sender_ip, msg.sender_mac, step)
+        elif msg.op == ARP_REQUEST and msg.target_ip == self.ip:
+            self._learn(msg.sender_ip, msg.sender_mac, step)
+            reply = ArpMessage(ARP_REPLY, self.mac, self.ip,
+                               msg.sender_mac, msg.sender_ip)
+            self.send_arp(reply, msg.sender_mac)
 
     def _expire(self, step: int) -> None:
         """Drop what waited ARP_TIMEOUT_STEPS for a reply: queued packets
@@ -320,13 +337,13 @@ class Network:
         self.mac_table: dict[str, Host] = {}  # source MAC -> host it came from
         self._order: list[Host] = []      # hosts sorted by id
         self._in_subnet: set[str] = set()  # addresses check_subnet accepted
+        self._seqs: dict[tuple, int] = {}  # flow -> next seq
+        self._ip_ids = map((0xFFFF).__and__, itertools.count(1))
         self.step = 0                     # the step being computed
         self.frame_sink: Callable[[EthernetFrame, int], None] | None = None
         self.delivered = 0
         self.flooded = 0
         self.dropped: dict[str, int] = {}
-        self._ip_id = 0
-        self._flows: dict[tuple, int] = {}
 
     def attach(self, id: str, mac: str, ip: str,
                promiscuous: bool = False) -> Host:
@@ -351,17 +368,6 @@ class Network:
 
     def drop(self, reason: str) -> None:
         self.dropped[reason] = self.dropped.get(reason, 0) + 1
-
-    def next_ip_id(self) -> int:
-        self._ip_id = (self._ip_id + 1) & 0xFFFF
-        return self._ip_id
-
-    def next_seq(self, src_ip, src_port, dst_ip, dst_port, nbytes) -> tuple[int, int]:
-        key = (src_ip, src_port, dst_ip, dst_port)
-        peer = (dst_ip, dst_port, src_ip, src_port)
-        seq = self._flows.setdefault(key, 1000)
-        self._flows[key] = seq + nbytes
-        return seq, self._flows.get(peer, 1000)
 
     def transport(self, step: int) -> None:
         """End-of-step hook: deliver all frames queued during this step.

@@ -20,6 +20,7 @@ import math
 import re
 import reprlib
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import yaml
@@ -512,13 +513,15 @@ def build(cfg: ScenarioConfig) -> Simulation:
 
     scheduler.add_hook(network.transport)
 
-    # the signals' get, not the scheduler: no reference cycle
-    get, record = scheduler.signals.get, capture.record_sample
+    # the signals, not the scheduler: no reference cycle.  The grid
+    # publishes all six from step 0, before any hook runs.
+    signals, record = scheduler.signals, capture.record_sample
+    read = itemgetter(dev.SIG_PV_OUTPUT, dev.SIG_BSS_ACTUAL,
+                      dev.SIG_LOAD_DEMAND, dev.SIG_TRANSFORMER,
+                      dev.SIG_BSS_SOC, dev.SIG_PV_AVAILABLE)
 
     def sample_hook(step: int) -> None:
-        record(step, get(dev.SIG_PV_OUTPUT, 0.0), get(dev.SIG_BSS_ACTUAL, 0.0),
-               get(dev.SIG_LOAD_DEMAND, 0.0), get(dev.SIG_TRANSFORMER, 0.0),
-               get(dev.SIG_BSS_SOC, 0.0), get(dev.SIG_PV_AVAILABLE, 0.0))
+        record(step, *read(signals))
 
     scheduler.add_hook(sample_hook)
 

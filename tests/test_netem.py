@@ -330,9 +330,167 @@ class TestHostStack:
         pump(net, 3)
         a.send_ip(b.ip, b"6789", src_port=40000)
         pump(net, 1, start=3)
-        b.receive()
-        seqs = [net.next_seq(a.ip, 40000, b.ip, 502, 0)[0]]
-        assert seqs == [1000 + 5 + 4]
+        first, second = b.receive()
+        assert [first.seq, second.seq] == [1000, 1000 + 5]
+
+
+PEER_MAC, PEER_IP, OTHER_IP = "02:00:00:00:00:0b", "192.168.10.2", \
+    "192.168.10.3"
+TO_ME = IpDelivery(PEER_IP, "192.168.10.1", 50000, 502, 1000, 1000, b"x", 9)
+TO_OTHER = TO_ME._replace(dst_ip=OTHER_IP)
+REQUEST_ME = ArpMessage(ARP_REQUEST, PEER_MAC, PEER_IP, ZERO_MAC,
+                        "192.168.10.1")
+REQUEST_OTHER = ArpMessage(ARP_REQUEST, PEER_MAC, PEER_IP, ZERO_MAC,
+                           OTHER_IP)
+REPLY = ArpMessage(ARP_REPLY, PEER_MAC, PEER_IP, "02:00:00:00:00:0a",
+                   "192.168.10.1")
+
+
+FOREIGN = {"foreign-ip": 1}
+# (case, packet, promiscuous, delivered, tapped, learned, replied, dropped)
+ON_FRAME = [
+    ("arp-request-to-me", REQUEST_ME, False, False, False, True, True, {}),
+    ("arp-request-to-me", REQUEST_ME, True, False, True, True, True, {}),
+    ("arp-request-to-other", REQUEST_OTHER, False, False, False, False,
+     False, {}),
+    ("arp-request-to-other", REQUEST_OTHER, True, False, True, False, False,
+     {}),
+    ("arp-reply", REPLY, False, False, False, True, False, {}),
+    ("arp-reply", REPLY, True, False, True, True, False, {}),
+    ("ipv4-to-me", TO_ME, False, True, False, False, False, {}),
+    ("ipv4-to-me", TO_ME, True, True, False, False, False, {}),
+    ("ipv4-to-other", TO_OTHER, False, False, False, False, False, FOREIGN),
+    ("ipv4-to-other", TO_OTHER, True, True, False, False, False, {}),
+]
+
+
+class TestOnFrame:
+    """What a host does with each kind of frame it is handed."""
+
+    @pytest.mark.parametrize(
+        "packet, promiscuous, delivered, tapped, learned, replied, dropped",
+        [case[1:] for case in ON_FRAME],
+        ids=[f"{case[0]}-{'promiscuous' if case[2] else 'plain'}"
+             for case in ON_FRAME])
+    def test_decision(self, packet, promiscuous, delivered, tapped, learned,
+                      replied, dropped):
+        net = Network()
+        h = net.attach("h", mac="02:00:00:00:00:0a", ip="192.168.10.1",
+                       promiscuous=promiscuous)
+        h._on_frame(EthernetFrame(PEER_MAC, BROADCAST_MAC, packet), 7)
+        assert h.inbox == ([packet] if delivered else [])
+        assert h.tap == ([packet] if tapped else [])
+        assert h.arp_cache == ({PEER_IP: (PEER_MAC, 7)} if learned else {})
+        assert h.outbox == ([EthernetFrame(h.mac, PEER_MAC, ArpMessage(
+            ARP_REPLY, h.mac, h.ip, PEER_MAC, PEER_IP))] if replied else [])
+        assert net.dropped == dropped
+
+
+class ReferenceSequencer:
+    """The network-wide sequencer hosts called before they held its
+    tables: one seq per flow from 1000, acked with the reverse flow's, and
+    one ip id counter for the whole network."""
+
+    def __init__(self):
+        self.flows: dict[tuple, int] = {}
+        self.ip_id = 0
+
+    def next_ip_id(self) -> int:
+        self.ip_id = (self.ip_id + 1) & 0xFFFF
+        return self.ip_id
+
+    def next_seq(self, src_ip, src_port, dst_ip, dst_port, nbytes):
+        key = (src_ip, src_port, dst_ip, dst_port)
+        peer = (dst_ip, dst_port, src_ip, src_port)
+        seq = self.flows.setdefault(key, 1000)
+        self.flows[key] = seq + nbytes
+        return seq, self.flows.get(peer, 1000)
+
+
+PORT_PAIRS = ((50000, 502), (49152, 502))
+OUTSIDE_IP, NOBODY_IP = "10.0.0.1", "192.168.10.99"
+
+SEQ_OPS = st.lists(st.one_of(
+    # (sender, receiver, port pair, reply?, payload length); receiver 3
+    # is an address nobody holds, 4 one outside the subnet
+    st.tuples(st.just("send"), st.integers(0, 2), st.integers(0, 4),
+              st.integers(0, 1), st.booleans(), st.integers(1, 9)),
+    # the sender re-emits the last packet sent, as the attacker does
+    st.tuples(st.just("forward"), st.integers(0, 2), st.integers(1, 9)),
+    st.just(("pump",))), max_size=40)
+
+
+class TestSequencing:
+    @given(SEQ_OPS)
+    @example([("send", 0, 4, 0, False, 1), ("send", 0, 1, 0, False, 1)])
+    @example([("send", 0, 1, 0, False, 3), ("pump",), ("pump",),
+              ("send", 1, 0, 0, True, 2), ("forward", 2, 4),
+              ("send", 0, 1, 0, False, 1)])
+    def test_matches_the_reference_sequencer(self, ops):
+        """Each packet's (seq, ack, ip_id) is what the reference gives;
+        an out-of-subnet send is refused and takes neither."""
+        net = Network()
+        hosts = [net.attach(hid, mac=f"02:00:00:00:00:0{i}",
+                            ip=f"192.168.10.{i + 1}")
+                 for i, hid in enumerate("abc")]
+        ips = [h.ip for h in hosts] + [NOBODY_IP, OUTSIDE_IP]
+        ref, sent, step = ReferenceSequencer(), [], 0
+
+        def send(host, dst_ip, dst_port, src_port, n):
+            before = len(host._pending)
+            host.send_ip(dst_ip, bytes(n), dst_port, src_port)
+            if len(host._pending) > before:  # awaiting ARP
+                pkt = host._pending[-1][0]
+            else:
+                pkt = host.outbox[-1].packet
+            seq, ack = ref.next_seq(host.ip, src_port, dst_ip, dst_port, n)
+            assert pkt == (host.ip, dst_ip, src_port, dst_port, seq, ack,
+                           bytes(n), ref.next_ip_id())
+            sent.append(pkt)
+
+        for op in ops:
+            if op[0] == "pump":
+                net.transport(step)
+                step += 1
+            elif op[0] == "forward":
+                _, i, n = op
+                if sent:
+                    hosts[i].forward_ip(sent[-1], bytes(n), PEER_MAC)
+                    pkt = hosts[i].outbox[-1].packet
+                    assert pkt == sent[-1]._replace(payload=bytes(n),
+                                                    ip_id=ref.next_ip_id())
+                    sent.append(pkt)
+            else:
+                _, i, j, pair, reply, n = op
+                dst_port, src_port = PORT_PAIRS[pair]
+                if reply:
+                    src_port, dst_port = dst_port, src_port
+                if ips[j] != OUTSIDE_IP:
+                    send(hosts[i], ips[j], dst_port, src_port, n)
+                    continue
+                outbox, pending = list(hosts[i].outbox), \
+                    list(hosts[i]._pending)
+                with pytest.raises(ResolutionError):
+                    hosts[i].send_ip(OUTSIDE_IP, bytes(n), dst_port, src_port)
+                assert (hosts[i].outbox, hosts[i]._pending) == (outbox,
+                                                                pending)
+                assert hosts[i]._seqs == ref.flows  # no seq taken
+        # the next id after any refusal is the one the refusal left
+        send(hosts[0], hosts[1].ip, 502, 50000, 1)
+
+    def test_ip_ids_wrap_across_hosts(self):
+        """Ids are numbered 1 to 65535, then 0, 1, ... over all hosts."""
+        net, a, b = two_hosts()
+        a.send_ip(b.ip, b"x")  # id 1; after three steps a and b know
+        pump(net, 3)           # each other (the ARP frames take no id)
+        for _ in range(65533):  # ids 2 .. 65534
+            a.send_ip(b.ip, b"x")
+        a.outbox.clear()
+        ids = []
+        for host, peer in ((a, b), (b, a), (a, b), (b, a)):
+            host.send_ip(peer.ip, b"x")
+            ids.append(host.outbox[-1].packet.ip_id)
+        assert ids == [65535, 0, 1, 2]
 
 
 class TestArpSpoofing:

@@ -178,10 +178,15 @@ class TestBuild:
                                                           attack=True)))
         sim.run()
         capture = weakref.ref(sim.capture)
+        # hosts hold three of the network's tables, none referring back
+        network = weakref.ref(sim.network)
+        hosts = [weakref.ref(h) for h in sim.network.hosts.values()]
         gc.disable()
         try:
             del sim
             assert capture() is None
+            assert network() is None
+            assert [h() for h in hosts] == [None] * 6
         finally:
             gc.enable()
 
