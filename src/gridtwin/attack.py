@@ -97,8 +97,11 @@ class Attacker:
     # -- per-step behavior ------------------------------------------------
 
     def step(self, step: int, signals) -> None:
-        self._observe_broadcasts()
-        deliveries = self.host.receive()
+        host = self.host
+        # most steps bring nothing: then neither list is swapped
+        if host.tap:
+            self._observe_broadcasts()
+        deliveries = host.receive() if host.inbox else ()
         if step == self.scan_step:
             self.arp_scan()
         elif step == self.scan_step + 3:
@@ -113,7 +116,7 @@ class Attacker:
             self.stop_mitm(step)
 
         for d in deliveries:
-            if d.dst_ip == self.host.ip:
+            if d.dst_ip == host.ip:
                 self._handle_own(d)
             else:
                 self._intercept(d)

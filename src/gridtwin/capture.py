@@ -7,9 +7,10 @@ flows instead of merging them), and a plain-text data-flow graph.
 
 A run holds no Python object per frame or per step: each frame is
 appended to one ``bytearray`` as its finished pcap record, and each step
-to one ``array('d')`` as a row of ``ROW`` doubles.  ``Capture.samples``
-is a new list of ``ProcessSample`` made from the rows at each read, so a
-reader that indexes it binds it once.
+to one ``array('d')`` as a row of ``ROW`` doubles, packed in one call
+so that a value that is no float stores no part of its row.
+``Capture.samples`` is a new list of ``ProcessSample`` made from the rows
+at each read, so a reader that indexes it binds it once.
 Once the records reach ``SPOOL_BYTES`` they are written to an unlinked
 temporary file in one call, so the records a run holds in memory stay
 bounded however long it runs.  ``summarize`` reads the rows in one
@@ -110,6 +111,8 @@ class ProcessSample(NamedTuple):
 # a sample row: ProcessSample's fields in order
 ROW = 8
 T, PV, PV_AVAILABLE, BSS, LOAD, TRANSFORMER, SOC, ACTIVE = range(ROW)
+# native doubles, as array('d') holds them
+_SAMPLE_ROW = struct.Struct(f"{ROW}d")
 
 
 @dataclass(slots=True)
@@ -220,9 +223,11 @@ class Capture:
                       load_kw: float, transformer_kw: float,
                       soc_pct: float, pv_available_kw: float) -> None:
         start, end = self._window
-        self.rows.extend((self.clock.time_s(step), pv_kw, pv_available_kw,
-                          bss_kw, load_kw, transformer_kw, soc_pct,
-                          start <= step < end))
+        # packed first: a value that is no float raises struct.error
+        # before any of the row is stored
+        self.rows.frombytes(_SAMPLE_ROW.pack(
+            self.clock.time_s(step), pv_kw, pv_available_kw, bss_kw, load_kw,
+            transformer_kw, soc_pct, start <= step < end))
 
     # -- export -----------------------------------------------------------
 

@@ -81,9 +81,13 @@ class GridSimulator:
     def step(self, step: int, signals: Mapping) -> dict:
         pv, bss, step_s = self.pv, self.bss, self.step_s
         t_rel = step * step_s  # profile time = seconds since epoch
-        available = max(0.0, sample(self.pv_profile, t_rel))
-        demand = min(max(0.0, sample(self.load_profile, t_rel)),
-                     self.load.rated_kw)
+        # max(0.0, x) and min(x, rated) as comparisons (see grid)
+        available = sample(self.pv_profile, t_rel)
+        available = available if available > 0.0 else 0.0
+        demand = sample(self.load_profile, t_rel)
+        demand = demand if demand > 0.0 else 0.0
+        rated = self.load.rated_kw
+        demand = rated if rated < demand else demand
         # a published None lifts the PV limit; an absent signal keeps both
         self.pv_limit_kw = limit = signals.get(SIG_PV_LIMIT, self.pv_limit_kw)
         setpoint = signals.get(SIG_BSS_SETPOINT)

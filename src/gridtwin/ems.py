@@ -43,7 +43,11 @@ def control_step(meter_kw: float, prev_setpoint_kw: float,
     if abs(meter_kw) <= policy.deadband_kw:
         return None
     new = prev_setpoint_kw - meter_kw
-    return max(-policy.bss_rated_kw, min(policy.bss_rated_kw, new))
+    # max(-rated, min(rated, new)) as comparisons (see grid)
+    rated = policy.bss_rated_kw
+    new = new if new < rated else rated
+    low = -rated
+    return new if new > low else low
 
 
 class EmsController:

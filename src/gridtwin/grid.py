@@ -6,6 +6,11 @@ curtailment, the battery's forward-Euler step and the power balance at
 the substation transformer.
 Sign convention: consumption-positive at the bus, BSS charging positive,
 transformer import positive.
+The clamps on the per-step path are comparisons, not builtin calls:
+``min(a, b)`` is written ``b if b < a else a`` and ``max(a, b)`` is
+written ``b if b > a else a``, which keep CPython's result for ties,
+NaN, ``-0.0`` and ints, and cost a quarter of a builtin call under
+CPython 3.11.
 """
 
 from __future__ import annotations
@@ -42,10 +47,10 @@ def pv_output(available_kw: float, rated_kw: float, limit_kw: float | None) -> f
     """
     if available_kw < 0:
         raise GridInputError(f"negative PV availability: {available_kw}")
-    out = min(available_kw, rated_kw)
+    out = rated_kw if rated_kw < available_kw else available_kw
     if limit_kw is not None:
-        out = min(out, limit_kw)
-    return max(out, 0.0)
+        out = limit_kw if limit_kw < out else out
+    return 0.0 if 0.0 > out else out
 
 
 def bss_euler(soc_kwh: float, setpoint_kw: float, capacity_kwh: float,
@@ -60,16 +65,21 @@ def bss_euler(soc_kwh: float, setpoint_kw: float, capacity_kwh: float,
     if not 0 <= soc_kwh <= capacity_kwh:
         raise GridInputError(f"SOC out of range: {soc_kwh}")
     dt_h = dt_s / 3600.0
-    actual = max(-rated_kw, min(rated_kw, setpoint_kw))
+    actual = setpoint_kw if setpoint_kw < rated_kw else rated_kw
+    low = -rated_kw  # max(low, actual): low wins ties and NaN
+    actual = actual if actual > low else low
     if actual > 0:  # charging: soc' = soc + p * eta * dt, up to capacity
-        actual = min(actual, (capacity_kwh - soc_kwh) / (eta * dt_h))
+        room = (capacity_kwh - soc_kwh) / (eta * dt_h)
+        actual = room if room < actual else actual
         soc = soc_kwh + actual * eta * dt_h
     elif actual < 0:  # discharging: soc' = soc + p * dt / eta, down to 0
-        actual = max(actual, -soc_kwh * eta / dt_h)
+        floor = -soc_kwh * eta / dt_h
+        actual = floor if floor > actual else actual
         soc = soc_kwh + actual * dt_h / eta
     else:
         soc = soc_kwh
-    return actual, min(max(soc, 0.0), capacity_kwh)
+    soc = 0.0 if 0.0 > soc else soc
+    return actual, capacity_kwh if capacity_kwh < soc else soc
 
 
 def transformer_kw(demand_kw: float, bss_kw: float, pv_kw: float) -> float:

@@ -296,6 +296,23 @@ class TestCapture:
         assert first is not second
         assert first[2] == (2.0, 1.0, 5.0, 2.0, 3.0, 4.0, 50.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [None, "1.5", 10 ** 400],
+                             ids=["none", "text", "int-past-double"])
+    def test_a_row_that_cannot_be_stored_leaves_no_part_of_it(self, bad):
+        # the bad value is the fourth double: a row stored value by value
+        # would keep three of it and shift every later row off the grid
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
+        cap.record_sample(0, 1.0, 2.0, 3.0, 4.0, 50.0, 5.0)
+        before = cap.rows.tobytes()
+        with pytest.raises(struct.error):
+            cap.record_sample(1, 1.0, bad, 3.0, 4.0, 50.0, 5.0)
+        assert cap.rows.tobytes() == before
+        cap.record_sample(1, 6.0, 7.0, 8.0, 9.0, 60.0, 10.0)
+        assert len(cap.rows) == 2 * capture.ROW
+        assert cap.samples == [
+            ProcessSample(0.0, 1.0, 5.0, 2.0, 3.0, 4.0, 50.0, 0.0),
+            ProcessSample(1.0, 6.0, 10.0, 7.0, 8.0, 9.0, 60.0, 0.0)]
+
 
 NODE_RE = re.compile(r"^node ([0-9a-f:]{17}) (\d+\.\d+\.\d+\.\d+) \S+$")
 EDGE_RE = re.compile(r"^edge ([0-9a-f:]{17}) (\d+\.\d+\.\d+\.\d+) -> "
