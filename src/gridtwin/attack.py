@@ -228,7 +228,10 @@ class Attacker:
         if true_mac is None:
             return
         payload = d.payload
-        if self.mitm_active:
+        # only a write-single request can be rewritten: byte 7 is the
+        # function code, and anything else goes out as it came undecoded
+        if self.mitm_active and len(payload) >= 8 \
+                and payload[7] == FC_WRITE_SINGLE:
             try:
                 adu = decode(payload)
                 rewritten = self.manipulate(adu, d.dst_ip)

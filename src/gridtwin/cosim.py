@@ -7,6 +7,14 @@ one: a dict of its declared outputs, or None.  All new outputs are
 published together after every simulator has run, so results do not
 depend on registration order.
 
+A simulator whose handle names ``waits_on``, an object whose ``inbox``
+holds its work (a network host), runs on the run's first step and after
+that only on steps on which that inbox is non-empty.  A skipped
+simulator is not called and publishes nothing, so its last published
+values stay on the board.  The check is an attribute read in the step
+loop, not a call: an idle device step costs only a few times an empty
+call, so a call per skipped simulator would give back most of the skip.
+
 End-of-step hooks run after publication in a fixed order; the network
 transport and the capture recorder live there.
 """
@@ -103,6 +111,9 @@ class SimulatorHandle:
     # behavior(step, last step's signals) -> the signals it publishes in
     # this step, each one of outputs, or None
     behavior: Callable[..., dict | None] = lambda step, signals: None
+    # an object whose .inbox holds this simulator's work; None: run on
+    # every step
+    waits_on: Any = None
 
 
 class Scheduler:
@@ -114,8 +125,10 @@ class Scheduler:
         self._board: dict[str, Any] = {}
         # most recently published values, read-only (for hooks/inspection)
         self.signals = MappingProxyType(self._board)
-        # (simulator, its declared outputs), made when the run starts
-        self._declared: list[tuple[SimulatorHandle, frozenset]] | None = None
+        # (simulator, its declared outputs, what it waits on), made when
+        # the run starts, and the step it starts at
+        self._declared: list[tuple] | None = None
+        self._first_step = 0
 
     def register(self, handle: SimulatorHandle) -> str:
         if self._declared is not None:
@@ -147,11 +160,15 @@ class Scheduler:
         """Advance one step; the signals published in it."""
         if self._declared is None:
             self._check_inputs()
-            self._declared = [(sim, frozenset(sim.outputs))
+            self._declared = [(sim, frozenset(sim.outputs), sim.waits_on)
                               for sim in self._sims]
+            self._first_step = self.clock.now
         step, signals = self.clock.now, self.signals
+        started = step != self._first_step
         staged: dict[str, Any] = {}
-        for sim, outputs in self._declared:
+        for sim, outputs, waits_on in self._declared:
+            if waits_on is not None and started and not waits_on.inbox:
+                continue
             try:
                 published = sim.behavior(step, signals)
             except Exception as exc:  # noqa: BLE001 - diagnostic wrapper

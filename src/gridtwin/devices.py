@@ -3,10 +3,13 @@
 The grid simulator holds the plant's ratings and the three numbers that
 carry from step to step (the PV limit, the BSS setpoint and its state of
 charge), and replays the demand and generation profiles.  Each device simulator bridges one network host to
-the physics: when a request is waiting it refreshes its measurement
-registers from last step's signals and answers, and every step it
-publishes its setpoint register as a command signal.  The role table
-says which signals and registers each device has.
+the physics.  It waits on its host: the scheduler calls it on the run's
+first step and on steps on which a request is waiting, and then it
+refreshes its measurement registers from last step's signals, answers,
+and publishes its setpoint register as a command signal.  Only a served
+write changes that register, so between those steps the board already
+holds the value it would publish.  The role table says which signals
+and registers each device has.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ class ModbusDevice:
         return SimulatorHandle(
             id=self.host.id, inputs=self.role.measures,
             outputs=() if setpoint is None else (setpoint[0],),
-            behavior=self.step)
+            behavior=self.step, waits_on=self.host)
 
     def step(self, step: int, signals: Mapping) -> dict | None:
         role, regmap, host = self.role, self.regmap, self.host

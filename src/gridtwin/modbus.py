@@ -114,12 +114,14 @@ def write_single_request(tx: int, unit: int, addr: int, value: int) -> ModbusAdu
 
 
 def parse_read_response(adu: ModbusAdu) -> list[int]:
+    """The words of a 0x03 response: at least one, as its byte count says."""
+    data = adu.data
     if adu.is_exception:
-        raise FrameError(f"exception response, code {adu.data[0]:#04x}")
-    count = adu.data[0]
-    if count != len(adu.data) - 1 or count % 2:
+        raise FrameError(f"exception response, code {data[0]:#04x}")
+    count = len(data) - 1
+    if count < 2 or count % 2 or data[0] != count:
         raise FrameError("malformed read response byte count")
-    return [v for (v,) in struct.iter_unpack(">H", adu.data[1:])]
+    return [v for (v,) in struct.iter_unpack(">H", data[1:])]
 
 
 def parse_write_single(adu: ModbusAdu) -> tuple[int, int]:

@@ -1,11 +1,15 @@
+import struct
+
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridtwin import modbus as mb
-from gridtwin.attack import AttackPlan, Attacker
-from gridtwin.cosim import SimClock
-from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, ArpMessage, Network,
-                            mac_bytes)
+from gridtwin.attack import PORT_PROBE, AttackPlan, Attacker
+from gridtwin.cosim import Scheduler, SimClock
+from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, ArpMessage, IpDelivery,
+                            Network, mac_bytes)
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
 from tests.test_capture import DAY_EPOCH, read_pcap
@@ -62,6 +66,79 @@ class TestManipulate:
         atk = bare_attacker()
         req = mb.write_single_request(5, 1, mb.REG_SETPOINT, 0)
         assert atk.manipulate(req, "192.168.10.99") is req
+
+
+def reference_forward(atk, payload, dst_ip):
+    """What _intercept forwarded before it read the function byte: every
+    payload decoded and passed through manipulate."""
+    try:
+        adu = mb.decode(payload)
+        rewritten = atk.manipulate(adu, dst_ip)
+        return payload if rewritten is adu else mb.encode(rewritten)
+    except mb.FrameError:
+        return payload
+
+
+# an MBAP header and function code over drawn data, often malformed
+framed = st.builds(
+    lambda tx, proto, delta, fc, data: struct.pack(
+        ">HHHBB", tx, proto, max(0, 2 + len(data) + delta), 1, fc) + data,
+    st.integers(0, 0xFFFF), st.sampled_from([0, 0, 0, 1]),
+    st.sampled_from([0, 0, 0, -1, 1]),
+    st.sampled_from([mb.FC_READ_HOLDING, mb.FC_WRITE_SINGLE,
+                     mb.FC_WRITE_MULTIPLE, 0x83, 0x86, 0x2B]),
+    st.binary(max_size=6))
+writes = st.builds(
+    lambda tx, addr, value: mb.encode(
+        mb.write_single_request(tx, 1, addr, value)),
+    st.integers(0, 0xFFFF),
+    st.sampled_from([mb.REG_SETPOINT, mb.REG_MEAS, mb.REG_DEVICE_TYPE]),
+    st.integers(0, 0xFFFF))
+reads = st.builds(
+    lambda tx, addr, qty: mb.encode(
+        mb.read_holding_request(tx, 1, addr, qty)),
+    st.integers(0, 0xFFFF), st.integers(0, 30), st.integers(1, 3))
+exceptions = st.builds(
+    lambda tx, fc, code: mb.encode(
+        mb.ModbusAdu(tx, 1, fc | 0x80, bytes([code]))),
+    st.integers(0, 0xFFFF),
+    st.sampled_from([mb.FC_READ_HOLDING, mb.FC_WRITE_SINGLE]),
+    st.integers(1, 4))
+
+
+class TestIntercept:
+    @given(payload=st.one_of(st.binary(max_size=9), framed, writes, reads,
+                             exceptions),
+           dst=st.sampled_from(["pv", "bss", "meter"]))
+    def test_forwards_what_decoding_every_payload_would(self, payload, dst):
+        atk = bare_attacker()
+        atk.mitm_active = True
+        atk.scan_results = {ip: "02:00:00:00:00:01" for ip in IP.values()}
+        sent = []
+        atk.host.forward_ip = lambda d, out, mac: sent.append(out)
+        atk._intercept(IpDelivery(IP["ems"], IP[dst], 49154, mb.MODBUS_PORT,
+                                  1000, 0, payload, 1))
+        assert sent == [reference_forward(atk, payload, IP[dst])]
+
+
+# a read response with no data at all, and one whose byte count is 0
+EMPTY_READ = bytes.fromhex("0001000000020103")
+ZERO_COUNT_READ = bytes.fromhex("000100000003010300")
+
+
+@pytest.mark.parametrize("payload", [EMPTY_READ, ZERO_COUNT_READ],
+                         ids=["no-data", "zero-count"])
+def test_malformed_probe_reply_leaves_the_role_unknown(payload):
+    atk = bare_attacker()
+    atk.roles[IP["load"]] = "unknown"
+    atk._probes[1] = IP["load"]
+    sched = Scheduler(SimClock(epoch_s=0.0))
+    sched.register(atk.handle())
+    atk.host.inbox.append(IpDelivery(IP["load"], atk.host.ip, mb.MODBUS_PORT,
+                                     PORT_PROBE, 1000, 0, payload, 1))
+    sched.step_all()
+    assert atk.roles[IP["load"]] == "unknown"
+    assert atk._probes == {}
 
 
 class TestKillChain:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from gridtwin.cosim import (DuplicateIdError, HookError, LifecycleError,
@@ -176,25 +178,153 @@ class TestStepsFor:
             duration_s) == steps
 
 
-def build_chain(order):
-    """Two simulators exchanging values; registration order parametrized."""
+class Box:
+    """Stands in for a host: what a waiting simulator's work sits in."""
+
+    def __init__(self):
+        self.inbox = []
+
+
+def deliver_on(s, box, steps):
+    """A hook that puts work in the box at the end of the step before each
+    of the given steps, as the network transport does."""
+    s.add_hook(lambda step: box.inbox.append(step + 1)
+               if step + 1 in steps else None)
+
+
+def waiter(name, box, outputs=(), publish=lambda step: None):
+    """A simulator waiting on box: takes its work, logs each step it ran."""
+    ran = []
+
+    def step(step, signals):
+        ran.append(step)
+        box.inbox.clear()
+        return publish(step)
+    return SimulatorHandle(id=name, outputs=outputs, behavior=step,
+                           waits_on=box), ran
+
+
+class TestWaiting:
+    @pytest.mark.parametrize("start", [0, 7])
+    def test_runs_on_the_first_step_and_when_work_waits(self, start):
+        s = make_scheduler()
+        s.clock.now = start
+        box = Box()
+        handle, ran = waiter("dev", box)
+        s.register(handle)
+        s.register(counter("always", "n"))
+        deliver_on(s, box, {start + 3, start + 4, start + 9})
+        for _ in range(12):
+            s.step_all()
+        assert ran == [start, start + 3, start + 4, start + 9]
+        assert s.signals["n"] == 12  # one that does not wait runs every step
+
+    def test_work_left_in_the_inbox_wakes_it_again(self):
+        s = make_scheduler()
+        box = Box()
+        ran = []
+        s.register(SimulatorHandle(
+            id="dev", waits_on=box,
+            behavior=lambda step, signals: ran.append(step)))
+        deliver_on(s, box, {2})
+        for _ in range(5):
+            s.step_all()
+        assert ran == [0, 2, 3, 4]
+
+    def test_skipped_simulator_keeps_its_signals_on_the_board(self):
+        s = make_scheduler()
+        box = Box()
+        handle, _ = waiter("dev", box, outputs=("dev.out",),
+                           publish=lambda step: {"dev.out": step * 10})
+        s.register(handle)
+        seen = []
+        s.register(SimulatorHandle(
+            id="cons", inputs=("dev.out",),
+            behavior=lambda step, signals: seen.append(signals["dev.out"])
+            if step else None))
+        deliver_on(s, box, {4})
+        published = [s.step_all() for _ in range(7)]
+        assert published == [{"dev.out": 0}, {}, {}, {}, {"dev.out": 40},
+                             {}, {}]
+        assert seen == [0, 0, 0, 0, 40, 40]
+
+    def test_woken_simulator_undeclared_signal_refused(self):
+        s = make_scheduler()
+        box = Box()
+        handle, _ = waiter("sly", box, outputs=("mine",),
+                           publish=lambda step: {"sneaky": 1} if step
+                           else {"mine": 0})
+        s.register(handle)
+        deliver_on(s, box, {3})
+        for _ in range(3):
+            s.step_all()
+        with pytest.raises(SignalConflictError, match="sly.*sneaky"):
+            s.step_all()
+        assert dict(s.signals) == {"mine": 0}
+
+    def test_woken_simulator_failure_names_it(self):
+        s = make_scheduler()
+        box = Box()
+
+        def boom(step, signals):
+            if step:
+                raise RuntimeError("kaput")
+        s.register(SimulatorHandle(id="flaky", behavior=boom, waits_on=box))
+        deliver_on(s, box, {2})
+        s.step_all()
+        s.step_all()
+        with pytest.raises(SimulatorStepError,
+                           match="'flaky' failed at step 2: kaput") as err:
+            s.step_all()
+        assert (err.value.sim_id, err.value.step) == ("flaky", 2)
+
+    def test_replacing_the_behavior_keeps_what_it_waits_on(self):
+        # how a tracer wraps a behaviour
+        s = make_scheduler()
+        box = Box()
+        handle, ran = waiter("dev", box)
+        calls = []
+
+        def traced(step, signals):
+            calls.append(step)
+            return handle.behavior(step, signals)
+        wrapped = dataclasses.replace(handle, behavior=traced)
+        assert wrapped.waits_on is box
+        s.register(wrapped)
+        deliver_on(s, box, {2})
+        for _ in range(4):
+            s.step_all()
+        assert calls == ran == [0, 2]
+
+
+def build_chain(order, wakes=None):
+    """Two simulators exchanging values; registration order parametrized.
+    Each one named in wakes waits on a box filled for its steps there."""
     s = make_scheduler()
     log = []
+    wakes = wakes or {}
+    boxes = {"a": Box(), "b": Box()}
 
     def a_step(step, signals):
+        boxes["a"].inbox.clear()
         return {"a.out": (signals.get("b.out") or 0) + 1}
 
     def b_step(step, signals):
+        boxes["b"].inbox.clear()
         val = (signals.get("a.out") or 0) * 2
-        log.append(val)
+        log.append((step, val))
         return {"b.out": val}
 
     handles = {"a": SimulatorHandle(id="a", inputs=("b.out",), outputs=("a.out",),
-                                    behavior=a_step),
+                                    behavior=a_step,
+                                    waits_on=boxes["a"] if "a" in wakes else None),
                "b": SimulatorHandle(id="b", inputs=("a.out",), outputs=("b.out",),
-                                    behavior=b_step)}
+                                    behavior=b_step,
+                                    waits_on=boxes["b"] if "b" in wakes else None)}
     for name in order:
         s.register(handles[name])
+    for name, steps in wakes.items():
+        deliver_on(s, boxes[name], steps)
     s.run(EPOCH + 10)
     return log
 
@@ -210,3 +340,11 @@ class TestDeterminism:
 
     def test_registration_order_does_not_change_signals(self):
         assert build_chain("ab") == build_chain("ba")
+
+    @pytest.mark.parametrize("wakes", [
+        {"a": {2, 3, 7}, "b": {3, 5, 8}}, {"a": {4}}])
+    def test_order_does_not_change_signals_of_waiting_simulators(self, wakes):
+        log = build_chain("ab", wakes)
+        assert log == build_chain("ba", wakes)
+        assert [step for step, _ in log] == sorted(
+            {0} | wakes.get("b", set(range(10))))

@@ -6,6 +6,9 @@ attacker do.  The EMS polls once at the start and then stays quiet, so
 nothing else writes the setpoint registers while the probe does.
 """
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from gridtwin import devices as dev
@@ -136,3 +139,53 @@ def test_no_setpoint_register(probe, role):
     assert response.is_exception
     assert response.data == bytes([EXC_ILLEGAL_ADDRESS])
 
+
+
+def traced_run(monkeypatch, tmp_path, attack, waits):
+    """A tiny run with every device step logged as (step, request
+    waiting); waits=False clears the devices' waits_on, so the scheduler
+    calls them on every step.  Its artifact digests and the logs."""
+    handle, calls = dev.ModbusDevice.handle, {}
+
+    def logged(self):
+        h = handle(self)
+        log, behavior = calls.setdefault(h.id, []), h.behavior
+
+        def step(step, signals):
+            log.append((step, bool(self.host.inbox)))
+            return behavior(step, signals)
+        return dataclasses.replace(h, behavior=step,
+                                   waits_on=h.waits_on if waits else None)
+    with monkeypatch.context() as m:
+        m.setattr(dev.ModbusDevice, "handle", logged)
+        sim = build(ScenarioConfig.load(write_tiny_config(tmp_path,
+                                                          attack=attack)))
+    sim.run()
+    paths = sim.export(tmp_path / ("woken" if waits else "every"))
+    return ({fmt: hashlib.sha256(path.read_bytes()).hexdigest()
+             for fmt, path in paths.items()}, calls)
+
+
+@pytest.mark.parametrize("attack", [False, True])
+def test_woken_devices_give_the_every_step_bytes(monkeypatch, tmp_path,
+                                                 attack):
+    every, every_calls = traced_run(monkeypatch, tmp_path, attack, False)
+    woken, woken_calls = traced_run(monkeypatch, tmp_path, attack, True)
+    assert len(woken) == 5 and woken == every
+    assert sorted(woken_calls) == sorted(every_calls) == [
+        "bss", "load", "meter", "pv"]
+    for role, log in every_calls.items():
+        assert [step for step, _ in log] == list(range(300))
+        served = [step for step, waiting in log if waiting]
+        assert woken_calls[role] == [(0, False)] + [(s, True) for s in served]
+
+
+def test_a_device_is_called_on_step_0_and_on_its_served_steps(
+        monkeypatch, tmp_path):
+    _, calls = traced_run(monkeypatch, tmp_path, False, True)
+    # nobody polls the load bank.  The EMS reads the meter, PV and BSS
+    # once per 5 s cycle (60 cycles), and its 9 BSS setpoint writes each
+    # arrive on a step of their own
+    assert {role: len(log) for role, log in calls.items()} == {
+        "load": 1, "pv": 1 + 60, "bss": 1 + 60 + 9, "meter": 1 + 60}
+    assert calls["load"] == [(0, False)]

@@ -3,8 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridtwin.cosim import Scheduler, SimClock
-from gridtwin.ems import ControlPolicy, EmsController, control_step
-from gridtwin.netem import Network
+from gridtwin.ems import PORT_METER, ControlPolicy, EmsController, control_step
+from gridtwin.modbus import MODBUS_PORT
+from gridtwin.netem import IpDelivery, Network
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
 
@@ -74,6 +75,29 @@ class TestControllerLoop:
         kinds = {k for _, k in ems.events}
         assert {"meter-read-timeout", "pv-read-timeout",
                 "bss-read-timeout"} <= kinds
+
+    # a read response with no data at all, and one whose byte count is 0
+    @pytest.mark.parametrize("payload", [
+        bytes.fromhex("0001000000020103"), bytes.fromhex("000100000003010300")],
+        ids=["no-data", "zero-count"])
+    def test_malformed_meter_read_is_logged(self, payload):
+        net = Network()
+        ems_host = net.attach("ems", mac="02:00:00:00:00:01",
+                              ip="192.168.10.10")
+        clock = SimClock(epoch_s=0.0, step_s=1.0)
+        ems = EmsController(ems_host, ControlPolicy(),
+                            meter_ip="192.168.10.30", pv_ip="192.168.10.21",
+                            bss_ip="192.168.10.22", clock=clock)
+        sched = Scheduler(clock)
+        sched.register(ems.handle())
+        sched.step_all()  # starts a cycle; the meter read is txid 1
+        assert ems._outstanding[1][0] == "meter-read"
+        ems_host.inbox.append(IpDelivery("192.168.10.30", ems_host.ip,
+                                         MODBUS_PORT, PORT_METER, 1000, 0,
+                                         payload, 1))
+        sched.step_all()
+        assert ems.events == [(1, "meter-read-malformed")]
+        assert ems._meter_kw is None and 1 not in ems._outstanding
 
     def test_poll_cadence(self, tmp_path):
         sim = build(ScenarioConfig.load(write_tiny_config(tmp_path)))

@@ -121,6 +121,24 @@ class TestServe:
         resp = mb.serve(mb.read_holding_request(2, 1, 0), pv_map())
         assert mb.parse_read_response(resp) == [mb.DEVICE_PV]
 
+    @pytest.mark.parametrize("data", [
+        b"", b"\x00", b"\x01\x00", b"\x02\x00", b"\x03\x00\x01\x02",
+        b"\x04\x00\x01"], ids=["no-data", "count-0", "count-1", "short",
+                             "odd-count", "count-past-data"])
+    def test_malformed_read_response_is_a_frame_error(self, data):
+        with pytest.raises(mb.FrameError):
+            mb.parse_read_response(mb.ModbusAdu(1, 1, mb.FC_READ_HOLDING, data))
+
+    @given(raw=st.binary(min_size=8, max_size=16))
+    def test_a_decoded_read_response_gives_words_or_a_frame_error(self, raw):
+        raw = raw[:7] + bytes([mb.FC_READ_HOLDING]) + raw[8:]
+        raw = raw[:2] + b"\x00\x00" + struct.pack(">H", len(raw) - 6) + raw[6:]
+        try:
+            words = mb.parse_read_response(mb.decode(raw))
+        except mb.FrameError:
+            return
+        assert 1 <= len(words) == (len(raw) - 9) // 2
+
     def test_unknown_function_is_exception_1(self):
         req = mb.ModbusAdu(3, 1, 0x2B, b"\x00")
         resp = mb.serve(req, pv_map())
