@@ -19,7 +19,8 @@ pass that keeps only running totals, so it holds no column either.
 An IPv4 frame's record is one lookup of its link (MACs, IPs, ports),
 which holds ``netem.tcp_link`` and the flow record, one record-header
 pack, one ``netem.frame_header`` pack and the payload.  An ARP frame's
-record is its ``to_bytes()``.
+record is one pack: the record header, the Ethernet header,
+``ArpMessage.to_bytes()`` and the 18 zero bytes that pad it to 60.
 
 Export formats:
   process.csv    t,pv_kw,bss_kw,load_kw,transformer_kw,soc_pct,attack_active
@@ -44,8 +45,8 @@ from typing import NamedTuple
 
 from .attack import AttackPlan
 from .cosim import SimClock
-from .netem import (MIN_FRAME_LEN, EthernetFrame, IpDelivery, frame_header,
-                    tcp_link)
+from .netem import (ETH_ARP, MIN_FRAME_LEN, EthernetFrame, IpDelivery,
+                    eth_header, frame_header, tcp_link)
 # still importable from here: perfbench/tracing.py wraps it by this name
 from .netem import parse_ipv4_tcp  # noqa: F401
 
@@ -55,6 +56,9 @@ FORMATS = ("process", "flows", "pcap", "graph", "summary")
 PCAP_HEADER = struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535,
                           PCAP_LINKTYPE_ETHERNET)
 _RECORD_HEADER = struct.Struct("<IIII")  # sec, usec, incl_len, orig_len
+# an ARP frame's record: its record header, then 14 bytes of Ethernet
+# header and 28 of ARP message, padded with zeros to MIN_FRAME_LEN
+_ARP_RECORD = struct.Struct("<IIII14s28s18x")
 # pcap record bytes held in memory before they are moved to the spool file
 SPOOL_BYTES = 256 * 1024
 # process.csv rows formatted and written per write
@@ -192,9 +196,9 @@ class Capture:
         src_mac, dst_mac, p = frame
         if not isinstance(p, IpDelivery):
             # ARP shows up in the pcap, flows track IP conversations
-            raw = frame.to_bytes()
-            records += _RECORD_HEADER.pack(sec, usec, len(raw), len(raw))
-            records += raw
+            records += _ARP_RECORD.pack(
+                sec, usec, MIN_FRAME_LEN, MIN_FRAME_LEN,
+                eth_header(dst_mac, src_mac, ETH_ARP), p.to_bytes())
             self.frame_count += 1
             return
         src_ip, dst_ip, src_port, dst_port, seq, ack, payload, ip_id = p

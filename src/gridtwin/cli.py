@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .capture import sum_in_order
+from .capture import fmt_time, sum_in_order
 from .cosim import SchedulerError
 from .scenario import ConfigError, ScenarioConfig, build, parse_time, validate
 
@@ -43,7 +43,10 @@ def cmd_run(args) -> int:
     try:
         cfg = ScenarioConfig.load(args.config)
         sim = build(cfg)
-        until = parse_time(args.until) if args.until else None
+        until = None if args.until is None else parse_time(args.until)
+        if until is not None and until <= cfg.start_s:
+            raise ConfigError(f"--until {args.until} is not after "
+                              f"clock.start {fmt_time(cfg.start_s)}")
         outdir = Path(args.out) if args.out else Path(f"dataset-{cfg.name}")
         outdir.mkdir(parents=True, exist_ok=True)  # a bad --out costs no run
     except (ConfigError, OSError) as exc:

@@ -132,18 +132,15 @@ class ModbusDevice:
 
     def step(self, step: int, signals: Mapping) -> dict | None:
         role, regmap, host = self.role, self.regmap, self.host
-        if host.inbox:
-            # only the requests served here read the measurement
-            # registers, so they are refreshed only when one is waiting
-            for addr, signal in enumerate(role.measures, REG_MEAS):
-                regmap.registers[addr] = fp_encode(signals.get(signal, 0.0))
-            for d in host.receive():
-                try:
-                    request = decode(d.payload)
-                except FrameError:
-                    continue
-                host.send_ip(d.src_ip, encode(serve(request, regmap)),
-                             dst_port=d.src_port, src_port=d.dst_port)
+        for addr, signal in enumerate(role.measures, REG_MEAS):
+            regmap.registers[addr] = fp_encode(signals.get(signal, 0.0))
+        for d in host.receive():
+            try:
+                request = decode(d.payload)
+            except FrameError:
+                continue
+            host.send_ip(d.src_ip, encode(serve(request, regmap)),
+                         dst_port=d.src_port, src_port=d.dst_port)
         if role.setpoint is not None:
             signal, initial = role.setpoint
             raw = regmap.registers[REG_SETPOINT]

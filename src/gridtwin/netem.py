@@ -14,14 +14,14 @@ ip-id stream for the whole network, 1 to 65535, then 0, 1, ...  None
 refers back to the network, and a host holds the network itself by a
 weak proxy, so a dropped network is freed without a cycle collection.
 
-A frame carries its packet as a record (an ``ArpMessage`` or an
-``IpDelivery``, both tuples) that every receiving host shares.  Its
-bytes, real Ethernet/IPv4/TCP with valid checksums, are made once, when
-the capture records the frame, so captures decode in standard protocol
-analyzers.  A link's constants (``tcp_link``) are computed once;
-``frame_header`` adds a packet's variable words to them and packs its
-Ethernet, IPv4 and TCP headers in one call, for the capture,
-``to_bytes`` and ``build_ipv4_tcp`` alike.
+A frame is a plain record of its MACs and its packet (an
+``ArpMessage`` or an ``IpDelivery``, both tuples), which every receiving
+host shares.  Its bytes, real Ethernet/IPv4/TCP with valid checksums,
+are made once, by ``Capture.record_frame``, so captures decode in
+standard protocol analyzers.  A link's constants (``tcp_link``) are
+computed once; ``frame_header`` adds a packet's variable words to them
+and packs its Ethernet, IPv4 and TCP headers in one call, for the
+capture and ``build_ipv4_tcp`` alike.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def tcp_link(src_mac: str, dst_mac: str, src_ip: str, dst_ip: str,
     ip_sum = (0x4500 + 0x4000 + 0x4006 + a) % 0xFFFF
     # proto, ports, data offset/flags, window
     tcp_sum = (a + 6 + src_port + dst_port + 0x5018 + 8192) % 0xFFFF
-    return (_eth_header(dst_mac, src_mac, ETH_IPV4),
+    return (eth_header(dst_mac, src_mac, ETH_IPV4),
             addrs + struct.pack(">HH", src_port, dst_port), ip_sum, tcp_sum)
 
 
@@ -152,7 +152,7 @@ class IpDelivery(NamedTuple):
 
 
 @lru_cache(maxsize=1024)
-def _eth_header(dst_mac: str, src_mac: str, ethertype: int) -> bytes:
+def eth_header(dst_mac: str, src_mac: str, ethertype: int) -> bytes:
     return mac_bytes(dst_mac) + mac_bytes(src_mac) + struct.pack(">H", ethertype)
 
 
@@ -160,17 +160,6 @@ class EthernetFrame(NamedTuple):
     src_mac: str
     dst_mac: str
     packet: ArpMessage | IpDelivery
-
-    def to_bytes(self) -> bytes:
-        src_mac, dst_mac, p = self
-        if isinstance(p, IpDelivery):
-            raw = frame_header(tcp_link(src_mac, dst_mac, *p[:4]),
-                               *p[4:]) + p.payload
-        else:
-            raw = _eth_header(dst_mac, src_mac, ETH_ARP) + p.to_bytes()
-        if len(raw) < MIN_FRAME_LEN:
-            raw += bytes(MIN_FRAME_LEN - len(raw))
-        return raw
 
 
 def parse_ipv4_tcp(raw: bytes) -> dict:

@@ -10,7 +10,7 @@ from gridtwin import modbus as mb
 from gridtwin.capture import ROW, T, TRANSFORMER
 from gridtwin.scenario import build
 from tests.conftest import load_golden
-from tests.test_capture import decode_modbus_frame, read_pcap
+from tests.wire import decode_modbus_frame, read_pcap
 
 DEADBAND_KW = 0.1
 PERIOD_S = 5

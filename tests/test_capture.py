@@ -1,7 +1,6 @@
 import errno
 import json
 import re
-import socket
 import struct
 import subprocess
 import sys
@@ -19,48 +18,12 @@ from gridtwin import capture
 from gridtwin.attack import AttackPlan
 from gridtwin.capture import Capture, ExportError, ProcessSample, fmt_time
 from gridtwin.cosim import HookError, SimClock
-from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, BROADCAST_MAC, ETH_IPV4,
-                            ZERO_MAC, ArpMessage, EthernetFrame, IpDelivery)
+from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, BROADCAST_MAC, ZERO_MAC,
+                            ArpMessage, EthernetFrame, IpDelivery)
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
-
-
-DAY_EPOCH = 1623715200  # 2021-06-15 00:00 UTC, Capture's default date
-
-
-def read_pcap(raw: bytes):
-    """Independent classic-pcap reader: (header fields, [(sec, usec, frame)])."""
-    magic, major, minor, tz, sigfigs, snaplen, linktype = \
-        struct.unpack("<IHHiIII", raw[:24])
-    assert magic == 0xA1B2C3D4, "not a little-endian classic pcap"
-    packets = []
-    off = 24
-    while off < len(raw):
-        sec, usec, incl, orig = struct.unpack("<IIII", raw[off:off + 16])
-        assert incl == orig <= snaplen
-        packets.append((sec, usec, raw[off + 16:off + 16 + incl]))
-        off += 16 + incl
-    assert off == len(raw), "trailing bytes after last packet record"
-    return (major, minor, tz, sigfigs, snaplen, linktype), packets
-
-
-def decode_modbus_frame(frame: bytes):
-    """Independent Ethernet/IPv4/TCP/Modbus decode of one captured frame."""
-    ethertype = struct.unpack(">H", frame[12:14])[0]
-    if ethertype != ETH_IPV4:
-        return None
-    ip = frame[14:]
-    ihl = (ip[0] & 0x0F) * 4
-    total = struct.unpack(">H", ip[2:4])[0]
-    assert ip[9] == 6
-    tcp = ip[ihl:total]
-    sport, dport = struct.unpack(">HH", tcp[:4])
-    payload = tcp[(tcp[12] >> 4) * 4:]
-    if 502 not in (sport, dport) or not payload:
-        return None
-    tx, proto, length, unit = struct.unpack(">HHHB", payload[:7])
-    assert proto == 0 and length == len(payload) - 6
-    return {"tx": tx, "unit": unit, "function": payload[7]}
+from tests.wire import (DAY_EPOCH, decode_frame, decode_modbus_frame,
+                        encode_frame, read_pcap)
 
 
 def sample_frame(payload=b"hello"):
@@ -201,7 +164,7 @@ class TestCapture:
         paths = cap.export(tmp_path, formats=("pcap",))
         _, packets = read_pcap(paths["pcap"].read_bytes())
         [(sec, usec, raw)] = packets
-        assert raw == f.to_bytes()
+        assert raw == encode_frame(*f) and decode_frame(raw) == f
         # the frame lands at 09:00
         assert (sec, usec) == (DAY_EPOCH + 9 * 3600, 0)
 
@@ -322,11 +285,14 @@ EDGE_RE = re.compile(r"^edge ([0-9a-f:]{17}) (\d+\.\d+\.\d+\.\d+) -> "
 
 class TestGoldenExports:
     def test_pcap_decodes_as_modbus(self, golden_runs):
-        raw = (golden_runs["attack"]["outdir"] / "capture.pcap").read_bytes()
-        _, packets = read_pcap(raw)
-        decoded = [d for _, _, f in packets if (d := decode_modbus_frame(f))]
-        assert len(decoded) > 10000
-        assert {d["function"] & 0x7F for d in decoded} <= {0x03, 0x06}
+        # the reference decoder checks every record whole, ARP ones too
+        for name in ("normal", "attack"):
+            raw = (golden_runs[name]["outdir"] / "capture.pcap").read_bytes()
+            _, packets = read_pcap(raw)
+            decoded = [d for _, _, f in packets
+                       if (d := decode_modbus_frame(f))]
+            assert len(decoded) > 10000
+            assert {d["function"] & 0x7F for d in decoded} <= {0x03, 0x06}
 
     def test_pcap_count_matches_transport_counters(self, golden_runs):
         for name in ("normal", "attack"):
@@ -544,47 +510,13 @@ class TestProcessChunks:
             assert {k: p.read_bytes() for k, p in written.items()} == want
 
 
-def ones_complement_sum(data: bytes) -> int:
-    """RFC 1071 sum of 16-bit words, an odd byte padded with zero; a
-    header with a valid checksum sums to 0xFFFF."""
-    if len(data) % 2:
-        data += b"\x00"
-    total = sum(struct.unpack(f">{len(data) // 2}H", data))
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
-
-
-def mac_str(raw: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in raw)
-
-
-def decode_ipv4_tcp_frame(raw: bytes):
-    """A captured Ethernet/IPv4/TCP frame as (MACs, IPs, ports, seq, ack,
-    payload, ip_id), checking both checksums and the padding."""
-    (dst, src, ethertype, vihl, total, ip_id, frag, ttl_proto, _, sip, dip,
-     sport, dport, seq, ack, off_flags, _, _, urgent) = struct.unpack_from(
-        ">6s6sHHHHHHH4s4sHHIIHHHH", raw)
-    assert (ethertype, vihl, frag, ttl_proto) == (ETH_IPV4, 0x4500, 0x4000,
-                                                  0x4006)
-    assert (off_flags, urgent) == (0x5018, 0)
-    assert ones_complement_sum(raw[14:34]) == 0xFFFF
-    tcp = raw[34:14 + total]
-    pseudo = raw[26:34] + struct.pack(">HH", 6, len(tcp))
-    assert ones_complement_sum(pseudo + tcp) == 0xFFFF
-    assert raw[14 + total:] == bytes(len(raw) - 14 - total)
-    assert len(raw) == max(60, 14 + total)
-    return (mac_str(src), mac_str(dst), socket.inet_ntoa(sip),
-            socket.inet_ntoa(dip), sport, dport, seq, ack, tcp[20:], ip_id)
-
-
 def recount_flows(packets) -> str:
     """flows.csv as counted from the pcap's IPv4 records alone."""
     flows = {}
     for sec, usec, raw in packets:
         if raw[12:14] != b"\x08\x00":
             continue
-        src, dst, sip, dip = decode_ipv4_tcp_frame(raw)[:4]
+        src, dst, (sip, dip, *_) = decode_frame(raw)
         t = sec - DAY_EPOCH + usec / 1e6
         rec = flows.setdefault((src, dst, sip, dip), [0, 0, t, t])
         rec[0] += 1
@@ -626,21 +558,27 @@ FRAMES = st.lists(st.tuples(
 
 
 class TestRecordFrame:
-    """Capture.record_frame builds an IPv4 frame's record from its link's
-    cached constants; the record must be what EthernetFrame.to_bytes
-    makes, and the flows what the pcap counts."""
+    """Capture.record_frame makes every frame's record, an IPv4 one from
+    its link's cached constants; the record must be what the reference
+    encoder makes and decode back to the frame, and the flows must be
+    what the pcap counts."""
 
     @settings(max_examples=150, deadline=None)
     @given(frames=FRAMES)
     # a padded odd payload, seq and ack past 2**32, one flow over two port
-    # pairs, and a frame whose total length does not fit, on a known link
+    # pairs, a frame whose total length does not fit, on a known link, an
+    # ARP frame, and one whose destination MAC is not hex
     @example(frames=[
         (IpDelivery(IPS[0], IPS[1], 502, 50001, 2**32 + 5, 2**34, b"abc",
                     0xFFFF), MACS[0], MACS[1], 0),
         (IpDelivery(IPS[0], IPS[1], 50000, 502, 7, 8, b"abcdefgh", 1),
          MACS[0], MACS[1], 1),
         (IpDelivery(IPS[0], IPS[1], 502, 50001, 0, 0, bytes(65_496), 2),
-         MACS[0], MACS[1], 0)])
+         MACS[0], MACS[1], 0),
+        (ArpMessage(ARP_REPLY, MACS[0], IPS[0], MACS[1], IPS[1]), MACS[0],
+         MACS[2], 1),
+        (ArpMessage(ARP_REQUEST, MACS[0], IPS[0], ZERO_MAC, IPS[1]), MACS[0],
+         "zz:00:00:00:00:01", 0)])
     def test_records_and_flows_match_the_frames(self, tmp_path_factory,
                                                 frames):
         cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
@@ -649,7 +587,7 @@ class TestRecordFrame:
             step += advance
             frame = EthernetFrame(src, dst, packet)
             try:
-                want = frame.to_bytes()
+                want = encode_frame(*frame)
             except (struct.error, ValueError):
                 before = (bytes(cap.pcap_records), cap.frame_count,
                           repr(cap.flows))
@@ -667,11 +605,10 @@ class TestRecordFrame:
         for (sec, usec, raw), (step, frame, want) in zip(packets, recorded):
             assert raw == want
             assert (sec, usec) == (DAY_EPOCH + step, 0)
-            if isinstance(frame.packet, IpDelivery):
-                p = frame.packet
-                assert decode_ipv4_tcp_frame(raw) == (
-                    frame.src_mac, frame.dst_mac, *p[:4], p.seq % 2**32,
-                    p.ack % 2**32, p.payload, p.ip_id)
+            p = frame.packet
+            if isinstance(p, IpDelivery):  # seq and ack are sent mod 2**32
+                p = p._replace(seq=p.seq % 2**32, ack=p.ack % 2**32)
+            assert decode_frame(raw) == (frame.src_mac, frame.dst_mac, p)
         assert written["flows"].read_text() == recount_flows(packets)
 
     def test_two_port_pairs_feed_one_flow(self):

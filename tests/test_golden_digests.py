@@ -1,4 +1,6 @@
-"""The exact bytes of both golden datasets.
+"""The exact bytes of both golden datasets, and the premise that makes
+the pair a twin: the normal config is the attack config without its
+attack.
 
 Any change that alters an artifact on purpose updates its digest here
 and says why in CHANGES.md; every other change must leave them alone.
@@ -7,6 +9,9 @@ and says why in CHANGES.md; every other change must leave them alone.
 import hashlib
 
 import pytest
+import yaml
+
+from gridtwin import data_path
 
 DIGESTS = {
     "normal": {
@@ -32,3 +37,13 @@ def test_golden_artifacts_are_byte_identical(golden_runs, name):
     got = {f: hashlib.sha256((outdir / f).read_bytes()).hexdigest()
            for f in DIGESTS[name]}
     assert got == DIGESTS[name]
+
+
+def test_normal_config_is_the_attack_config_without_its_attack():
+    normal, attack = (
+        yaml.safe_load(data_path("configs", f"{name}.yaml").read_text())
+        for name in ("normal", "attack"))
+    assert normal["attack"] is None and attack["attack"] is not None
+    for cfg in (normal, attack):
+        del cfg["name"], cfg["attack"]
+    assert normal == attack

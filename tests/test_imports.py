@@ -1,9 +1,13 @@
-"""No module of the package imports a name it never uses, and no
-module-level function or class of it goes unused.
+"""No module of the package imports a name it never uses, no
+module-level function or class of it goes unused, and no test module
+imports another.
 
 A leftover import keeps a deleted feature's dependency looking alive.
 An import kept on purpose carries ``# noqa: F401`` on its line.  A def
-counts as used when some source of the repository loads its name.
+counts as used when some source of the repository loads its name.  A
+test module imported by another runs twice in one session, once under
+each name; helpers the tests share live in ``conftest.py`` and
+``wire.py``.
 """
 
 import ast
@@ -15,6 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gridtwin"
+TESTS = ROOT / "tests"
 # the sources whose loads count as uses of a def in the package
 USERS = ("src", "tests", "perfbench", "tools")
 
@@ -106,6 +111,42 @@ def test_every_top_level_def_is_used():
     unused = {path.name: unused_defs(path.read_text(), loaded)
               for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: defs for name, defs in unused.items() if defs} == {}
+
+
+def imported_test_modules(source: str) -> list[str]:
+    """The test modules (``test_*``) that source imports, by any name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}".lstrip(".")
+                                for alias in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.rpartition(".")[2].startswith("test_")]
+    return found
+
+
+def test_guard_finds_a_test_module_import():
+    source = ("import tests.wire\n"
+              "from tests.conftest import write_tiny_config\n"
+              "from tests.test_capture import read_pcap\n"
+              "from tests import test_netem, wire\n"
+              "import test_attack as attack\n"
+              "def f():\n"
+              "    from .test_cosim import Scheduler\n")
+    assert imported_test_modules(source) == [
+        "line 3: tests.test_capture", "line 4: tests.test_netem",
+        "line 5: test_attack", "line 7: test_cosim"]
+
+
+def test_no_test_module_imports_another():
+    found = {path.name: imported_test_modules(path.read_text())
+             for path in sorted(TESTS.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_a_run_loads_no_socket_module():

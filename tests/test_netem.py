@@ -1,4 +1,3 @@
-import socket
 import struct
 
 import pytest
@@ -14,7 +13,9 @@ from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, BROADCAST_MAC, ETH_ARP,
                             mac_bytes, parse_ipv4_tcp)
 from gridtwin.scenario import ScenarioConfig, build
 from tests.conftest import write_tiny_config
-from tests.test_capture import DAY_EPOCH, read_pcap
+from tests.wire import (DAY_EPOCH, decode_frame, encode_arp,
+                        encode_frame, encode_ipv4_tcp, ones_complement_sum,
+                        read_pcap)
 
 
 def two_hosts():
@@ -29,54 +30,12 @@ def pump(net, steps, start=0):
         net.transport(start + i)
 
 
-def ones_complement_sum(data: bytes) -> int:
-    """Independent checksum oracle: a valid packet sums to 0xFFFF."""
-    if len(data) % 2:
-        data += b"\x00"
-    total = sum(struct.unpack(f">{len(data) // 2}H", data))
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
-
-
-def reference_build_ipv4_tcp(src_ip, dst_ip, src_port, dst_port, seq, ack,
-                             payload, ip_id=0):
-    """The struct-and-slice builder: each header packed whole, then its
-    checksum field filled in from a pass over the packed bytes."""
-    def checksum(data):
-        return ~ones_complement_sum(data) & 0xFFFF
-
-    tcp = struct.pack(">HHIIBBHHH", src_port, dst_port, seq & 0xFFFFFFFF,
-                      ack & 0xFFFFFFFF, 5 << 4, 0x18, 8192, 0, 0) + payload
-    addrs = ip_bytes(src_ip) + ip_bytes(dst_ip)
-    pseudo = addrs + struct.pack(">BBH", 0, 6, len(tcp))
-    tcp = tcp[:16] + struct.pack(">H", checksum(pseudo + tcp)) + tcp[18:]
-    total = 20 + len(tcp)
-    ip = struct.pack(">BBHHHBBH", 0x45, 0, total, ip_id & 0xFFFF, 0x4000,
-                     64, 6, 0) + addrs
-    ip = ip[:10] + struct.pack(">H", checksum(ip)) + ip[12:]
-    return ip + tcp
-
-
 # inputs whose IPv4, and separately TCP, words sum to a nonzero multiple
 # of 0xFFFF, so that checksum field is 0x0000
 IP_SUM_ZERO = ("192.168.10.1", "192.168.10.2", 50000, 502, 1000, 1000,
                b"x", 107899)
 TCP_SUM_ZERO = ("192.168.10.1", "192.168.10.2", 50000, 502, 4294980649,
                 2**33, b"\x00\x06\x01", 7)
-
-
-def mac_of(raw: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in raw)
-
-
-def decode_arp(raw: bytes) -> ArpMessage:
-    """Independent ARP decode; the header must be Ethernet/IPv4."""
-    htype, ptype, hlen, plen, op, smac, sip, tmac, tip = \
-        struct.unpack(">HHBBH6s4s6s4s", raw[:28])
-    assert (htype, ptype, hlen, plen) == (1, 0x0800, 6, 4)
-    return ArpMessage(op, mac_of(smac), socket.inet_ntoa(sip),
-                      mac_of(tmac), socket.inet_ntoa(tip))
 
 
 class TestWireFormats:
@@ -86,16 +45,23 @@ class TestWireFormats:
     def test_frame_padded_to_minimum(self):
         msg = ArpMessage(ARP_REQUEST, "02:00:00:00:00:01", "192.168.10.1",
                          ZERO_MAC, "192.168.10.2")
-        raw = EthernetFrame("02:00:00:00:00:01", BROADCAST_MAC, msg).to_bytes()
+        frame = EthernetFrame("02:00:00:00:00:01", BROADCAST_MAC, msg)
+        cap = Capture(SimClock(epoch_s=0.0), deadband_kw=0.1)
+        cap.record_frame(frame, 0)
+        # the record's incl_len and orig_len, then its frame
+        assert cap.pcap_records[8:16] == struct.pack("<II", 60, 60)
+        raw = bytes(cap.pcap_records[16:])
         assert len(raw) == 60  # 14 + 28, padded with zeros
         assert raw[:14] == bytes.fromhex("ffffffffffff" "020000000001" "0806")
         assert raw[14:42] == msg.to_bytes() and raw[42:] == bytes(18)
+        assert raw == encode_frame(*frame)
 
     def test_arp_round_trip(self):
         msg = ArpMessage(ARP_REPLY, "02:00:00:00:00:01", "192.168.10.1",
                          "02:00:00:00:00:02", "192.168.10.2")
-        raw = msg.to_bytes()
-        assert len(raw) == 28 and decode_arp(raw) == msg
+        assert msg.to_bytes() == encode_arp(*msg)
+        frame = ("02:00:00:00:00:01", "02:00:00:00:00:02", msg)
+        assert decode_frame(encode_frame(*frame)) == frame
 
     def test_ipv4_header_checksum_valid(self):
         pkt = build_ipv4_tcp("192.168.10.1", "192.168.10.2", 50000, 502,
@@ -106,8 +72,7 @@ class TestWireFormats:
         pkt = build_ipv4_tcp("192.168.10.1", "192.168.10.2", 50000, 502,
                              1000, 1000, b"payload")
         tcp = pkt[20:]
-        pseudo = ip_bytes("192.168.10.1") + ip_bytes("192.168.10.2") \
-            + struct.pack(">BBH", 0, 6, len(tcp))
+        pseudo = pkt[12:20] + struct.pack(">BBH", 0, 6, len(tcp))
         assert ones_complement_sum(pseudo + tcp) == 0xFFFF
 
     def test_parse_inverts_build(self):
@@ -141,9 +106,7 @@ class TestWireFormats:
                                      dst_port, seq, ack, payload, ip_id):
         args = (src_ip, dst_ip, src_port, dst_port, seq, ack, payload, ip_id)
         pkt = build_ipv4_tcp(*args)
-        assert pkt == reference_build_ipv4_tcp(*args)
-        f = parse_ipv4_tcp(pkt)
-        assert (f["src_ip"], f["dst_ip"]) == (src_ip, dst_ip)
+        assert pkt == encode_ipv4_tcp(*args)
         tcp = pkt[20:]
         pseudo = pkt[12:20] + struct.pack(">BBH", 0, 6, len(tcp))
         assert ones_complement_sum(pkt[:20]) == 0xFFFF
@@ -319,7 +282,7 @@ class TestHostStack:
         assert (net.delivered, net.flooded) == (0, 1) and net.dropped == {}
         _, packets = read_pcap(cap.export(tmp_path, ("pcap",))["pcap"]
                                .read_bytes())
-        assert packets == [(DAY_EPOCH, 0, frame.to_bytes())]
+        assert packets == [(DAY_EPOCH, 0, encode_frame(*frame))]
         assert len(packets) == net.delivered + net.flooded
         [to_b], [to_c] = b.receive(), c.receive()
         assert to_b is to_c is frame.packet  # one record for the capture too
@@ -565,7 +528,8 @@ class TestWireFidelity:
     def test_captured_bytes_decode_to_the_carried_record(self, tmp_path):
         """Frames carry records and the capture makes their bytes: in the
         tiny attack run, every captured frame decodes, on this side, to
-        the addresses and the record its frame carried."""
+        the addresses and the record its frame carried, and is what the
+        reference encoder makes of them."""
         sim = build(ScenarioConfig.load(write_tiny_config(tmp_path,
                                                           attack=True)))
         net = sim.network
@@ -582,17 +546,10 @@ class TestWireFidelity:
         assert len(raws) == len(carried) == net.delivered + net.flooded
         kinds = {"ipv4": 0, "arp": 0}
         for frame, raw in zip(carried, raws):
-            assert raw[:12] == bytes.fromhex(
-                (frame.dst_mac + frame.src_mac).replace(":", ""))
-            if raw[12:14] == b"\x08\x00":
-                ip_id = struct.unpack(">H", raw[18:20])[0]  # IP bytes 4-6
-                assert IpDelivery(**parse_ipv4_tcp(raw[14:]),
-                                  ip_id=ip_id) == frame.packet
-                kinds["ipv4"] += 1
-            else:
-                assert raw[12:14] == b"\x08\x06"
-                assert decode_arp(raw[14:]) == frame.packet
-                kinds["arp"] += 1
+            assert decode_frame(raw) == frame
+            assert raw == encode_frame(*frame)
+            kinds["ipv4" if isinstance(frame.packet, IpDelivery)
+                  else "arp"] += 1
         assert kinds["ipv4"] > 100 and kinds["arp"] > 6
         forwarded = [f for f in carried if f.src_mac == net.hosts[
             "attacker"].mac and isinstance(f.packet, IpDelivery)]

@@ -19,7 +19,7 @@ from gridtwin.grid import GridInputError, pv_output
 from gridtwin.scenario import (ConfigError, ScenarioConfig, Simulation, build,
                                parse_time, validate)
 from tests.conftest import load_golden, write_tiny_config
-from tests.test_capture import read_pcap
+from tests.wire import read_pcap
 
 
 # names that are not one file name; the default output directory is
@@ -227,11 +227,13 @@ class TestCli:
 
     def test_run_until_truncates(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
-        out = tmp_path / "short"
-        assert main(["run", str(cfg), "--out", str(out),
-                     "--until", "09:16:00"]) == 0
-        rows = (out / "process.csv").read_text().strip().splitlines()
-        assert len(rows) == 1 + 60
+        # the run starts at 09:15:00: one step runs to 09:15:01
+        for until, steps in (("09:16:00", 60), ("09:15:01", 1)):
+            out = tmp_path / until.replace(":", "")
+            assert main(["run", str(cfg), "--out", str(out),
+                         "--until", until]) == 0
+            rows = (out / "process.csv").read_text().strip().splitlines()
+            assert len(rows) == 1 + steps and rows[1].startswith("09:15:00,")
 
     def test_run_until_past_the_end_stops_at_the_end(self, tmp_path,
                                                      capsys):
@@ -250,6 +252,22 @@ class TestCli:
     def test_run_bad_until(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         assert main(["run", str(cfg), "--until", "nope"]) == 1
+
+    @pytest.mark.parametrize("until, error", [
+        ("", "bad time-of-day '' (expected HH:MM[:SS])"),
+        # the run starts at 09:15:00
+        ("09:10", "--until 09:10 is not after clock.start 09:15:00"),
+        ("09:15", "--until 09:15 is not after clock.start 09:15:00"),
+        ("09:15:00", "--until 09:15:00 is not after clock.start 09:15:00"),
+    ], ids=["empty", "before", "at-hh-mm", "at-hh-mm-ss"])
+    def test_run_refuses_an_until_not_after_the_start(self, tmp_path, capsys,
+                                                      until, error):
+        cfg = write_tiny_config(tmp_path)
+        out = tmp_path / "ds"
+        assert main(["run", str(cfg), "--out", str(out),
+                     "--until", until]) == 1
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not out.exists()  # refused before the run and the --out
 
     def test_failed_spill_aborts_the_run_and_keeps_its_outputs(
             self, tmp_path, monkeypatch, capsys):

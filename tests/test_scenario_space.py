@@ -13,68 +13,13 @@ from pathlib import Path
 
 import yaml
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from gridtwin.scenario import ScenarioConfig, build, validate
-from tests.conftest import write_tiny_config
-from tests.test_capture import read_pcap
+from tests.conftest import (RUN_S, merge, profile_csv, scenarios,
+                            write_tiny_config)
+from tests.wire import read_pcap
 
 RESIDUAL_LIMIT = 1e-9
-RUN_S = 300              # the tiny run: 09:15:00 to 09:20:00
-EPOCH_S = 9 * 3600 + 15 * 60
-
-
-def clock_str(offset_s: int) -> str:
-    t = EPOCH_S + offset_s
-    return f"{t // 3600:02d}:{t // 60 % 60:02d}:{t % 60:02d}"
-
-
-def kw(lo: float, hi: float):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
-
-
-def profile_csv(values: list[float], spacing_s: int) -> str:
-    rows = [f"{k * spacing_s},{v!r}" for k, v in enumerate(values)]
-    return "t_s,value_kw\n" + "\n".join(rows) + "\n"
-
-
-@st.composite
-def scenarios(draw):
-    """(raw config overrides, load CSV, PV CSV) of one valid tiny scenario."""
-    step_s = draw(st.sampled_from([0.5, 1.0, 2.0, 5.0]))
-    bss_rated = draw(kw(1.0, 30.0))
-    devices = {
-        "pv": {"rated_kw": draw(kw(1.0, 60.0))},
-        "bss": {"rated_kw": bss_rated, "capacity_kwh": draw(kw(0.5, 50.0)),
-                "initial_soc_pct": draw(kw(0.0, 100.0)),
-                "efficiency": draw(kw(0.5, 1.0))},
-        "load": {"rated_kw": draw(kw(1.0, 60.0))},
-        "meter": {"transformer_rated_kva": draw(kw(5.0, 200.0))},
-    }
-    ems = {"period_s": step_s * draw(st.integers(1, 10)),
-           "deadband_kw": draw(kw(0.0, 2.0)),
-           "manages_pv_limit": draw(st.booleans()),
-           "request_timeout_steps": draw(st.integers(1, 8))}
-    profiles = {which: {"interpolation": draw(st.sampled_from(["hold",
-                                                               "linear"]))}
-                for which in ("load", "pv")}
-    attack = None
-    if draw(st.booleans()):
-        lead = draw(st.integers(0, 60))
-        start = draw(st.integers(max(lead, 5), RUN_S - 10))
-        end = draw(st.integers(start + 1, RUN_S))
-        attack = {"start": clock_str(start), "end": clock_str(end),
-                  "recon_lead_s": float(lead),
-                  "pv_limit_kw": draw(kw(0.0, 40.0)),
-                  "bss_charge_kw": draw(kw(-bss_rated, bss_rated)),
-                  "repoison_period_s": draw(kw(1.0, 30.0))}
-    values = st.lists(kw(-5.0, 70.0), min_size=1, max_size=8)
-    spacing = st.integers(1, 120)
-    load_csv = profile_csv(draw(values), draw(spacing))
-    pv_csv = profile_csv(draw(values), draw(spacing))
-    overrides = {"clock": {"step_s": step_s}, "devices": devices, "ems": ems,
-                 "profiles": profiles, "attack": attack}
-    return overrides, load_csv, pv_csv
 
 
 def small_battery(capacity_kwh: float, initial_soc_pct: float):
@@ -92,17 +37,6 @@ def small_battery(capacity_kwh: float, initial_soc_pct: float):
     overrides = {"clock": {"step_s": 1.0}, "devices": devices, "ems": ems,
                  "profiles": profiles, "attack": None}
     return overrides, profile_csv([0.0], 60), profile_csv([16.0], 60)
-
-
-def merge(base: dict, overrides: dict) -> dict:
-    """base with each override dict merged in, key by key; None replaces."""
-    out = dict(base)
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = merge(out[key], value)
-        else:
-            out[key] = value
-    return out
 
 
 def run_and_export(cfg: ScenarioConfig, outdir: Path):
