@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import ipaddress
 import itertools
+import re
 import struct
 import weakref
 from functools import lru_cache
@@ -56,6 +57,9 @@ class ResolutionError(NetemError):
 class InputError(NetemError):
     pass
 
+
+# six two-digit lower-case hex groups: the six bytes of an Ethernet address
+MAC_RE = re.compile(r"[0-9a-f]{2}(:[0-9a-f]{2}){5}")
 
 # The address helpers are memoised: a scenario uses a few hundred distinct
 # addresses, and each is parsed and validated once.  A refused input is
@@ -339,6 +343,8 @@ class Network:
         """A new host on the switch, flooded to after those before it."""
         if id in self.hosts:
             raise NetemError(f"duplicate host id {id!r}")
+        if not MAC_RE.fullmatch(mac):
+            raise NetemError(f"invalid MAC {mac!r}")
         for h in self.hosts.values():
             if h.ip == ip or h.mac == mac:
                 raise NetemError(f"address collision with {h.id!r}")

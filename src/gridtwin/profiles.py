@@ -7,8 +7,9 @@ the lab replays to its DC supplies and load bank.  CSV format: UTF-8
 
 A profile is its knots in two flat columns, the times as a tuple of
 floats (for bisection) and the values as an ``array('d')``: 40 bytes a
-knot.  Its constructor is the one check of the knots, however a profile
-is made (loaded, scaled or replaced); ``points`` is derived from them.
+knot.  Its constructor is the one check of the knots; the loader scales
+the parsed values first (times ``factor``, then capped at
+``clamp_max_kw``), so each knot is checked once.  ``points`` is derived.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import lt, mul
 
@@ -86,19 +87,31 @@ def _columns(text: str):
         return None
 
 
-def load_profile(source, interpolation: str = "hold") -> TimeSeriesProfile:
+def _scaled(times, values, interpolation, factor, clamp_max_kw):
+    if factor <= 0:
+        raise ProfileError(f"scaling factor must be > 0, got {factor}")
+    raw = values
+    if factor != 1.0:  # v * 1.0 is v for every double, -0.0 and nan too
+        values = array("d", map(mul, values, repeat(factor)))
+    if clamp_max_kw is not None and clamp_max_kw < max(values):
+        TimeSeriesProfile(times, raw, interpolation)  # refuses an inf as read
+        values = array("d", [clamp_max_kw if clamp_max_kw < v else v
+                             for v in values])
+    return TimeSeriesProfile(times, values, interpolation)
+
+
+def load_profile(source, interpolation: str = "hold", factor: float = 1.0,
+                 clamp_max_kw: float | None = None) -> TimeSeriesProfile:
     """Parse a profile CSV from bytes (UTF-8, a byte-order mark skipped)
-    or text."""
+    or text; each value times factor, then capped at clamp_max_kw if set."""
     text = source.decode("utf-8-sig") if isinstance(source, bytes) else source
     columns = _columns(text)
     if columns is not None:
         try:
-            return TimeSeriesProfile(*columns, interpolation)
+            return _scaled(*columns, interpolation, factor, clamp_max_kw)
         except ProfileError:
             pass  # read again line by line, so the first bad line is named
     lines = text.splitlines()
-    if not lines:
-        raise ProfileError("no data rows")
     start = _body_start(lines)
     times, values = [], []
     for lineno, line in enumerate(lines[start:], start=start + 1):
@@ -117,7 +130,8 @@ def load_profile(source, interpolation: str = "hold") -> TimeSeriesProfile:
         values.append(v)
     if not times:
         raise ProfileError("no data rows")
-    return TimeSeriesProfile(tuple(times), array("d", values), interpolation)
+    p = TimeSeriesProfile(tuple(times), array("d", values), interpolation)
+    return _scaled(p.times, p.values, interpolation, factor, clamp_max_kw)
 
 
 def sample(profile: TimeSeriesProfile, t: float) -> float:
@@ -132,14 +146,3 @@ def sample(profile: TimeSeriesProfile, t: float) -> float:
         return values[i]
     t0, v0 = times[i], values[i]
     return v0 + (values[i + 1] - v0) * (t - t0) / (times[i + 1] - t0)
-
-
-def scale(profile: TimeSeriesProfile, factor: float = 1.0,
-          clamp_max_kw: float | None = None) -> TimeSeriesProfile:
-    """Multiply every value by factor, then clamp to clamp_max_kw if set."""
-    if factor <= 0:
-        raise ProfileError(f"scaling factor must be > 0, got {factor}")
-    values = map(mul, profile.values, repeat(factor))
-    if clamp_max_kw is not None:  # min(v, clamp_max_kw), without the call
-        values = [clamp_max_kw if clamp_max_kw < v else v for v in values]
-    return replace(profile, values=array("d", values))

@@ -32,8 +32,8 @@ from .cosim import RunSummary, Scheduler, SimClock
 from .ems import ControlPolicy, EmsController
 from .grid import BssState, LoadState, PvState
 from .modbus import FP_MAX, NO_LIMIT, fp_encode
-from .netem import Network
-from .profiles import load_profile, scale
+from .netem import MAC_RE, Network
+from .profiles import load_profile
 
 
 class ConfigError(ValueError):
@@ -78,9 +78,6 @@ def parse_time(text: str) -> float:
     if h > 23 or mnt > 59 or s > 59:
         raise ConfigError(f"bad time-of-day {text!r}")
     return h * 3600.0 + mnt * 60.0 + s
-
-
-_MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
 
 
 def _number(value) -> float:
@@ -342,7 +339,7 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
             issues.append(f"{path}: missing section")
             continue
         mac = attempt(f"{path}.mac", lambda: _text(node.get("mac")).lower(),
-                      _MAC_RE.match, "invalid MAC")
+                      MAC_RE.fullmatch, "invalid MAC")
         ip = attempt(f"{path}.ip",
                      lambda: str(ipaddress.IPv4Address(_text(node.get("ip")))),
                      lambda ip: refused or (ipaddress.IPv4Address(ip)
@@ -367,8 +364,8 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
             entry.get("file") or f"{which}.csv"))
         found = file and attempt(f"{path}.file", file.is_file)
         if found:
-            prof[which] = attempt(path, lambda: scale(
-                load_profile(file.read_bytes(), **kw), **rule))
+            prof[which] = attempt(path, lambda: load_profile(
+                file.read_bytes(), **kw, **rule))
         elif found is not None:  # None: attempt said why
             issues.append(f"{path}.file: {file} " + (
                 "is not a file" if file.exists() else "does not exist"))

@@ -9,7 +9,7 @@ import random
 from gridtwin import modbus as mb
 from gridtwin.capture import ROW, T, TRANSFORMER
 from gridtwin.scenario import build
-from tests.conftest import load_golden
+from tests.helpers import load_golden
 from tests.wire import decode_modbus_frame, read_pcap
 
 DEADBAND_KW = 0.1

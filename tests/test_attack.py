@@ -11,7 +11,7 @@ from gridtwin.cosim import Scheduler, SimClock
 from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, ArpMessage, IpDelivery,
                             Network, mac_bytes)
 from gridtwin.scenario import ScenarioConfig, build
-from tests.conftest import write_tiny_config
+from tests.helpers import write_tiny_config
 from tests.wire import DAY_EPOCH, read_pcap
 
 IP = {"ems": "192.168.10.10", "pv": "192.168.10.21", "bss": "192.168.10.22",

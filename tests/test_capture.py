@@ -21,7 +21,7 @@ from gridtwin.cosim import HookError, SimClock
 from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, BROADCAST_MAC, ZERO_MAC,
                             ArpMessage, EthernetFrame, IpDelivery)
 from gridtwin.scenario import ScenarioConfig, build
-from tests.conftest import write_tiny_config
+from tests.helpers import write_tiny_config
 from tests.wire import (DAY_EPOCH, decode_frame, decode_modbus_frame,
                         encode_frame, read_pcap)
 

@@ -18,7 +18,7 @@ from gridtwin.modbus import (DEVICE_BSS, DEVICE_LOAD, DEVICE_METER, DEVICE_PV,
                              fp_encode, parse_read_response,
                              read_holding_request, write_single_request)
 from gridtwin.scenario import ScenarioConfig, build
-from tests.conftest import write_tiny_config
+from tests.helpers import write_tiny_config
 
 # an EMS period longer than the five-minute run: one poll at step 0
 QUIET_EMS = {"period_s": 600.0, "deadband_kw": 0.1}

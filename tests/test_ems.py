@@ -7,7 +7,7 @@ from gridtwin.ems import PORT_METER, ControlPolicy, EmsController, control_step
 from gridtwin.modbus import MODBUS_PORT
 from gridtwin.netem import IpDelivery, Network
 from gridtwin.scenario import ScenarioConfig, build
-from tests.conftest import write_tiny_config
+from tests.helpers import write_tiny_config
 
 POLICY = ControlPolicy()
 

@@ -19,7 +19,7 @@ from gridtwin.grid import (BssState, LoadState, PvState, bss_euler,
                            pv_output, transformer_kw)
 from gridtwin.profiles import TimeSeriesProfile, sample
 from gridtwin.scenario import ScenarioConfig, build
-from tests.conftest import write_tiny_config
+from tests.helpers import write_tiny_config
 
 _ABSENT = object()
 

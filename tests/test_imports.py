@@ -4,10 +4,11 @@ imports another.
 
 A leftover import keeps a deleted feature's dependency looking alive.
 An import kept on purpose carries ``# noqa: F401`` on its line.  A def
-counts as used when some source of the repository loads its name.  A
-test module imported by another runs twice in one session, once under
-each name; helpers the tests share live in ``conftest.py`` and
-``wire.py``.
+counts as used when the package, perfbench or the tools load its name: a
+def that only its tests load is dead code with tests.  A test module
+imported by another runs twice in one session, once under each name;
+helpers the tests share live in ``helpers.py`` and ``wire.py``, and only
+fixtures in ``conftest.py``.
 """
 
 import ast
@@ -17,11 +18,13 @@ from pathlib import Path
 
 import pytest
 
+from tests import helpers
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gridtwin"
 TESTS = ROOT / "tests"
 # the sources whose loads count as uses of a def in the package
-USERS = ("src", "tests", "perfbench", "tools")
+USERS = ("src", "perfbench", "tools")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -132,7 +135,7 @@ def imported_test_modules(source: str) -> list[str]:
 
 def test_guard_finds_a_test_module_import():
     source = ("import tests.wire\n"
-              "from tests.conftest import write_tiny_config\n"
+              "from tests.helpers import write_tiny_config\n"
               "from tests.test_capture import read_pcap\n"
               "from tests import test_netem, wire\n"
               "import test_attack as attack\n"
@@ -147,6 +150,22 @@ def test_no_test_module_imports_another():
     found = {path.name: imported_test_modules(path.read_text())
              for path in sorted(TESTS.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def loaded_from(path: Path) -> list:
+    """The modules in sys.modules loaded from the file at path."""
+    return [module for module in list(sys.modules.values())
+            if getattr(module, "__file__", None)
+            and Path(module.__file__).resolve() == path]
+
+
+def test_the_shared_helpers_are_loaded_once():
+    assert loaded_from(TESTS / "helpers.py") == [helpers]
+    # pytest loads conftest.py as conftest, and a test module that imports
+    # tests.conftest loads it again: each copy hands out the one helper
+    for conftest in loaded_from(TESTS / "conftest.py"):
+        assert conftest.run_golden is helpers.run_golden
+        assert conftest.write_tiny_config is helpers.write_tiny_config
 
 
 def test_a_run_loads_no_socket_module():

@@ -12,7 +12,7 @@ from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, BROADCAST_MAC, ETH_ARP,
                             ResolutionError, build_ipv4_tcp, ip_bytes,
                             mac_bytes, parse_ipv4_tcp)
 from gridtwin.scenario import ScenarioConfig, build
-from tests.conftest import write_tiny_config
+from tests.helpers import write_tiny_config
 from tests.wire import (DAY_EPOCH, decode_frame, encode_arp,
                         encode_frame, encode_ipv4_tcp, ones_complement_sum,
                         read_pcap)
@@ -259,6 +259,19 @@ class TestHostStack:
         net, a, _ = two_hosts()
         with pytest.raises(NetemError):
             net.attach("c", mac="02:00:00:00:00:0c", ip=a.ip)
+
+    @pytest.mark.parametrize("mac", ["02:00:00:00:00:01:ff",
+                                     "zz:00:00:00:00:01", "02:00:00:00:00:0",
+                                     "02:00:00:00:00:0C", "02:00:00:00:00:0c\n"])
+    def test_malformed_mac_rejected(self, mac):
+        # a seventh group would run into the ethertype of every frame
+        net, a, b = two_hosts()
+        a.send_ip(b.ip, b"ping")
+        pump(net, 3)  # so the switch has learned both MACs
+        tables = (dict(net.hosts), list(net._order), dict(net.mac_table))
+        with pytest.raises(NetemError, match="invalid MAC"):
+            net.attach("c", mac=mac, ip="192.168.10.3")
+        assert (net.hosts, net._order, net.mac_table) == tables
 
     def test_frame_counter_conservation(self):
         net, a, b = two_hosts()

@@ -1,4 +1,5 @@
 import math
+import struct
 from array import array
 from dataclasses import replace
 
@@ -8,9 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridtwin.profiles import (ProfileError, TimeSeriesProfile, load_profile,
-                               sample, scale)
+                               sample)
 from gridtwin.scenario import ScenarioConfig, validate
-from tests.conftest import write_tiny_config
+from tests.helpers import write_tiny_config
 
 
 def serialize(profile):
@@ -209,7 +210,7 @@ class TestSample:
     def test_times_follow_replace(self):
         p = replace(self.linear, times=(5.0, 6.0), values=array("d", [1, 2]))
         assert p.points == ((5.0, 1.0), (6.0, 2.0))
-        assert scale(p, 2.0).times == (5.0, 6.0)
+        assert load_profile(serialize(p), factor=2.0).times == (5.0, 6.0)
         assert p == TimeSeriesProfile((5.0, 6.0), array("d", [1, 2]), "linear")
 
 
@@ -233,15 +234,6 @@ BAD = {
 GOOD = TimeSeriesProfile((0.0, 1.0), array("d", [1.0, 2.0]))
 
 
-def unchecked(times, values):
-    """A profile made without its constructor, so without its checks."""
-    p = object.__new__(TimeSeriesProfile)
-    for name, value in (("times", times), ("values", values),
-                        ("interpolation", "hold")):
-        object.__setattr__(p, name, value)
-    return p
-
-
 class TestEveryWayIsChecked:
     """The constructor is the one check of the knots: each way of making
     a profile goes through it and refuses bad knots with the same text."""
@@ -249,7 +241,6 @@ class TestEveryWayIsChecked:
     MAKERS = {
         "constructor": lambda t, v: TimeSeriesProfile(t, v),
         "replace": lambda t, v: replace(GOOD, times=t, values=v),
-        "scale": lambda t, v: scale(unchecked(t, v)),
     }
 
     @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS)
@@ -289,27 +280,89 @@ class TestEveryWayIsChecked:
         assert TimeSeriesProfile((0.0, 1.0, 2.0), values).values == values
 
 
+def two_pass(text, interpolation="hold", factor=1.0, clamp_max_kw=None):
+    """Reference: load, then multiply and cap every knot, and check the
+    knots again."""
+    p = reference_load_profile(text, interpolation)
+    if factor <= 0:
+        raise ProfileError(f"scaling factor must be > 0, got {factor}")
+    values = [v * factor for v in p.values]
+    if clamp_max_kw is not None:
+        values = [clamp_max_kw if clamp_max_kw < v else v for v in values]
+    return TimeSeriesProfile(p.times, array("d", values), interpolation)
+
+
+def bits(load, *args):
+    """The profile's every time and value as packed doubles, or the
+    ProfileError's text."""
+    try:
+        p = load(*args)
+    except ProfileError as exc:
+        return f"ProfileError: {exc}"
+    return (p.interpolation, b"".join(map(struct.Struct("d").pack, p.times)),
+            b"".join(map(struct.Struct("d").pack, p.values)))
+
+
+KNOT_VALUES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 36.0, 1e308, -1e308, math.nan, math.inf,
+                     -math.inf]))
+
+
+@st.composite
+def knot_texts(draw):
+    """(text, its finite values): knots in order or not, signed zeros,
+    values near the largest double, nan and the infinities."""
+    times = draw(st.lists(st.integers(-5, 50), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        times = sorted(set(times))
+    values = draw(st.lists(KNOT_VALUES, min_size=len(times),
+                           max_size=len(times)))
+    text = "".join(f"{t},{v!r}\n" for t, v in zip(times, values))
+    return text, [v for v in values if math.isfinite(v)]
+
+
+@st.composite
+def scaled_loads(draw):
+    """(text, interpolation, factor, clamp_max_kw) of one loader call."""
+    text, values = draw(st.one_of(
+        knot_texts(), profile_texts().map(lambda text: (text, []))))
+    factor = draw(st.one_of(
+        st.just(1.0), st.floats(-2.0, 20.0),
+        st.sampled_from([0.0, -0.0, -1.0, 0.5, 10.0, math.nan, math.inf])))
+    products = [v * factor for v in values]
+    cap = draw(st.one_of(
+        st.none(), st.just(0.0), st.floats(0.0, 1e6),
+        st.sampled_from(products or [36.0])))    # a tie, or below the peak
+    interpolation = draw(st.sampled_from(("hold", "linear", "cubic")))
+    return text, interpolation, factor, cap
+
+
 class TestScale:
+    """The loader's scaling rule: each value multiplied by factor, then
+    capped at clamp_max_kw if set."""
+
     def test_factor(self):
-        p = TimeSeriesProfile((0.0, 1.0), array("d", [10.0, 20.0]))
-        assert list(scale(p, 0.5).values) == [5.0, 10.0]
+        p = load_profile("0,10.0\n1,20.0", factor=0.5)
+        assert list(p.values) == [5.0, 10.0]
 
     def test_identity(self):
         p = TimeSeriesProfile((0.0,), array("d", [10.0]))
-        assert scale(p) == scale(p, 1.0) == p
+        assert load_profile("0,10") == load_profile("0,10", factor=1.0) == p
 
     def test_clamp(self):
-        p = TimeSeriesProfile((0.0, 1.0), array("d", [10.0, 50.0]))
-        scaled = scale(p, clamp_max_kw=36.0)
+        text = "0,10.0\n1,50.0"
+        scaled = load_profile(text, clamp_max_kw=36.0)
         # oracle: scan every point independently
         assert [v for _, v in scaled.points] == \
-            [min(v, 36.0) for _, v in p.points] == [10.0, 36.0]
+            [min(v, 36.0) for _, v in load_profile(text).points] == \
+            [10.0, 36.0]
 
     def test_overflowed_knot_is_refused(self):
         with pytest.raises(ProfileError, match="non-finite profile point"):
-            scale(load_profile("0,1e308\n1,2"), 10)
+            load_profile("0,1e308\n1,2", factor=10)
         # a clamp still bounds the product, as it bounds any other value
-        clamped = scale(load_profile("0,1e308\n1,2"), 10, 36.0)
+        clamped = load_profile("0,1e308\n1,2", factor=10, clamp_max_kw=36.0)
         assert clamped.points == ((0.0, 36.0), (1.0, 20.0))
 
     @pytest.mark.parametrize("which", ["load", "pv"])
@@ -324,17 +377,31 @@ class TestScale:
             in issues
 
     def test_zero_factor_rejected(self):
-        p = TimeSeriesProfile((0.0,), array("d", [10.0]))
         for factor in (0.0, -1.0):
             with pytest.raises(ProfileError, match=(
                     rf"^scaling factor must be > 0, got {factor}$")):
-                scale(p, factor)
+                load_profile("0,10.0", factor=factor)
 
     @given(values=st.lists(st.floats(0.01, 100), min_size=1, max_size=20),
            factor=st.floats(0.1, 10))
     def test_scale_inverts(self, values, factor):
-        p = TimeSeriesProfile(tuple(map(float, range(len(values)))),
-                              array("d", values))
-        back = scale(scale(p, factor), 1.0 / factor)
+        text = "".join(f"{t},{v!r}\n" for t, v in enumerate(values))
+        p = load_profile(text)
+        back = load_profile(serialize(load_profile(text, factor=factor)),
+                            factor=1.0 / factor)
         for (_, a), (_, b) in zip(p.points, back.points):
             assert a == pytest.approx(b, abs=1e-9)
+
+    @given(scaled_loads())
+    @example(("0,1e308\n1,2", "hold", 10.0, None))     # the product overflows
+    @example(("0,1e308\n1,2", "hold", 10.0, 36.0))     # and the cap bounds it
+    @example(("0,-0.0\n1,36.0\n2,50", "hold", 1.0, 36.0))  # a tie, a signed 0
+    @example(("0,-0.0\n1,5", "linear", 1.0, 0.0))      # a cap of 0
+    @example(("0,5\n1,inf", "hold", 1.0, 36.0))        # a cap would hide inf
+    @example(("0,5\n1,inf", "hold", 0.0, 36.0))        # a bad knot is first
+    @example(("0,nan\n1,50", "hold", 1.0, 36.0))
+    @example(("1,5\n0,inf", "hold", -1.0, None))       # a bad line is first
+    @example(("0,5\n1,50", "cubic", 0.0, 36.0))
+    @example(("0,5\n1,50", "hold", math.nan, None))
+    def test_matches_the_two_pass_path(self, call):
+        assert bits(load_profile, *call) == bits(two_pass, *call)

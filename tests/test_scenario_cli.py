@@ -18,7 +18,7 @@ from gridtwin.cli import _window_integral, main
 from gridtwin.grid import GridInputError, pv_output
 from gridtwin.scenario import (ConfigError, ScenarioConfig, Simulation, build,
                                parse_time, validate)
-from tests.conftest import load_golden, write_tiny_config
+from tests.helpers import load_golden, write_tiny_config
 from tests.wire import read_pcap
 
 
@@ -99,6 +99,13 @@ class TestValidate:
             cfg["devices"]["meter"]["mac"] = "not-a-mac"
         cfg = ScenarioConfig.load(edited_config(tmp_path, mutate))
         assert any("invalid MAC" in i for i in validate(cfg))
+
+    def test_mac_with_a_line_end(self, tmp_path):
+        # a YAML block scalar ends in one; the whole value must be a MAC
+        def mutate(cfg):
+            cfg["devices"]["meter"]["mac"] += "\n"
+        cfg = ScenarioConfig.load(edited_config(tmp_path, mutate))
+        assert "devices.meter.mac: invalid MAC" in validate(cfg)
 
     def test_ip_outside_subnet(self, tmp_path):
         def mutate(cfg):

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from gridtwin import data_path, scenario
 from gridtwin.scenario import ConfigError, ScenarioConfig, build, validate
-from tests.conftest import write_tiny_config
+from tests.helpers import write_tiny_config
 
 SRC = Path(scenario.__file__).parents[1]
 ISSUE_MAX = 1000

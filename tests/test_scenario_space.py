@@ -15,7 +15,7 @@ import yaml
 from hypothesis import example, given, settings
 
 from gridtwin.scenario import ScenarioConfig, build, validate
-from tests.conftest import (RUN_S, merge, profile_csv, scenarios,
+from tests.helpers import (RUN_S, merge, profile_csv, scenarios,
                             write_tiny_config)
 from tests.wire import read_pcap
 

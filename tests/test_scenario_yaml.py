@@ -20,8 +20,8 @@ from hypothesis import given, settings
 
 from gridtwin import data_path, scenario
 from gridtwin.scenario import ConfigError, ScenarioConfig, build
-from tests.conftest import GOLDEN_NAMES, write_tiny_config
-from tests.conftest import merge, scenarios
+from tests.helpers import GOLDEN_NAMES, write_tiny_config
+from tests.helpers import merge, scenarios
 
 SRC = Path(scenario.__file__).parents[1]
 needs_libyaml = pytest.mark.skipif(scenario.LIBYAML is None,
