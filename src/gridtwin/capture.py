@@ -1,9 +1,9 @@
 """Run recording and dataset export.
 
 Collects one process-data sample per step, every frame the network
-transports, aggregated flow records keyed by the full
+transports, and flow counts keyed by the full
 (src MAC, dst MAC, src IP, dst IP) 4-tuple (so ARP spoofing splits
-flows instead of merging them), and a plain-text data-flow graph.
+flows instead of merging them); a flow's record holds only its counts.
 
 A run holds no Python object per frame or per step: each frame is
 appended to one ``bytearray`` as its finished pcap record, and each step
@@ -22,7 +22,8 @@ pack, one ``netem.frame_header`` pack and the payload.  An ARP frame's
 record is one pack: the record header, the Ethernet header,
 ``ArpMessage.to_bytes()`` and the 18 zero bytes that pad it to 60.
 
-Export formats:
+Export formats, as ``FILES`` names their files; ``export`` writes them
+in this order, each with the method ``_export_<format>``:
   process.csv    t,pv_kw,bss_kw,load_kw,transformer_kw,soc_pct,attack_active
   flows.csv      src_mac,dst_mac,src_ip,dst_ip,frames,bytes,first_ts,last_ts
   capture.pcap   classic pcap, little-endian, v2.4, linktype 1 (Ethernet)
@@ -52,7 +53,11 @@ from .netem import parse_ipv4_tcp  # noqa: F401
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_LINKTYPE_ETHERNET = 1
-FORMATS = ("process", "flows", "pcap", "graph", "summary")
+# each export format's file, in the order export writes them
+FILES = {"process": "process.csv", "flows": "flows.csv",
+         "pcap": "capture.pcap", "graph": "flowgraph.txt",
+         "summary": "summary.json"}
+FORMATS = tuple(FILES)
 PCAP_HEADER = struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535,
                           PCAP_LINKTYPE_ETHERNET)
 _RECORD_HEADER = struct.Struct("<IIII")  # sec, usec, incl_len, orig_len
@@ -61,7 +66,7 @@ _RECORD_HEADER = struct.Struct("<IIII")  # sec, usec, incl_len, orig_len
 _ARP_RECORD = struct.Struct("<IIII14s28s18x")
 # pcap record bytes held in memory before they are moved to the spool file
 SPOOL_BYTES = 256 * 1024
-# process.csv rows formatted and written per write
+# process rows formatted and written per write
 PROCESS_CHUNK = 512
 # %.6f writes what f"{x:.6f}" writes; %d writes attack_active's 1.0 as 1
 _PROCESS_ROW = "%s,%.6f,%.6f,%.6f,%.6f,%.6f,%d\n"
@@ -121,10 +126,7 @@ _SAMPLE_ROW = struct.Struct(f"{ROW}d")
 
 @dataclass(slots=True)
 class FlowRecord:
-    src_mac: str
-    dst_mac: str
-    src_ip: str
-    dst_ip: str
+    """A flow's counts; its addresses are its key in ``Capture.flows``."""
     frames: int = 0
     bytes: int = 0
     first_ts: float = 0.0
@@ -144,7 +146,7 @@ class Capture:
         self.roles_by_ip = roles_by_ip or {}  # ip -> (role, true mac)
         self._day_epoch = day_epoch(date)
         self.rows = array("d")  # ROW doubles per recorded step
-        # the records not yet spooled; capture.pcap is its header, then
+        # the records not yet spooled; the pcap export is its header, then
         # the first _spooled bytes of _spool, then these
         self.pcap_records = bytearray()
         self._spool = None  # made at the first spill
@@ -217,7 +219,7 @@ class Capture:
         if rec is None:  # links that differ only in ports share a flow
             rec = self.flows.get(key[:4])
             if rec is None:
-                rec = self.flows[key[:4]] = FlowRecord(*key[:4], first_ts=t)
+                rec = self.flows[key[:4]] = FlowRecord(first_ts=t)
             self._links[key] = (link, rec)
         rec.frames += 1
         rec.bytes += n
@@ -243,22 +245,14 @@ class Capture:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         written: dict[str, Path] = {}
-        if "process" in formats:
-            written["process"] = self._export_process(outdir / "process.csv")
-        if "flows" in formats:
-            written["flows"] = self._export_flows(outdir / "flows.csv")
-        if "pcap" in formats:
-            written["pcap"] = self._export_pcap(outdir / "capture.pcap")
-        if "graph" in formats:
-            written["graph"] = self._export_graph(outdir / "flowgraph.txt")
-        if "summary" in formats:
-            path = outdir / "summary.json"
-            path.write_text(json.dumps(self.summarize(), indent=2,
-                                       sort_keys=True) + "\n")
-            written["summary"] = path
+        for fmt, name in FILES.items():
+            if fmt in formats:
+                path = written[fmt] = outdir / name
+                # looked up at each call, so a wrapper set on the class is run
+                getattr(self, f"_export_{fmt}")(path)
         return written
 
-    def _export_process(self, path: Path) -> Path:
+    def _export_process(self, path: Path) -> None:
         # a chunk at a time: the text of every row at once would outweigh
         # the rows
         rows, size = self.rows, PROCESS_CHUNK * ROW
@@ -270,19 +264,15 @@ class Capture:
                     _PROCESS_ROW % (fmt_time(t), pv, bss, load, tr, soc, a)
                     for t, pv, _, bss, load, tr, soc, a
                     in zip(*[iter(rows[i:i + size])] * ROW)]))
-        return path
 
-    def _export_flows(self, path: Path) -> Path:
+    def _export_flows(self, path: Path) -> None:
         lines = ["src_mac,dst_mac,src_ip,dst_ip,frames,bytes,first_ts,last_ts"]
-        for key in sorted(self.flows):
-            r = self.flows[key]
-            lines.append(f"{r.src_mac},{r.dst_mac},{r.src_ip},{r.dst_ip},"
-                         f"{r.frames},{r.bytes},{fmt_time(r.first_ts)},"
-                         f"{fmt_time(r.last_ts)}")
+        for key, r in sorted(self.flows.items()):
+            lines.append(f"{','.join(key)},{r.frames},{r.bytes},"
+                         f"{fmt_time(r.first_ts)},{fmt_time(r.last_ts)}")
         path.write_text("\n".join(lines) + "\n")
-        return path
 
-    def _export_pcap(self, path: Path) -> Path:
+    def _export_pcap(self, path: Path) -> None:
         with path.open("wb") as fh:
             fh.write(PCAP_HEADER)
             left = self._spooled
@@ -293,7 +283,6 @@ class Capture:
                     fh.write(chunk)
                     left -= len(chunk)
             fh.write(self.pcap_records)
-        return path
 
     def _node_role(self, mac: str, ip: str) -> str:
         entry = self.roles_by_ip.get(ip)
@@ -302,17 +291,18 @@ class Capture:
         role, true_mac = entry
         return role if mac == true_mac else f"spoofed-{role}"
 
-    def _export_graph(self, path: Path) -> Path:
-        nodes = sorted({(m, i) for r in self.flows.values()
-                        for m, i in ((r.src_mac, r.src_ip),
-                                     (r.dst_mac, r.dst_ip))})
+    def _export_graph(self, path: Path) -> None:
+        nodes = sorted({node for sm, dm, si, di in self.flows
+                        for node in ((sm, si), (dm, di))})
         lines = [f"node {m} {i} {self._node_role(m, i)}" for m, i in nodes]
-        for key in sorted(self.flows):
-            r = self.flows[key]
-            lines.append(f"edge {r.src_mac} {r.src_ip} -> {r.dst_mac} "
-                         f"{r.dst_ip} frames={r.frames} bytes={r.bytes}")
+        for (sm, dm, si, di), r in sorted(self.flows.items()):
+            lines.append(f"edge {sm} {si} -> {dm} {di} "
+                         f"frames={r.frames} bytes={r.bytes}")
         path.write_text("\n".join(lines) + "\n")
-        return path
+
+    def _export_summary(self, path: Path) -> None:
+        path.write_text(json.dumps(self.summarize(), indent=2,
+                                   sort_keys=True) + "\n")
 
     # -- summary ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .capture import fmt_time, sum_in_order
+from .capture import FILES, fmt_time, sum_in_order
 from .cosim import SchedulerError
 from .scenario import ConfigError, ScenarioConfig, build, parse_time, validate
 
@@ -69,14 +69,14 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-# the summary.json numbers that report prints
+# the run summary numbers that report prints
 _SUMMARY_KEYS = ("steps", "frames", "flow_count", "imbalance_integral_kws",
                  "peak_import_kw", "pv_curtailed_kwh")
 
 
 def _read_dataset(path: Path) -> dict:
-    summary_file = path / "summary.json"
-    process_file = path / "process.csv"
+    summary_file = path / FILES["summary"]
+    process_file = path / FILES["process"]
     if not summary_file.is_file() or not process_file.is_file():
         raise ConfigError(f"{path} is not a complete dataset directory")
     data = json.loads(summary_file.read_text())
@@ -96,7 +96,7 @@ def _read_dataset(path: Path) -> dict:
         h, m, s = parts[0].split(":")
         t = int(h) * 3600 + int(m) * 60 + float(s)
         samples.append((t, float(parts[4])))  # (t_s, transformer_kw)
-    flows_file = path / "flows.csv"
+    flows_file = path / FILES["flows"]
     flows = flows_file.read_text() if flows_file.is_file() else ""
     edges = {tuple(row.split(",")[:4]) for row in flows.splitlines()[1:]}
     return {"summary": data, "samples": samples, "edges": edges}

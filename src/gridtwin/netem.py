@@ -8,7 +8,8 @@ delivered at the end of that step (one-step latency), in an order
 independent of simulator registration: the queue is drained sorted by
 sending host id, then per-host send sequence.
 
-A host holds three of its network's tables for its send path: the
+A host holds its network's clock, which stamps the packets and ARP
+requests it queues, and three of its tables for its send path: the
 addresses the subnet check accepted, the TCP sequence table and one
 ip-id stream for the whole network, 1 to 65535, then 0, 1, ...  None
 refers back to the network, and a host holds the network itself by a
@@ -33,6 +34,8 @@ import struct
 import weakref
 from functools import lru_cache
 from typing import Callable, NamedTuple
+
+from .cosim import SimClock
 
 ETH_IPV4 = 0x0800
 ETH_ARP = 0x0806
@@ -198,6 +201,7 @@ class Host:
         # weak: the Network owns its hosts, and one dropped is freed
         # without waiting for a cycle collection
         self.net = weakref.proxy(net)
+        self.clock = net.clock
         self._in_subnet, self._seqs, self._ip_ids = \
             net._in_subnet, net._seqs, net._ip_ids  # the send path's tables
         self.id = id
@@ -232,7 +236,7 @@ class Host:
         if entry is not None:
             return entry[0]
         if ip not in self._arp_inflight:
-            self._arp_inflight[ip] = self.net.step
+            self._arp_inflight[ip] = self.clock.now
             req = ArpMessage(ARP_REQUEST, self.mac, self.ip, ZERO_MAC, ip)
             self.send_arp(req, BROADCAST_MAC)
         return None
@@ -255,7 +259,7 @@ class Host:
             seqs.get((dst_ip, dst_port, src_ip, src_port), 1000), payload,
             next(self._ip_ids)))
         if dst_mac is None:
-            self._pending.append((pkt, self.net.step))
+            self._pending.append((pkt, self.clock.now))
         else:
             self.outbox.append(tuple.__new__(EthernetFrame,
                                              (self.mac, dst_mac, pkt)))
@@ -322,8 +326,9 @@ class Host:
 class Network:
     """One learning switch and the hosts on it; transported once per step."""
 
-    def __init__(self, subnet: str = "192.168.10.0/24",
+    def __init__(self, clock: SimClock, subnet: str = "192.168.10.0/24",
                  cache_expiry_steps: int | None = None):
+        self.clock = clock  # hosts stamp what they queue with its step
         self.subnet = ipaddress.IPv4Network(subnet)
         self.cache_expiry_steps = cache_expiry_steps
         self.hosts: dict[str, Host] = {}  # in attach order
@@ -332,7 +337,6 @@ class Network:
         self._in_subnet: set[str] = set()  # addresses check_subnet accepted
         self._seqs: dict[tuple, int] = {}  # flow -> next seq
         self._ip_ids = map((0xFFFF).__and__, itertools.count(1))
-        self.step = 0                     # the step being computed
         self.frame_sink: Callable[[EthernetFrame, int], None] | None = None
         self.delivered = 0
         self.flooded = 0
@@ -401,4 +405,3 @@ class Network:
         for host in self._order:
             if host._arp_inflight or host._pending or expiring:
                 host._expire(step)
-        self.step = step + 1

@@ -126,14 +126,48 @@ class _Keys(dict):
         return value
 
 
-# PyYAML's libyaml binding, when it ships one.  Its composer recurses in C
-# with no depth limit: with an 8 MiB stack (CPython 3.11.7, PyYAML 6.0.3)
-# it loads "a: " + "[" * n + "]" * n at n = 24,000 and dies of SIGSEGV at
-# n = 25,000, and flow maps alike.  Every level of nesting takes a byte, so
+class _UniqueKeys:
+    """Loader mixin that refuses a key written twice in one mapping,
+    naming the line and column of the second.  A key merged in with
+    ``<<`` is not written there, so an explicit key may override it."""
+
+    def flatten_mapping(self, node):
+        # flattening puts the merged keys into node.value, and a mapping
+        # merged into another may be flattened before it is built: so
+        # each one is checked at its first flattening, as it was written
+        checked = self.__dict__.setdefault("_checked", set())
+        if node not in checked:
+            checked.add(node)
+            seen = set()
+            for key_node, _ in node.value:
+                tag = key_node.tag
+                if tag == "tag:yaml.org,2002:merge":
+                    continue
+                # a str key is its text: most keys need no constructing
+                key = key_node.value if tag == "tag:yaml.org,2002:str" \
+                    else self.construct_object(key_node)
+                try:
+                    fresh = key not in seen
+                except TypeError:  # unhashable: construct_mapping refuses it
+                    continue
+                if not fresh:
+                    mark = key_node.start_mark
+                    raise yaml.YAMLError(f"line {mark.line + 1}, column "
+                                         f"{mark.column + 1}: duplicate key "
+                                         f"{_SHOWN.repr(key)}")
+                seen.add(key)
+        super().flatten_mapping(node)
+
+
+# PyYAML's libyaml binding, when it ships one, with the duplicate-key
+# check.  Its composer recurses in C with no depth limit: with an 8 MiB
+# stack (CPython 3.11.7, PyYAML 6.0.3) it loads "a: " + "[" * n + "]" * n
+# at n = 24,000 and dies of SIGSEGV at n = 25,000, and flow maps alike.  Every level of nesting takes a byte, so
 # a file of at most _LIBYAML_BYTES nests under 4,096 levels, a sixth of
 # that.  Its scanner takes tabs that the pure-Python one refuses
 # ("step_s: 1.0\t"), so a file holding a tab goes to the pure loader too.
-LIBYAML = getattr(yaml, "CSafeLoader", None)
+LIBYAML = type("LibyamlLoader", (_UniqueKeys, yaml.CSafeLoader), {}) \
+    if hasattr(yaml, "CSafeLoader") else None
 _LIBYAML_BYTES = 4096
 # The pure loader recurses in Python, one or two frames a level, and stops
 # near 490 levels.  Data from libyaml holding more lists and mappings than
@@ -154,7 +188,7 @@ def _containers(data, limit: int) -> int:
     return len(seen)
 
 
-class _Loader(yaml.SafeLoader):
+class _Loader(_UniqueKeys, yaml.SafeLoader):
     """The pure-Python safe loader, naming the line and column of a value
     that a tag's constructor refuses."""
 
@@ -318,7 +352,8 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
     if expiry is not None:  # None: the caches never expire
         net_kw["cache_expiry_steps"] = steps("network.arp_cache_expiry_s",
                                              lambda c: c.steps_for(expiry))
-    network = Network(**net_kw)
+    # sim_clock is None only with a clock issue, and build then stops
+    network = Network(sim_clock, **net_kw)
     # no subnet to check the IPs against if the one written was refused
     refused = net.get("subnet") is not None and "subnet" not in net_kw
     if network.subnet.prefixlen < 24:  # the attacker probes every address
@@ -432,9 +467,11 @@ def _read(cfg: ScenarioConfig) -> tuple[dict, list[str]]:
             issues.append("attack: window must lie within the run window")
         steps("attack.repoison_period_s",
               lambda c: c.steps_for(plan.repoison_period_s))
-        scan = steps("attack.recon_lead_s", lambda c: plan.steps(c)[0])
-        if scan is not None and scan < 0:
+        planned = steps("attack.recon_lead_s", plan.steps)
+        if planned is not None and planned[0] < 0:
             issues.append("attack.recon_lead_s: scan would start before the run")
+        if planned is not None and planned[1] >= planned[2]:
+            issues.append(f"attack: window holds no step of {step:g} s")
 
     output = section(raw, "output", "output")
     formats = get(output, "formats", "output", tuple,

@@ -1,8 +1,6 @@
 import pytest
 
 from tests.helpers import GOLDEN_NAMES, run_golden
-# test_bench_contract.py reads write_tiny_config from here
-from tests.helpers import write_tiny_config  # noqa: F401
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,8 @@ A plain module, imported as ``tests.helpers``, so that every test module
 gets the same functions; ``conftest.py`` holds the fixtures.
 """
 
+import math
+
 import yaml
 from hypothesis import strategies as st
 
@@ -125,7 +127,8 @@ def scenarios(draw):
     if draw(st.booleans()):
         lead = draw(st.integers(0, 60))
         start = draw(st.integers(max(lead, 5), RUN_S - 10))
-        end = draw(st.integers(start + 1, RUN_S))
+        # a window shorter than a step may hold none, which is refused
+        end = draw(st.integers(start + math.ceil(step_s), RUN_S))
         attack = {"start": clock_str(start), "end": clock_str(end),
                   "recon_lead_s": float(lead),
                   "pv_limit_kw": draw(kw(0.0, 40.0)),

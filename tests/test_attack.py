@@ -27,11 +27,11 @@ def tiny_attack(tmp_path_factory):
 
 
 def bare_attacker():
-    net = Network()
+    clock = SimClock(epoch_s=0.0)
+    net = Network(clock)
     host = net.attach("attacker", mac="02:00:00:00:00:66",
                       ip="192.168.10.66", promiscuous=True)
-    atk = Attacker(host, AttackPlan(start_s=100.0, end_s=200.0),
-                   SimClock(epoch_s=0.0))
+    atk = Attacker(host, AttackPlan(start_s=100.0, end_s=200.0), clock)
     atk.roles = {IP["pv"]: "PV", IP["bss"]: "BSS",
                  IP["meter"]: "Meter", IP["ems"]: "EMS"}
     return atk

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from itertools import compress
+from itertools import combinations, compress
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from gridtwin import capture
 from gridtwin.attack import AttackPlan
-from gridtwin.capture import Capture, ExportError, ProcessSample, fmt_time
+from gridtwin.capture import (FILES, FORMATS, Capture, ExportError,
+                              ProcessSample, fmt_time)
 from gridtwin.cosim import HookError, SimClock
 from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, BROADCAST_MAC, ZERO_MAC,
                             ArpMessage, EthernetFrame, IpDelivery)
@@ -199,6 +200,41 @@ class TestCapture:
         with pytest.raises(ExportError):
             cap.export(tmp_path / "x", formats=("process", "xml"))
         assert list(tmp_path.iterdir()) == []  # refused before any is made
+        # every subset, given in reverse: exactly its files, in table order,
+        # each with the bytes the whole export writes
+        cap.record_frame(sample_frame(), 0)
+        cap.record_sample(0, 1.0, 2.0, 3.0, 4.0, 50.0, 1.5)
+        whole = {fmt: path.read_bytes()
+                 for fmt, path in cap.export(tmp_path / "all").items()}
+        for n in range(len(FORMATS) + 1):
+            for subset in combinations(FORMATS, n):
+                out = tmp_path / ("-".join(subset) or "none")
+                written = cap.export(out, subset[::-1])
+                assert list(written) == list(subset)
+                assert written == {fmt: out / FILES[fmt] for fmt in subset}
+                assert sorted(p.name for p in out.iterdir()) == \
+                    sorted(FILES[fmt] for fmt in subset)
+                assert {fmt: path.read_bytes()
+                        for fmt, path in written.items()} == \
+                    {fmt: whole[fmt] for fmt in subset}
+
+    def test_a_writer_for_each_format(self):
+        writers = [name.removeprefix("_export_") for name in dir(Capture)
+                   if name.startswith("_export_")]
+        assert sorted(writers) == sorted(FORMATS) and FORMATS == tuple(FILES)
+        assert len(set(FILES.values())) == len(FILES)
+
+    def test_export_calls_a_writer_set_on_the_class(self, tmp_path,
+                                                   monkeypatch):
+        # as perfbench's spans wrap them, after the module is imported
+        called = []
+        for fmt in FORMATS:
+            writer = getattr(Capture, f"_export_{fmt}")
+            monkeypatch.setattr(Capture, f"_export_{fmt}",
+                                lambda self, path, fmt=fmt, writer=writer:
+                                called.append(fmt) or writer(self, path))
+        Capture(SimClock(epoch_s=0.0), deadband_kw=0.1).export(tmp_path)
+        assert called == list(FORMATS)
 
     def test_attack_labels_follow_window(self):
         for start_s, end_s, labels in (

@@ -61,10 +61,10 @@ class TestControllerLoop:
         assert max(powers) - min(powers) < 0.2
 
     def test_unreachable_devices_time_out(self):
-        net = Network()
+        clock = SimClock(epoch_s=0.0, step_s=1.0)
+        net = Network(clock)
         ems_host = net.attach("ems", mac="02:00:00:00:00:01",
                               ip="192.168.10.10")
-        clock = SimClock(epoch_s=0.0, step_s=1.0)
         ems = EmsController(ems_host, ControlPolicy(),
                             meter_ip="192.168.10.30", pv_ip="192.168.10.21",
                             bss_ip="192.168.10.22", clock=clock)
@@ -81,10 +81,10 @@ class TestControllerLoop:
         bytes.fromhex("0001000000020103"), bytes.fromhex("000100000003010300")],
         ids=["no-data", "zero-count"])
     def test_malformed_meter_read_is_logged(self, payload):
-        net = Network()
+        clock = SimClock(epoch_s=0.0, step_s=1.0)
+        net = Network(clock)
         ems_host = net.attach("ems", mac="02:00:00:00:00:01",
                               ip="192.168.10.10")
-        clock = SimClock(epoch_s=0.0, step_s=1.0)
         ems = EmsController(ems_host, ControlPolicy(),
                             meter_ip="192.168.10.30", pv_ip="192.168.10.21",
                             bss_ip="192.168.10.22", clock=clock)

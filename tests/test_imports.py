@@ -1,14 +1,15 @@
 """No module of the package imports a name it never uses, no
 module-level function or class of it goes unused, and no test module
-imports another.
+imports another or ``conftest.py``.
 
 A leftover import keeps a deleted feature's dependency looking alive.
 An import kept on purpose carries ``# noqa: F401`` on its line.  A def
 counts as used when the package, perfbench or the tools load its name: a
 def that only its tests load is dead code with tests.  A test module
-imported by another runs twice in one session, once under each name;
-helpers the tests share live in ``helpers.py`` and ``wire.py``, and only
-fixtures in ``conftest.py``.
+imported by another runs twice in one session, once under each name, and
+so does ``conftest.py``, which pytest loads itself: helpers the tests
+share live in ``helpers.py`` and ``wire.py``, and only fixtures in
+``conftest.py``.
 """
 
 import ast
@@ -117,7 +118,8 @@ def test_every_top_level_def_is_used():
 
 
 def imported_test_modules(source: str) -> list[str]:
-    """The test modules (``test_*``) that source imports, by any name."""
+    """The test modules (``test_*``) and ``conftest`` modules that source
+    imports, by any name."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -129,7 +131,8 @@ def imported_test_modules(source: str) -> list[str]:
         else:
             continue
         found += [f"line {node.lineno}: {name}" for name in names
-                  if name.rpartition(".")[2].startswith("test_")]
+                  if name.rpartition(".")[2].startswith("test_")
+                  or name.rpartition(".")[2] == "conftest"]
     return found
 
 
@@ -139,11 +142,13 @@ def test_guard_finds_a_test_module_import():
               "from tests.test_capture import read_pcap\n"
               "from tests import test_netem, wire\n"
               "import test_attack as attack\n"
+              "from tests.conftest import write_tiny_config\n"
               "def f():\n"
               "    from .test_cosim import Scheduler\n")
     assert imported_test_modules(source) == [
         "line 3: tests.test_capture", "line 4: tests.test_netem",
-        "line 5: test_attack", "line 7: test_cosim"]
+        "line 5: test_attack", "line 6: tests.conftest",
+        "line 8: test_cosim"]
 
 
 def test_no_test_module_imports_another():
@@ -161,11 +166,9 @@ def loaded_from(path: Path) -> list:
 
 def test_the_shared_helpers_are_loaded_once():
     assert loaded_from(TESTS / "helpers.py") == [helpers]
-    # pytest loads conftest.py as conftest, and a test module that imports
-    # tests.conftest loads it again: each copy hands out the one helper
-    for conftest in loaded_from(TESTS / "conftest.py"):
-        assert conftest.run_golden is helpers.run_golden
-        assert conftest.write_tiny_config is helpers.write_tiny_config
+    # pytest loads conftest.py, as conftest; no test module loads it again
+    [conftest] = loaded_from(TESTS / "conftest.py")
+    assert conftest.run_golden is helpers.run_golden
 
 
 def test_a_run_loads_no_socket_module():

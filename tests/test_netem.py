@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridtwin.capture import Capture
-from gridtwin.cosim import SimClock
+from gridtwin.cosim import Scheduler, SimClock, SimulatorHandle
 from gridtwin.netem import (ARP_REPLY, ARP_REQUEST, BROADCAST_MAC, ETH_ARP,
                             ZERO_MAC, ArpMessage, EthernetFrame,
                             Host, InputError, IpDelivery, NetemError, Network,
@@ -19,15 +19,19 @@ from tests.wire import (DAY_EPOCH, decode_frame, encode_arp,
 
 
 def two_hosts():
-    net = Network()
+    net = Network(SimClock(epoch_s=0.0))
     a = net.attach("a", mac="02:00:00:00:00:0a", ip="192.168.10.1")
     b = net.attach("b", mac="02:00:00:00:00:0b", ip="192.168.10.2")
     return net, a, b
 
 
 def pump(net, steps, start=0):
-    for i in range(steps):
-        net.transport(start + i)
+    """Transport steps start, start + 1, ...: each as the scheduler runs
+    its hook, on the step's clock, which then moves to the next step."""
+    for step in range(start, start + steps):
+        net.clock.now = step
+        net.transport(step)
+        net.clock.now = step + 1
 
 
 # inputs whose IPv4, and separately TCP, words sum to a nonzero multiple
@@ -133,7 +137,7 @@ class TestAddressHelpers:
                 mac_bytes("zz:00:00:00:00:01")
 
     def test_check_subnet_refuses_on_every_call(self):
-        net = Network()
+        net = Network(SimClock(epoch_s=0.0))
         net.check_subnet("192.168.10.7")
         net.check_subnet("192.168.10.7")
         for _ in range(2):
@@ -147,7 +151,7 @@ class TestLearningSwitch:
     @staticmethod
     def hosts():
         """Four hosts attached out of id order: z, a, m, b."""
-        net = Network()
+        net = Network(SimClock(epoch_s=0.0))
         return net, [net.attach(hid, mac=f"02:00:00:00:00:0{i}",
                                 ip=f"192.168.10.{i + 1}")
                      for i, hid in enumerate("zamb")]
@@ -244,6 +248,22 @@ class TestHostStack:
         pump(net, 1, start=k + 3)
         assert a.events == [(k + 3, "resolution-error", "192.168.10.99")]
         assert net.dropped == {"arp-timeout": 1}
+
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_packet_queued_on_a_run_from_step_k_is_stamped_k(self, k):
+        # a run resumed at step k: its first step is k, not 0
+        clock = SimClock(epoch_s=0.0, now=k)
+        net = Network(clock)
+        a = net.attach("a", mac="02:00:00:00:00:0a", ip="192.168.10.1")
+        b = net.attach("b", mac="02:00:00:00:00:0b", ip="192.168.10.2")
+        sched = Scheduler(clock)
+        sched.register(SimulatorHandle("sender", behavior=lambda step, _: (
+            a.send_ip(b.ip, b"x") if step == k else None)))
+        sched.add_hook(net.transport)
+        for _ in range(5):
+            sched.step_all()
+        assert [d.payload for d in b.receive()] == [b"x"]
+        assert net.dropped == {} and a.events == []
 
     def test_unanswered_resolve_is_asked_again(self):
         net, a, _ = two_hosts()
@@ -350,7 +370,7 @@ class TestOnFrame:
              for case in ON_FRAME])
     def test_decision(self, packet, promiscuous, delivered, tapped, learned,
                       replied, dropped):
-        net = Network()
+        net = Network(SimClock(epoch_s=0.0))
         h = net.attach("h", mac="02:00:00:00:00:0a", ip="192.168.10.1",
                        promiscuous=promiscuous)
         h._on_frame(EthernetFrame(PEER_MAC, BROADCAST_MAC, packet), 7)
@@ -405,7 +425,7 @@ class TestSequencing:
     def test_matches_the_reference_sequencer(self, ops):
         """Each packet's (seq, ack, ip_id) is what the reference gives;
         an out-of-subnet send is refused and takes neither."""
-        net = Network()
+        net = Network(SimClock(epoch_s=0.0))
         hosts = [net.attach(hid, mac=f"02:00:00:00:00:0{i}",
                             ip=f"192.168.10.{i + 1}")
                  for i, hid in enumerate("abc")]
@@ -426,7 +446,7 @@ class TestSequencing:
 
         for op in ops:
             if op[0] == "pump":
-                net.transport(step)
+                pump(net, 1, start=step)
                 step += 1
             elif op[0] == "forward":
                 _, i, n = op

@@ -1,13 +1,18 @@
 import math
+import shutil
 import struct
+import subprocess
+import sys
 from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gridtwin import data_path
 from gridtwin.profiles import (ProfileError, TimeSeriesProfile, load_profile,
                                sample)
 from gridtwin.scenario import ScenarioConfig, validate
@@ -169,6 +174,22 @@ class TestLoadProfile:
     def test_serialize_round_trip(self):
         p = load_profile("0,4.25\n17.5,8.125\n60,0.0", interpolation="linear")
         assert load_profile(serialize(p), interpolation="linear") == p
+
+
+def test_bundled_profiles_are_what_the_generator_writes(tmp_path):
+    # the generator writes beside its tools/ directory: a copy in a
+    # temporary tree leaves the repository's files as they are
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    script = Path(__file__).resolve().parents[1] / "tools" / \
+        "gen_demo_profiles.py"
+    shutil.copy(script, tools)
+    subprocess.run([sys.executable, str(tools / script.name)], check=True,
+                   capture_output=True, timeout=60)
+    out = tmp_path / "src" / "gridtwin" / "data" / "profiles"
+    for name in ("load.csv", "pv.csv"):
+        assert (out / name).read_bytes() == \
+            data_path("profiles", name).read_bytes(), name
 
 
 class TestSample:

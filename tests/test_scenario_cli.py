@@ -88,6 +88,21 @@ class TestValidate:
         cfg = ScenarioConfig.load(edited_config(tmp_path, mutate, attack=True))
         assert any("within the run window" in i for i in validate(cfg))
 
+    @pytest.mark.parametrize("step_s, start, end, issues", [
+        # 5 s steps: 09:17:01 and 09:17:03 both fall before step 25
+        (5.0, "09:17:01", "09:17:03", ["attack: window holds no step of 5 s"]),
+        (2.0, "09:17:01", "09:17:02", ["attack: window holds no step of 2 s"]),
+        (2.0, "09:17:01", "09:17:03", []),  # holds step 61, at 09:17:02
+        (5.0, "09:17:00", "09:17:01", []),  # holds step 24, at 09:17:00
+    ], ids=["5s", "2s", "2s-one-step", "5s-on-the-grid"])
+    def test_attack_window_with_no_step(self, tmp_path, step_s, start, end,
+                                        issues):
+        def mutate(cfg):
+            cfg["clock"]["step_s"] = step_s
+            cfg["attack"].update(start=start, end=end)
+        cfg = ScenarioConfig.load(edited_config(tmp_path, mutate, attack=True))
+        assert validate(cfg) == issues
+
     def test_duplicate_ip(self, tmp_path):
         def mutate(cfg):
             cfg["devices"]["pv"]["ip"] = cfg["devices"]["bss"]["ip"]

@@ -19,6 +19,7 @@ import yaml
 from hypothesis import given, settings
 
 from gridtwin import data_path, scenario
+from gridtwin.cli import main
 from gridtwin.scenario import ConfigError, ScenarioConfig, build
 from tests.helpers import GOLDEN_NAMES, write_tiny_config
 from tests.helpers import merge, scenarios
@@ -158,6 +159,71 @@ class TestWithoutLibyaml:
         first = export(tmp_path / "a")
         monkeypatch.setattr(scenario, "LIBYAML", None)
         assert export(tmp_path / "b") == first
+
+
+# a key written twice in one mapping, where the second one sits, and the key
+DUPLICATES = {
+    "flow": (b'clock: {start: "09:15:00", end: "09:20:00", '
+             b'start: "09:16:00"}\n', 1, 45, "'start'"),
+    "block": (b"a: 1\nb: 2\na: 3\n", 3, 1, "'a'"),
+    "nested": (b"a:\n  - {x: 1}\n  - {x: 1, y: 2, x: 3}\n", 3, 18, "'x'"),
+    "quoted": (b'a: {b: 1, "b": 2}\n', 1, 11, "'b'"),
+    "equal-numbers": (b"a: {1: x, 1.0: y}\n", 1, 11, "1.0"),
+    "in-a-merged-mapping": (b"a: {<<: {x: 1, x: 2}}\n", 1, 16, "'x'"),
+}
+
+
+def both_ways(monkeypatch, path: Path):
+    """ScenarioConfig.load(path) with libyaml, then without it: the data,
+    or the ConfigError text."""
+    out = []
+    for loader in (scenario.LIBYAML, None):
+        monkeypatch.setattr(scenario, "LIBYAML", loader)
+        try:
+            out.append(ScenarioConfig.load(path).raw)
+        except ConfigError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestDuplicateKeys:
+    @pytest.mark.parametrize("text, line, column, key", DUPLICATES.values(),
+                             ids=DUPLICATES.keys())
+    def test_refused_naming_the_second(self, tmp_path, monkeypatch, text,
+                                       line, column, key):
+        path = tmp_path / "dup.yaml"
+        path.write_bytes(text)
+        want = (f"cannot parse {path}: line {line}, column {column}: "
+                f"duplicate key {key}")
+        assert both_ways(monkeypatch, path) == [want, want]
+
+    @pytest.mark.parametrize("text, raw", [
+        # an explicit key overrides the one merged in
+        (b"base: &b {x: 1, y: 2}\nover: {<<: *b, x: 3}\n",
+         {"base": {"x": 1, "y": 2}, "over": {"x": 3, "y": 2}}),
+        (b"a: &a {x: 1}\nb: &b {x: 2}\nc: {<<: [*a, *b], y: 0}\n",
+         {"a": {"x": 1}, "b": {"x": 2}, "c": {"x": 1, "y": 0}}),
+        # a mapping merged into another before it is built itself
+        (b"top:\n  <<: &m {<<: {x: 1}, x: 2}\nagain: *m\n",
+         {"top": {"x": 2}, "again": {"x": 2}}),
+    ], ids=["override", "merged-twice", "merged-first"])
+    def test_merged_keys_may_be_overridden(self, tmp_path, monkeypatch, text,
+                                           raw):
+        path = tmp_path / "merge.yaml"
+        path.write_bytes(text)
+        assert yaml.safe_load(text) == raw
+        assert both_ways(monkeypatch, path) == [raw, raw]
+
+    def test_validate_exits_1(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        at = lines.index("  start: 09:15:00\n")
+        lines.insert(at + 1, "  start: 09:16:00\n")
+        path.write_text("".join(lines))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot parse {path}: line {at + 2}, column 3: "
+            "duplicate key 'start'\n")
 
 
 # "[" * n + "]" * n: the pure loader runs out of recursion near 490
